@@ -32,7 +32,7 @@ fn symmetry_modes(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new("reduced", n), &w, |b, w| {
             b.iter(|| {
-                let g = Explorer::new(&w.form, limits).with_threads(1).graph();
+                let g = Explorer::new(&w.form, limits).graph();
                 assert!(g.stats.closed);
                 assert_eq!(g.state_count(), 1 << n);
             })
@@ -40,7 +40,6 @@ fn symmetry_modes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("plain", n), &w, |b, w| {
             b.iter(|| {
                 let g = Explorer::new(&w.form, limits)
-                    .with_threads(1)
                     .with_symmetry(SymmetryMode::Plain)
                     .graph();
                 assert!(g.stats.closed);

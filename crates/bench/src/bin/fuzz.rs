@@ -3,11 +3,11 @@
 //! Per case, a form is generated by `idar-gen` inside one of the paper's
 //! fragments and cross-checked along eight axes:
 //!
-//! * **(a) engines** — the pooled parallel frontier explorer (persistent
-//!   worker pool + fingerprint-sharded store) against the sequential BFS
-//!   engine: state counts, closedness, transition counts,
-//!   isomorphism-code sets, depth multisets, goal agreement, and a
-//!   depth-limited run exercising the pooled exhaustiveness probe;
+//! * **(a) engines** — the BFS engine against the naive reference
+//!   explorer (`idar_solver::reference`), in both symmetry modes:
+//!   bit-identical `SearchStats` and edge counts for the exhaustive
+//!   search, a depth-limited run exercising the frontier exhaustiveness
+//!   probe, and the completion goal search, plus equal BFS goal depth;
 //! * **(e) symmetry** — symmetry-reduced exploration (canonical
 //!   isomorphism quotient, the default) against plain ordered-tree
 //!   exploration: the reduced space can never exceed the plain one, and
@@ -17,7 +17,7 @@
 //!   every analysis kind, plus hit provenance on the repeat;
 //! * **(h) capacity** — the out-of-core capacity engine (delta-encoded
 //!   state records under a 4 KiB spill budget, see `idar_solver::spill`)
-//!   against the in-RAM sequential goal search: identical `SearchStats`,
+//!   against the in-RAM goal search: identical `SearchStats`,
 //!   goal existence and BFS goal depth, and the spilled witness run must
 //!   replay; deletion-free forms additionally run in frontier-only mode,
 //!   which must reproduce the same stats with zero retained record bytes;
@@ -35,8 +35,8 @@
 //!   (`Unknown` at a limit is compatible), the greedy-chase witness must
 //!   replay, and pruning the screener's dead rules must be invisible —
 //!   bit-identical verdict *and* `SearchStats` under a forced bounded
-//!   exploration, verdict-identical semi-soundness through the normal
-//!   dispatch;
+//!   exploration, and semi-soundness through the normal dispatch that
+//!   keeps every decided verdict (an `Unknown` may become decided);
 //! * **(d) sat-engines** — the cdcl-vs-dpll differential oracle: on
 //!   seeded chain / pigeonhole / random-3CNF families the two SAT
 //!   engines must agree on every verdict, every returned model must
@@ -54,7 +54,7 @@
 //!   re-checked by the trace-level duty checker; the built form must be
 //!   admitted by its declared fragment. Scenario forms additionally run
 //!   through the engine/symmetry/cache/workflow axes above, so approval
-//!   chains exercise every analysis kind seq-vs-par and cached-vs-cold;
+//!   chains exercise every analysis kind engine-vs-oracle and cached-vs-cold;
 //! * **(g, incremental) incremental-vs-cold** — a random edit sequence
 //!   driven through two `FormManager`s on the same form, one answering
 //!   from its retained `SessionGraph` (graph hits + frontier
@@ -89,7 +89,6 @@ use idar_gen::{
 };
 use idar_logic::gen::{random_3cnf_with, split_mix, Rng, XorShift};
 use idar_logic::Engine;
-use idar_solver::explore::StateGraph;
 use idar_solver::semisound::{semisoundness, SemisoundnessOptions};
 use idar_solver::{
     completability, CompletabilityOptions, ExploreLimits, Explorer, Method, Verdict, VerdictCache,
@@ -540,121 +539,58 @@ fn report_failure(opts: &Options, ctx: &CaseCtx, err: &str, shrunk: Option<Guard
 // (a) engine differential
 // ---------------------------------------------------------------------------
 
-fn sorted_codes(g: &StateGraph) -> Vec<String> {
-    let mut v: Vec<String> = g.states().iter().map(|s| s.iso_code()).collect();
-    v.sort_unstable();
-    v
-}
-
+/// The engine against the naive reference explorer
+/// ([`idar_solver::reference`]) in both symmetry modes: bit-identical
+/// `SearchStats` for the exhaustive search (`Explorer::graph`), for a
+/// depth-limited one that exercises the frontier exhaustiveness probe,
+/// and for the completion goal search, whose BFS goal depth must also
+/// agree and whose witness run must replay to a complete state.
 fn check_engines(form: &GuardedForm) -> Result<(), String> {
+    use idar_solver::{reference, SymmetryMode};
     let limits = fuzz_limits();
-    let seq = Explorer::new(form, limits).with_threads(1).graph();
-    let par = Explorer::new(form, limits).with_threads(4).graph();
-
-    if seq.state_count() != par.state_count() {
-        return Err(format!(
-            "state counts differ: seq {} vs par {}",
-            seq.state_count(),
-            par.state_count()
-        ));
-    }
-    if seq.stats.closed != par.stats.closed {
-        return Err(format!(
-            "closed flags differ: seq {} vs par {}",
-            seq.stats.closed, par.stats.closed
-        ));
-    }
-    if seq.stats.closed {
-        if seq.stats.transitions != par.stats.transitions {
-            return Err(format!(
-                "transition counts differ on closed space: seq {} vs par {}",
-                seq.stats.transitions, par.stats.transitions
-            ));
-        }
-        if sorted_codes(&seq) != sorted_codes(&par) {
-            return Err("state sets differ on closed space".into());
-        }
-        let mut sd: Vec<usize> = (0..seq.state_count()).map(|i| seq.depth_of(i)).collect();
-        let mut pd: Vec<usize> = (0..par.state_count()).map(|i| par.depth_of(i)).collect();
-        sd.sort_unstable();
-        pd.sort_unstable();
-        if sd != pd {
-            return Err("depth multisets differ on closed space".into());
-        }
-        let seq_edges = seq.edge_count();
-        let par_edges = par.edge_count();
-        if seq_edges != par_edges {
-            return Err(format!(
-                "edge counts differ on closed space: seq {seq_edges} vs par {par_edges}"
-            ));
-        }
-    }
-
-    // Depth-limited runs exercise the engines' shared exhaustiveness
-    // probe (the short-circuiting "does any frontier state still have a
-    // successor?" check): prefix layers are fully expanded by both
-    // engines, so counts and closedness must agree exactly. Limit
-    // *kinds* are last-writer and scheduling-dependent when several
-    // limits fire, so only presence is compared.
     let shallow = ExploreLimits {
         max_depth: 3,
         ..limits
     };
-    let seq_d = Explorer::new(form, shallow).with_threads(1).graph();
-    let par_d = Explorer::new(form, shallow).with_threads(4).graph();
-    if seq_d.state_count() != par_d.state_count() {
-        return Err(format!(
-            "depth-limited state counts differ: seq {} vs par {}",
-            seq_d.state_count(),
-            par_d.state_count()
-        ));
-    }
-    if seq_d.stats.closed != par_d.stats.closed {
-        return Err(format!(
-            "depth-limited closed flags differ: seq {} vs par {}",
-            seq_d.stats.closed, par_d.stats.closed
-        ));
-    }
-    if seq_d.stats.limit_hit.is_some() != par_d.stats.limit_hit.is_some() {
-        return Err(format!(
-            "depth-limited limit presence differs: seq {:?} vs par {:?}",
-            seq_d.stats.limit_hit, par_d.stats.limit_hit
-        ));
-    }
-
-    // Goal search: engines must agree when neither hit a limit.
-    let seq_f = Explorer::new(form, limits)
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
-    let par_f = Explorer::new(form, limits)
-        .with_threads(4)
-        .find(|i| form.is_complete(i));
-    if seq_f.stats.limit_hit.is_none() && par_f.stats.limit_hit.is_none() {
-        match (&seq_f.goal_run, &par_f.goal_run) {
-            (Some(a), Some(b)) => {
-                if a.len() != b.len() {
-                    return Err(format!(
-                        "goal depths differ: seq {} vs par {}",
-                        a.len(),
-                        b.len()
-                    ));
-                }
-            }
-            (None, None) => {}
-            (s, p) => {
+    for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
+        for (what, lim) in [("exhaustive", limits), ("depth-limited", shallow)] {
+            let graph = Explorer::new(form, lim).with_symmetry(symmetry).graph();
+            let oracle = reference::explore(form, &lim, symmetry, |_| false);
+            if graph.stats != oracle.stats {
                 return Err(format!(
-                    "goal existence differs: seq {} vs par {}",
-                    s.is_some(),
-                    p.is_some()
+                    "{symmetry} {what} stats differ: engine {:?} vs oracle {:?}",
+                    graph.stats, oracle.stats
+                ));
+            }
+            if graph.edge_count() != oracle.edges {
+                return Err(format!(
+                    "{symmetry} {what} edge counts differ: engine {} vs oracle {}",
+                    graph.edge_count(),
+                    oracle.edges
                 ));
             }
         }
-    }
-    for (engine, run) in [("seq", &seq_f.goal_run), ("par", &par_f.goal_run)] {
-        if let Some(r) = run {
+        let found = Explorer::new(form, limits)
+            .with_symmetry(symmetry)
+            .find(|i| form.is_complete(i));
+        let oracle = reference::explore(form, &limits, symmetry, |i| form.is_complete(i));
+        if found.stats != oracle.stats {
+            return Err(format!(
+                "{symmetry} goal-search stats differ: engine {:?} vs oracle {:?}",
+                found.stats, oracle.stats
+            ));
+        }
+        if found.goal_run.as_ref().map(Vec::len) != oracle.goal_depth {
+            return Err(format!(
+                "{symmetry} goal depths differ: engine {:?} vs oracle {:?}",
+                found.goal_run.as_ref().map(Vec::len),
+                oracle.goal_depth
+            ));
+        }
+        if let Some(r) = &found.goal_run {
             if !form.is_complete_run(r) {
                 return Err(format!(
-                    "{engine} goal run does not replay to a complete state"
+                    "{symmetry} goal run does not replay to a complete state"
                 ));
             }
         }
@@ -666,7 +602,7 @@ fn check_engines(form: &GuardedForm) -> Result<(), String> {
 // (h) capacity differential: budgeted spill vs in-RAM search
 // ---------------------------------------------------------------------------
 
-/// The out-of-core capacity engine against the sequential in-RAM
+/// The out-of-core capacity engine against the in-RAM
 /// engine. A 4 KiB arena budget forces page spills at fuzz sizes; the
 /// budgeted search must nevertheless visit exactly the same states
 /// (`SearchStats` compares field-for-field), agree on goal existence
@@ -676,9 +612,7 @@ fn check_engines(form: &GuardedForm) -> Result<(), String> {
 fn check_capacity(form: &GuardedForm) -> Result<(), String> {
     use idar_solver::MemoryBudget;
     let limits = fuzz_limits();
-    let ram = Explorer::new(form, limits)
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
+    let ram = Explorer::new(form, limits).find(|i| form.is_complete(i));
     let (spilled, report) = Explorer::new(form, limits)
         .with_memory_budget(MemoryBudget::bytes(4 * 1024))
         .find_spilled(|i| form.is_complete(i));
@@ -742,9 +676,8 @@ fn check_capacity(form: &GuardedForm) -> Result<(), String> {
 fn check_symmetry(form: &GuardedForm) -> Result<(), String> {
     use idar_solver::SymmetryMode;
     let limits = fuzz_limits();
-    let reduced = Explorer::new(form, limits).with_threads(1).graph();
+    let reduced = Explorer::new(form, limits).graph();
     let plain = Explorer::new(form, limits)
-        .with_threads(1)
         .with_symmetry(SymmetryMode::Plain)
         .graph();
 
@@ -776,11 +709,8 @@ fn check_symmetry(form: &GuardedForm) -> Result<(), String> {
 
     // Goal search: when neither run hit a limit, existence and BFS depth
     // agree, and plain-mode runs replay.
-    let rf = Explorer::new(form, limits)
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
+    let rf = Explorer::new(form, limits).find(|i| form.is_complete(i));
     let pf = Explorer::new(form, limits)
-        .with_threads(1)
         .with_symmetry(SymmetryMode::Plain)
         .find(|i| form.is_complete(i));
     if rf.stats.limit_hit.is_none() && pf.stats.limit_hit.is_none() {
@@ -1220,7 +1150,12 @@ fn check_static(form: &GuardedForm) -> Result<(), String> {
             .with_budget(bypass.clone()),
     );
     let b = analyze(&AnalysisRequest::new(pruned, AnalysisKind::Semisoundness).with_budget(bypass));
-    if a.verdict != b.verdict {
+    // The per-state completability oracles dispatch on the fragment of
+    // the form they run on, and the pruned form can land in a decidable
+    // cell where the original only bounds: the original's `Unknown` may
+    // become a decided verdict. Pruning can only narrow the fragment, so
+    // a decided original verdict must survive unchanged.
+    if a.verdict != Verdict::Unknown && b.verdict != a.verdict {
         return Err(format!(
             "pruning {} dead rule(s) changed the semi-soundness verdict: {} -> {}",
             r.dead_rules.len(),

@@ -2,36 +2,30 @@
 //! paper-vs-measured evidence. `EXPERIMENTS.md` records this output.
 //!
 //! Alongside the human-readable transcript, the run writes a
-//! machine-readable **`BENCH_10.json`** (schema v10: per-section wall-times,
-//! thread counts *and peak-RSS snapshots*, the parallel-frontier object —
-//! per-workload seq/par wall-times and speedups, or
-//! `"skipped_single_core": true` when the host cannot host a fair
-//! comparison — the SAT-engine cdcl-vs-dpll family timings, the
-//! `state_store` section: states before/after symmetry reduction,
-//! verdict-cache hit rate and cold-vs-cached speedup, manager throughput
-//! — the `scenarios` section: the named approval-chain corpus with its
-//! pinned verdicts plus chain-depth scaling wall-times up to depth 12 —
-//! the `incremental` section: post-edit `safe_updates` latency answered
-//! by a retained session graph vs an always-cold re-solve, with
-//! per-workload speedup and graph-hit rate — the `static` section: the
-//! fraction of the scenario corpus the pre-exploration screener decides
-//! outright, its p99 latency vs the cold-exploration p50 it replaces,
-//! dead-rule counts and the pruned-vs-unpruned state-count pin — the
-//! `service` section:
-//! idar-server throughput and p50/p99 latency under the seeded
+//! machine-readable **`BENCH_11.json`** (schema v11: per-section
+//! wall-times *and peak-RSS snapshots*, the host's thread count, the
+//! SAT-engine cdcl-vs-dpll family timings, the `state_store` section:
+//! states before/after symmetry reduction, verdict-cache hit rate and
+//! cold-vs-cached speedup, manager throughput — the `scenarios` section:
+//! the named approval-chain corpus with its pinned verdicts plus
+//! screen-bypassed chain-depth scaling explorations up to depth 12 — the
+//! `incremental` section: post-edit `safe_updates` latency answered by a
+//! retained session graph vs an always-cold re-solve, with per-workload
+//! speedup and graph-hit rate — the `static` section: the fraction of
+//! the scenario corpus the pre-exploration screener decides outright,
+//! its p99 latency vs the cold-exploration p50 it replaces, dead-rule
+//! counts and the pruned-vs-unpruned state-count pin — the `service`
+//! section: idar-server throughput and p50/p99 latency under the seeded
 //! interactive, analysis, and edit-burst load mixes, with the server's
-//! final admission counters and session graph-hit rate — and the new
+//! final admission counters and session graph-hit rate — and the
 //! `capacity` section: the out-of-core state store, flat vs budgeted
 //! allocator peaks, spill/fault/compression counters, and the
 //! frontier-only blow-up run) so CI can archive the perf trajectory;
 //! pass `--json PATH` to redirect it.
 //!
-//! Perf gates asserted inside the run: the pooled parallel engine must
-//! reach speedup ≥ 1.0 on `subset_lattice(16)` whenever the host
-//! reports ≥ 2 cores (a 1-core host skips the comparison instead of
-//! archiving a bogus < 1 "regression"), CDCL must solve the
-//! 200k-clause chain in < 100 ms, the incremental section must answer
-//! post-edit `safe_updates` ≥ 10× faster warm than cold on both of its
+//! Perf gates asserted inside the run: CDCL must solve the 200k-clause
+//! chain in < 100 ms, the incremental section must answer post-edit
+//! `safe_updates` ≥ 10× faster warm than cold on both of its
 //! workloads, the static section must decide ≥ 30% of its corpus with a
 //! screener p99 ≤ 2 ms on every slice and under the scaled slice's
 //! cold-exploration p50 (agreeing with exploration on every decided
@@ -48,7 +42,7 @@
 //!
 //! ```text
 //! cargo run --release -p idar-bench --bin reproduce \
-//!   [-- --json BENCH_10.json] [--only capacity] [--capacity-budget BYTES]
+//!   [-- --json BENCH_11.json] [--only capacity] [--capacity-budget BYTES]
 //! ```
 //!
 //! `--only capacity` runs just the capacity section (the CI
@@ -141,29 +135,7 @@ mod peak_alloc {
 #[global_allocator]
 static ALLOC: peak_alloc::PeakAlloc = peak_alloc::PeakAlloc;
 
-/// One row of the engine-check table, recorded for `BENCH_10.json`.
-struct ParRow {
-    name: String,
-    states: usize,
-    seq_ms: f64,
-    /// `None` on a single-core host (the comparison is skipped, not
-    /// faked).
-    par_ms: Option<f64>,
-}
-
-/// The parallel-frontier section: its rows plus the thread accounting
-/// the JSON report needs.
-struct ParReport {
-    rows: Vec<ParRow>,
-    /// Worker threads the parallel runs used (1 ⇒ comparison skipped).
-    threads: usize,
-    skipped_single_core: bool,
-    /// A violated speedup gate, reported *after* the JSON is written so
-    /// the regression that tripped the gate is still archived.
-    gate_violation: Option<String>,
-}
-
-/// One row of the SAT-engine table, recorded for `BENCH_10.json`.
+/// One row of the SAT-engine table, recorded for `BENCH_11.json`.
 struct SatRow {
     family: String,
     vars: usize,
@@ -180,8 +152,8 @@ fn main() {
         Some(i) => args
             .get(i + 1)
             .cloned()
-            .unwrap_or_else(|| "BENCH_10.json".to_string()),
-        None => "BENCH_10.json".to_string(),
+            .unwrap_or_else(|| "BENCH_11.json".to_string()),
+        None => "BENCH_11.json".to_string(),
     };
     let only_capacity = match args.iter().position(|a| a == "--only") {
         Some(i) => {
@@ -199,31 +171,24 @@ fn main() {
         None => 1 << 20,
     };
     let run_start = Instant::now();
-    // Per-section wall-time, the explorer worker-thread count the
-    // section's searches were allowed — a 1-thread section on a 16-core
-    // host and a 16-thread section must be distinguishable in the
-    // archived report — and the process peak RSS (`VmHWM`) as of the end
-    // of the section, so the report carries memory alongside wall-time.
-    let mut sections: Vec<(&'static str, f64, usize, Option<u64>)> = Vec::new();
-    let mut timed = |name: &'static str, threads: usize, f: &mut dyn FnMut()| {
+    // Per-section wall-time and the process peak RSS (`VmHWM`) as of the
+    // end of the section, so the report carries memory alongside
+    // wall-time.
+    let mut sections: Vec<(&'static str, f64, Option<u64>)> = Vec::new();
+    let mut timed = |name: &'static str, f: &mut dyn FnMut()| {
         let t = Instant::now();
         f();
-        sections.push((
-            name,
-            t.elapsed().as_secs_f64() * 1e3,
-            threads,
-            peak_rss_bytes(),
-        ));
+        sections.push((name, t.elapsed().as_secs_f64() * 1e3, peak_rss_bytes()));
     };
 
     if only_capacity {
         let mut capacity_report = None;
-        timed("capacity", 1, &mut || {
+        timed("capacity", &mut || {
             capacity_report = Some(capacity(capacity_budget))
         });
         let capacity_report = capacity_report.expect("capacity section ran");
         let report = Json::obj([
-            ("schema_version", Json::Int(10)),
+            ("schema_version", Json::Int(11)),
             ("generated_by", Json::Str("idar-bench reproduce".into())),
             ("threads", Json::Int(default_threads() as u64)),
             ("sections", sections_json(&sections)),
@@ -248,121 +213,60 @@ fn main() {
     banner("Table 1 (paper): complexity matrix");
     print!("{}", fragment::render_table1());
 
-    let dt = default_threads();
     timed(
         "table1_completability_positive",
-        dt,
         &mut table1_completability_positive,
     );
-    timed(
-        "table1_completability_np",
-        dt,
-        &mut table1_completability_np,
-    );
+    timed("table1_completability_np", &mut table1_completability_np);
     timed(
         "table1_completability_depth1",
-        dt,
         &mut table1_completability_depth1,
     );
-    timed("table1_undecidable", dt, &mut table1_undecidable);
-    timed(
-        "table1_semisoundness_conp",
-        dt,
-        &mut table1_semisoundness_conp,
-    );
-    timed(
-        "table1_semisoundness_qsat",
-        dt,
-        &mut table1_semisoundness_qsat,
-    );
+    timed("table1_undecidable", &mut table1_undecidable);
+    timed("table1_semisoundness_conp", &mut table1_semisoundness_conp);
+    timed("table1_semisoundness_qsat", &mut table1_semisoundness_qsat);
     timed(
         "table1_semisoundness_depth1",
-        dt,
         &mut table1_semisoundness_depth1,
     );
     timed(
         "corollary_4_5_satisfiability",
-        dt,
         &mut corollary_4_5_satisfiability,
     );
-    timed("figures", 1, &mut figures);
-    timed("running_example", dt, &mut running_example);
-    timed("transformations", dt, &mut transformations);
-    let mut par_report = None;
-    timed("parallel_frontier", dt, &mut || {
-        par_report = Some(parallel_frontier())
-    });
-    let par_report = par_report.expect("parallel_frontier section ran");
+    timed("figures", &mut figures);
+    timed("running_example", &mut running_example);
+    timed("transformations", &mut transformations);
     let mut sat_rows = Vec::new();
-    timed("sat_engines", 1, &mut || sat_rows = sat_engines());
-    timed("batch_analysis", dt, &mut batch_analysis);
+    timed("sat_engines", &mut || sat_rows = sat_engines());
+    timed("batch_analysis", &mut batch_analysis);
     let mut store_report = None;
-    // The section's symmetry comparison pins threads to 1, but the cold
-    // cache-speedup analysis and the manager throughput run the explorer
-    // at the default count — record the larger grant.
-    timed("state_store", dt, &mut || {
-        store_report = Some(state_store())
-    });
+    timed("state_store", &mut || store_report = Some(state_store()));
     let store_report = store_report.expect("state_store section ran");
     let mut scenario_report = None;
-    timed("scenarios", dt, &mut || scenario_report = Some(scenarios()));
+    timed("scenarios", &mut || scenario_report = Some(scenarios()));
     let scenario_report = scenario_report.expect("scenarios section ran");
     let mut incremental_report = None;
-    timed("incremental", dt, &mut || {
+    timed("incremental", &mut || {
         incremental_report = Some(incremental())
     });
     let incremental_report = incremental_report.expect("incremental section ran");
     let mut static_report = None;
-    timed("static", 1, &mut || static_report = Some(static_screen()));
+    timed("static", &mut || static_report = Some(static_screen()));
     let static_report = static_report.expect("static section ran");
     let mut service_report = None;
-    timed("service", dt, &mut || service_report = Some(service()));
+    timed("service", &mut || service_report = Some(service()));
     let service_report = service_report.expect("service section ran");
     let mut capacity_report = None;
-    timed("capacity", 1, &mut || {
+    timed("capacity", &mut || {
         capacity_report = Some(capacity(capacity_budget))
     });
     let capacity_report = capacity_report.expect("capacity section ran");
 
     let report = Json::obj([
-        ("schema_version", Json::Int(10)),
+        ("schema_version", Json::Int(11)),
         ("generated_by", Json::Str("idar-bench reproduce".into())),
         ("threads", Json::Int(default_threads() as u64)),
         ("sections", sections_json(&sections)),
-        (
-            "parallel_frontier",
-            Json::obj([
-                ("threads", Json::Int(par_report.threads as u64)),
-                (
-                    "skipped_single_core",
-                    Json::Bool(par_report.skipped_single_core),
-                ),
-                (
-                    "workloads",
-                    Json::Arr(
-                        par_report
-                            .rows
-                            .iter()
-                            .map(|r| {
-                                let mut pairs = vec![
-                                    ("workload".to_string(), Json::Str(r.name.clone())),
-                                    ("states".to_string(), Json::Int(r.states as u64)),
-                                    ("seq_ms".to_string(), Json::Num(r.seq_ms)),
-                                ];
-                                if let Some(par_ms) = r.par_ms {
-                                    pairs.push(("par_ms".to_string(), Json::Num(par_ms)));
-                                    pairs.push((
-                                        "speedup".to_string(),
-                                        Json::Num(r.seq_ms / par_ms.max(1e-9)),
-                                    ));
-                                }
-                                Json::Obj(pairs)
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
         (
             "sat_engine",
             Json::Arr(
@@ -400,12 +304,8 @@ fn main() {
         Err(e) => eprintln!("\ncould not write {json_path}: {e}"),
     }
 
-    // The speedup gate fails the run only *after* the report is on disk,
-    // so the regression that tripped it is still archived and diffable.
-    if let Some(violation) = par_report.gate_violation {
-        eprintln!("\nPERF GATE VIOLATED: {violation}");
-        std::process::exit(1);
-    }
+    // Gates fail the run only *after* the report is on disk, so the
+    // regression that tripped one is still archived and diffable.
     if let Some(violation) = incremental_report.gate_violation {
         eprintln!("\nINCREMENTAL GATE VIOLATED: {violation}");
         std::process::exit(1);
@@ -426,17 +326,16 @@ fn main() {
     println!("All experiments completed.");
 }
 
-/// The `sections` array: per-section wall-time, thread grant, and the
-/// `VmHWM` peak-RSS snapshot taken as the section finished.
-fn sections_json(sections: &[(&'static str, f64, usize, Option<u64>)]) -> Json {
+/// The `sections` array: per-section wall-time and the `VmHWM`
+/// peak-RSS snapshot taken as the section finished.
+fn sections_json(sections: &[(&'static str, f64, Option<u64>)]) -> Json {
     Json::Arr(
         sections
             .iter()
-            .map(|(name, ms, threads, rss)| {
+            .map(|(name, ms, rss)| {
                 let mut pairs = vec![
                     ("name".to_string(), Json::Str((*name).into())),
                     ("wall_ms".to_string(), Json::Num(*ms)),
-                    ("threads".to_string(), Json::Int(*threads as u64)),
                 ];
                 if let Some(rss) = rss {
                     pairs.push(("peak_rss_bytes".to_string(), Json::Int(*rss)));
@@ -880,108 +779,6 @@ fn running_example() {
     }
 }
 
-/// The pooled parallel frontier engine against the sequential engine on
-/// a closed 2ⁿ-state space (not a paper experiment — the engineering
-/// validation that parallel exploration is verdict- and state-set-
-/// identical, plus its wall-clock on this machine).
-///
-/// On a single-core host the seq-vs-par comparison is **skipped** and
-/// recorded as such: measuring a 2-thread pool on 1 core measures pure
-/// coordination overhead and used to archive a speedup < 1 into the
-/// bench report as if the engine had regressed. On a multi-core host the
-/// run *gates* on speedup ≥ 1.0 for the largest workload (best-of-two
-/// runs per engine, so a background blip cannot flake the gate).
-fn parallel_frontier() -> ParReport {
-    banner("Engine check -- pooled parallel frontier vs sequential explorer");
-    let threads = default_threads();
-    println!("hardware threads available: {threads}");
-    let skipped = threads < 2;
-    if skipped {
-        println!("single-core host: seq-vs-par comparison skipped (recorded as");
-        println!("\"skipped_single_core\" -- a 2-thread pool on 1 core would measure");
-        println!("pure coordination overhead, not the engine)");
-    }
-    println!(
-        "{:<24}{:>10}{:>14}{:>14}{:>10}",
-        "workload", "states", "seq time", "par time", "speedup"
-    );
-    let mut rows = Vec::new();
-    let mut gate_violation = None;
-    for n in [12usize, 14, 16] {
-        let w = workloads::subset_lattice(n);
-        let limits = ExploreLimits {
-            max_states: 1 << 20,
-            ..ExploreLimits::default()
-        };
-        // Best of two runs per engine: one measurement per engine is at
-        // the mercy of a single scheduler blip, and this number gates CI.
-        let measure = |engine_threads: usize| {
-            let mut best: Option<(f64, _)> = None;
-            for _ in 0..2 {
-                let t = Instant::now();
-                let g = Explorer::new(&w.form, limits)
-                    .with_threads(engine_threads)
-                    .graph();
-                let ms = t.elapsed().as_secs_f64() * 1e3;
-                if best.as_ref().is_none_or(|(b, _)| ms < *b) {
-                    best = Some((ms, g));
-                }
-            }
-            best.expect("measured")
-        };
-        let (seq_ms, seq) = measure(1);
-        let par = if skipped {
-            None
-        } else {
-            let (par_ms, par) = measure(threads);
-            assert_eq!(seq.state_count(), par.state_count());
-            assert_eq!(seq.stats.closed, par.stats.closed);
-            assert_eq!(seq.stats.transitions, par.stats.transitions);
-            Some(par_ms)
-        };
-        println!(
-            "{:<24}{:>10}{:>14}{:>14}{:>10}",
-            w.name,
-            seq.state_count(),
-            format!("{:.2}ms", seq_ms),
-            par.map_or("skipped".to_string(), |p| format!("{p:.2}ms")),
-            par.map_or("-".to_string(), |p| format!("{:.2}x", seq_ms / p)),
-        );
-        if n == 16 {
-            if let Some(par_ms) = par {
-                let speedup = seq_ms / par_ms.max(1e-9);
-                if speedup < 1.0 {
-                    // Deferred, not asserted here: the violation must not
-                    // abort the run before BENCH_10.json is written, or
-                    // the regression that tripped the gate would be the
-                    // one run with no archived report.
-                    gate_violation = Some(format!(
-                        "pooled engine must not lose to sequential on subset_lattice(16) \
-                         with {threads} threads (seq {seq_ms:.1} ms vs par {par_ms:.1} ms, \
-                         speedup {speedup:.2})"
-                    ));
-                }
-            }
-        }
-        rows.push(ParRow {
-            name: w.name.clone(),
-            states: seq.state_count(),
-            seq_ms,
-            par_ms: par,
-        });
-    }
-    if !skipped {
-        println!("(gate: speedup >= 1.0 enforced on subset_lattice(16) after the JSON");
-        println!("report is written; the PR-5 target on a >= 4-core host is >= 1.5x)");
-    }
-    ParReport {
-        rows,
-        threads: if skipped { 1 } else { threads },
-        skipped_single_core: skipped,
-        gate_violation,
-    }
-}
-
 /// The SAT-engine check: CDCL vs DPLL on the `idar_gen::cnf` families.
 /// Not a paper experiment — the engineering validation that the CDCL
 /// engine (the default `sat_solve` behind every Thm 5.1 / Thm 5.6 /
@@ -1126,7 +923,7 @@ fn batch_analysis() {
         );
     }
     println!(
-        "{agree}/{} completability verdicts agree with baselines ({dt:.2?} total, {} threads)",
+        "{agree}/{} completability verdicts agree with baselines ({dt:.2?} total, {} pool threads)",
         reports.len(),
         default_threads(),
     );
@@ -1134,7 +931,7 @@ fn batch_analysis() {
 }
 
 /// The `state_store` report: symmetry-reduction shrinkage, verdict-cache
-/// speedup, and form-manager throughput. Written to `BENCH_10.json`.
+/// speedup, and form-manager throughput. Written to `BENCH_11.json`.
 struct StoreReport {
     symmetry_workload: String,
     plain_states: usize,
@@ -1199,9 +996,8 @@ fn state_store() -> StoreReport {
         max_states: 1 << 20,
         ..ExploreLimits::default()
     };
-    let reduced = Explorer::new(&sym.form, limits).with_threads(1).graph();
+    let reduced = Explorer::new(&sym.form, limits).graph();
     let plain = Explorer::new(&sym.form, limits)
-        .with_threads(1)
         .with_symmetry(SymmetryMode::Plain)
         .graph();
     assert!(reduced.stats.closed && plain.stats.closed);
@@ -1333,7 +1129,7 @@ struct ChainRow {
 }
 
 /// The `scenarios` report: named-corpus verdict pins and approval-chain
-/// depth scaling. Written to `BENCH_10.json`.
+/// depth scaling. Written to `BENCH_11.json`.
 struct ScenarioReport {
     named: Vec<ScenarioRow>,
     chain_scaling: Vec<ChainRow>,
@@ -1439,11 +1235,17 @@ fn scenarios() -> ScenarioReport {
         "{:<26}{:>10}{:>12}{:>14}",
         "workload", "depth", "states", "time"
     );
+    // The screener decides clean chains outright; bypass it so these rows
+    // measure exploration.
+    let explore_only = CompletabilityOptions {
+        skip_screen: true,
+        ..CompletabilityOptions::with_limits(limits)
+    };
     let mut chain_scaling = Vec::new();
     for depth in [4usize, 8, 10, 12] {
         let w = workloads::approval_chain(depth, 2, 3);
         let t = Instant::now();
-        let r = completability(&w.form, &CompletabilityOptions::with_limits(limits));
+        let r = completability(&w.form, &explore_only);
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(r.verdict, Verdict::Holds, "{}", w.name);
         // Minimal witness: one submission plus one signature per level.
@@ -2111,7 +1913,7 @@ struct CapacityRow {
 }
 
 /// The `capacity` report: the out-of-core state store at sizes past the
-/// flat store's bench ceiling. Written to `BENCH_10.json`.
+/// flat store's bench ceiling. Written to `BENCH_11.json`.
 struct CapacityReport {
     budget_bytes: usize,
     rows: Vec<CapacityRow>,
@@ -2230,7 +2032,7 @@ fn capacity(budget_bytes: usize) -> CapacityReport {
 
     // --- (1) flat vs budgeted at the largest in-RAM-comfortable size ----
     let w18 = workloads::subset_lattice(18);
-    let flat_explorer = Explorer::new(&w18.form, limits).with_threads(1);
+    let flat_explorer = Explorer::new(&w18.form, limits);
     let base = peak_alloc::reset_peak();
     let t = Instant::now();
     let flat = flat_explorer.find(|_| false);

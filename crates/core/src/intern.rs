@@ -23,12 +23,8 @@
 //!    `IsoCode` indexes straight into flat side tables (no re-hashing).
 //!
 //! The solver's explicit-state engines build the same scheme into their
-//! state stores directly (`idar-solver`'s `StateStore` sequentially, and
-//! its fingerprint-sharded `ShardedStateStore` for the pooled parallel
-//! engine — which retired the `SharedInterner` that used to live here:
-//! the sharded store dedups, stores, and records provenance in one lock
-//! acquisition, so a separate concurrent code-assignment table had no
-//! caller left).
+//! state stores directly (`idar-solver`'s flat `StateStore` and its
+//! out-of-core `SpillStore`).
 //!
 //! # Canonical encoding
 //!

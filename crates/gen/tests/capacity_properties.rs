@@ -7,9 +7,8 @@
 //!   varint layer;
 //! * **spill equivalence** — a spill budget tiny enough to page out
 //!   almost every record must leave search results untouched: identical
-//!   `SearchStats` against the sequential in-RAM engine, agreeing state
-//!   counts / closedness / goal depth against the pooled parallel
-//!   engine, across `SymmetryMode::{Reduced, Plain}`;
+//!   `SearchStats` and goal depth against the flat in-RAM store and the
+//!   naive reference explorer, across `SymmetryMode::{Reduced, Plain}`;
 //! * **verdict equivalence** — `completability` under a memory-bounded
 //!   `Budget` answers exactly as the unbounded run (the budget moves
 //!   bytes, never answers).
@@ -17,7 +16,9 @@
 use idar_core::delta;
 use idar_core::{GuardedForm, Instance};
 use idar_gen::{generate, FragmentSpec, GenConfig};
-use idar_solver::{completability, Budget, ExploreLimits, Explorer, MemoryBudget, SymmetryMode};
+use idar_solver::{
+    completability, reference, Budget, ExploreLimits, Explorer, MemoryBudget, SymmetryMode,
+};
 use proptest::prelude::*;
 
 fn spec_of(ix: usize) -> FragmentSpec {
@@ -138,10 +139,10 @@ proptest! {
         prop_assert_eq!(pos, buf.len());
     }
 
-    /// A tiny spill budget leaves the goal search untouched: stats are
-    /// bit-identical to the sequential in-RAM engine, and state counts /
-    /// closedness / goal depth agree with the pooled parallel engine —
-    /// under both the symmetry quotient and plain exploration.
+    /// A tiny spill budget leaves the goal search untouched: stats and
+    /// goal depth are identical to the flat in-RAM store and to the
+    /// reference explorer — under both the symmetry quotient and plain
+    /// exploration.
     #[test]
     fn heavy_spill_equals_in_ram_search(
         ix in 0usize..4,
@@ -150,16 +151,15 @@ proptest! {
     ) {
         let form = generate(&GenConfig::new(spec_of(ix)), seed);
         let sym = if plain == 1 { SymmetryMode::Plain } else { SymmetryMode::Reduced };
-        let seq = Explorer::new(&form, limits())
+        let flat = Explorer::new(&form, limits())
             .with_symmetry(sym)
-            .with_threads(1)
             .find(|i| form.is_complete(i));
         let (spilled, report) = Explorer::new(&form, limits())
             .with_symmetry(sym)
             .with_memory_budget(tiny_budget())
             .find_spilled(|i| form.is_complete(i));
-        prop_assert_eq!(spilled.stats, seq.stats, "spill report: {:?}", report);
-        match (&seq.goal_run, &spilled.goal_run) {
+        prop_assert_eq!(spilled.stats, flat.stats, "spill report: {:?}", report);
+        match (&flat.goal_run, &spilled.goal_run) {
             (Some(a), Some(b)) => {
                 prop_assert_eq!(a.len(), b.len(), "BFS goal depth must agree");
                 prop_assert!(form.is_complete_run(b), "spilled witness replays");
@@ -167,28 +167,14 @@ proptest! {
             (None, None) => {}
             (a, b) => prop_assert!(
                 false,
-                "goal existence differs: seq {} vs spilled {}",
+                "goal existence differs: flat {} vs spilled {}",
                 a.is_some(),
                 b.is_some()
             ),
         }
-        // The pooled parallel engine is only stats-identical where the
-        // engine differential guarantees it (closed spaces, goal depth
-        // when no limit was hit).
-        let par = Explorer::new(&form, limits())
-            .with_symmetry(sym)
-            .with_threads(4)
-            .find(|i| form.is_complete(i));
-        if par.stats.limit_hit.is_none() && spilled.stats.limit_hit.is_none() {
-            prop_assert_eq!(
-                par.goal_run.is_some(),
-                spilled.goal_run.is_some(),
-                "goal existence differs from the parallel engine"
-            );
-            if let (Some(a), Some(b)) = (&par.goal_run, &spilled.goal_run) {
-                prop_assert_eq!(a.len(), b.len());
-            }
-        }
+        let oracle = reference::explore(&form, &limits(), sym, |i| form.is_complete(i));
+        prop_assert_eq!(spilled.stats, oracle.stats);
+        prop_assert_eq!(spilled.goal_run.as_ref().map(Vec::len), oracle.goal_depth);
     }
 
     /// `completability` under a memory-bounded budget answers exactly as

@@ -7,9 +7,9 @@
 //! tenants over a bounded worker pool. Three disciplines carry over from
 //! the batch layers:
 //!
-//! * **one thread budget** — workers and their inner explorer threads
-//!   split a single budget via `split_threads`, so concurrent requests
-//!   never oversubscribe the host;
+//! * **one thread budget** — the worker pool is sized by
+//!   `split_threads` and every analysis runs single-threaded, so
+//!   concurrent requests never oversubscribe the host;
 //! * **one verdict cache** — process-wide and keyed by rules signature,
 //!   so tenants running identical rule sets share entries (a popular
 //!   form is analyzed once, served many times);

@@ -130,9 +130,7 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
         Ok(f) => f,
         Err(resp) => return resp,
     };
-    let request = AnalysisRequest::new(form, kind)
-        .with_budget(shared.config.budget.clone())
-        .with_threads(shared.inner_threads);
+    let request = AnalysisRequest::new(form, kind).with_budget(shared.config.budget.clone());
     let report = analyze_with(&request, Some(&shared.cache));
     // Count only requests the screener itself decided (`screen` is `None`
     // on cache hits, where the method is merely replayed from the entry).
@@ -146,14 +144,13 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
         200,
         format!(
             "{{\"kind\":\"{}\",\"fragment\":\"{}\",\"verdict\":\"{}\",\"method\":\"{}\",\
-             \"cache\":\"{}\",\"states\":{},\"threads\":{}}}",
+             \"cache\":\"{}\",\"states\":{}}}",
             report.kind,
             json_escape(&report.fragment.to_string()),
             verdict,
             json_escape(&method),
             cache,
             report.stats.states,
-            report.threads,
         ),
     )
     .header("X-Verdict", verdict)
@@ -185,12 +182,9 @@ fn open_session(shared: &Shared, req: &Request) -> Response {
         Ok(f) => f,
         Err(resp) => return resp,
     };
-    // Every session shares the process-wide cache and is granted the
-    // worker's split_threads share — the same two disciplines the batch
-    // analyzer established (shared verdicts, no oversubscription).
+    // Every session shares the process-wide cache.
     let mut manager = FormManager::new(form, shared.config.budget.clone(), shared.config.policy)
         .with_cache(Arc::clone(&shared.cache))
-        .with_threads(shared.inner_threads)
         .with_max_retained_states(shared.config.max_retained_states);
     if let Some(bytes) = shared.config.max_retained_bytes {
         manager = manager.with_max_retained_bytes(bytes);

@@ -7,7 +7,7 @@
 //!   accept ──► admission (bounded queue) ──full──► 429 + Retry-After
 //!      │
 //!      ▼ admitted
-//!   worker pool (split_threads share of the thread budget)
+//!   worker pool (min(threads, concurrency) workers)
 //!      │  parse ── bad ──► 4xx
 //!      ▼
 //!   dispatch (routes): tenant ► session ► analyze (Budget-bounded)
@@ -46,14 +46,13 @@ use std::time::Duration;
 /// PR-4 pipeline consumer uses for interactive vetting.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Total thread budget shared by HTTP workers and their inner
-    /// explorer threads (split with [`split_threads`], exactly like the
-    /// batch analyzer). Defaults to `default_threads().max(2)` — even a
-    /// 1-core host wants two workers, since they are mostly I/O-bound.
+    /// Thread budget of the HTTP worker pool. Defaults to
+    /// `default_threads().max(2)` — even a 1-core host wants two
+    /// workers, since they are mostly I/O-bound.
     pub threads: usize,
-    /// Target concurrent requests (the `jobs` argument of
-    /// [`split_threads`]); the pool gets `min(threads, concurrency)`
-    /// workers and each request's analysis gets the remaining share.
+    /// Target concurrent requests; the pool gets
+    /// `min(threads, concurrency)` workers ([`split_threads`]), each
+    /// running one single-threaded analysis at a time.
     pub concurrency: usize,
     /// Admitted-but-unclaimed connections beyond this are shed with 429.
     pub queue_capacity: usize,
@@ -116,9 +115,6 @@ pub(crate) struct Shared {
     pub tenants: Tenants,
     pub cache: Arc<VerdictCache>,
     pub metrics: Metrics,
-    /// Explorer threads granted to each request's analysis (the
-    /// `split_threads` inner share).
-    pub inner_threads: usize,
 }
 
 pub(crate) struct QueueState {
@@ -135,7 +131,7 @@ impl Server {
     pub fn start(addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let (workers, inner_threads) = split_threads(config.threads, config.concurrency);
+        let (workers, _) = split_threads(config.threads, config.concurrency);
         let shared = Arc::new(Shared {
             config,
             queue: Mutex::new(QueueState {
@@ -146,7 +142,6 @@ impl Server {
             tenants: Tenants::new(),
             cache: Arc::new(VerdictCache::new()),
             metrics: Metrics::default(),
-            inner_threads,
         });
 
         let mut worker_handles = Vec::with_capacity(workers);
@@ -199,12 +194,6 @@ impl ServerHandle {
     /// tenants).
     pub fn cache(&self) -> &Arc<VerdictCache> {
         &self.shared.cache
-    }
-
-    /// The per-request explorer-thread grant (the `split_threads` inner
-    /// share), exposed for tests.
-    pub fn inner_threads(&self) -> usize {
-        self.shared.inner_threads
     }
 
     /// Graceful shutdown: stop admitting, serve everything already

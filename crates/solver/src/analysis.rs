@@ -66,13 +66,12 @@ impl fmt::Display for AnalysisKind {
 /// across `CompletabilityOptions`, `SemisoundnessOptions`, and
 /// `BatchAnalyzer`; those names are now aliases of `Budget`. Everything
 /// in the budget is verdict-affecting and therefore part of the
-/// [`VerdictCache`] key — with two deliberate exceptions: worker-thread
-/// counts (not in the struct: engines are verdict-identical by
-/// contract) and [`Budget::memory`] (in the struct but excluded from
-/// the manual `PartialEq`/`Hash` impls below: the out-of-core capacity
-/// engine visits the same states and returns the same verdicts as the
-/// in-RAM engines — spilling moves bytes, never answers — so budgeted
-/// and unbudgeted runs share cache entries).
+/// [`VerdictCache`] key — except [`Budget::memory`] and
+/// [`Budget::skip_screen`], which are in the struct but excluded from
+/// the manual `PartialEq`/`Hash` impls below: the out-of-core store
+/// visits the same states and returns the same verdicts as the flat
+/// one — spilling moves bytes, never answers — so budgeted and
+/// unbudgeted runs share cache entries.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     /// Resource limits for the bounded/NP code paths.
@@ -150,19 +149,15 @@ pub struct AnalysisRequest {
     pub kind: AnalysisKind,
     /// The resource budget (also the cache key's limit component).
     pub budget: Budget,
-    /// Worker threads for the explicit-state engines (`None`: the
-    /// [`default_threads`](crate::explore::default_threads) count).
-    pub threads: Option<usize>,
 }
 
 impl AnalysisRequest {
-    /// A request with default budget and thread count.
+    /// A request with the default budget.
     pub fn new(form: GuardedForm, kind: AnalysisKind) -> AnalysisRequest {
         AnalysisRequest {
             form,
             kind,
             budget: Budget::default(),
-            threads: None,
         }
     }
 
@@ -187,9 +182,10 @@ impl AnalysisRequest {
         self
     }
 
-    /// Pin the worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> AnalysisRequest {
-        self.threads = Some(threads.max(1));
+    /// Ignores its argument: exploration is single-threaded. Kept so
+    /// existing callers still compile.
+    #[deprecated(note = "analyses are single-threaded; this is a no-op")]
+    pub fn with_threads(self, _threads: usize) -> AnalysisRequest {
         self
     }
 }
@@ -238,12 +234,6 @@ pub struct AnalysisReport {
     pub stats: SearchStats,
     /// Cache provenance of this report.
     pub cache: CacheProvenance,
-    /// Worker threads the explicit-state engines were granted for this
-    /// request ([`AnalysisRequest::threads`], defaulted). Thread counts
-    /// are *accounting*, not budget: they never affect the verdict, but
-    /// layered callers (e.g. [`crate::batch::BatchAnalyzer`]) rely on the
-    /// grant to keep total concurrency within one configured budget.
-    pub threads: usize,
     /// Counters from the static screener's pass over this request:
     /// `Some` whenever the screener ran (cold completability or
     /// semi-soundness without `force_method`/`skip_screen`), whether or
@@ -296,7 +286,6 @@ pub fn analyze_keyed(
             sat_witness: None,
             stats: hit.stats,
             cache: CacheProvenance::Hit,
-            threads: granted_threads(request),
             screen: None,
         };
     }
@@ -323,14 +312,6 @@ pub fn analyze_keyed(
     report
 }
 
-/// The worker-thread count a request resolves to (its pin, or the
-/// explorer default).
-fn granted_threads(request: &AnalysisRequest) -> usize {
-    request
-        .threads
-        .unwrap_or_else(crate::explore::default_threads)
-}
-
 /// Steps 2–4 of the pipeline: classify, **screen**, select, run. For
 /// completability and semi-soundness the static screener runs before
 /// method selection (probe order: cache → screen → exploration/SAT);
@@ -339,7 +320,6 @@ fn granted_threads(request: &AnalysisRequest) -> usize {
 /// dead-rule-pruned form — same reachable graph, smaller rule table.
 fn run_cold(request: &AnalysisRequest) -> AnalysisReport {
     let fragment = idar_core::fragment::classify(&request.form);
-    let threads = granted_threads(request);
     // The screener is bypassed under `force_method` (ablations and
     // differential tests must exercise the forced engine verbatim).
     let screened = (request.budget.force_method.is_none()
@@ -369,7 +349,6 @@ fn run_cold(request: &AnalysisRequest) -> AnalysisReport {
                     ..SearchStats::default()
                 },
                 cache: CacheProvenance::Uncached,
-                threads,
                 screen: screen_stats,
             };
         }
@@ -383,8 +362,7 @@ fn run_cold(request: &AnalysisRequest) -> AnalysisReport {
     let form = pruned.as_ref().unwrap_or(&request.form);
     match request.kind {
         AnalysisKind::Completability => {
-            let r =
-                crate::completability::run_completability(form, &request.budget, request.threads);
+            let r = crate::completability::run_completability(form, &request.budget);
             AnalysisReport {
                 kind: request.kind,
                 fragment,
@@ -394,12 +372,11 @@ fn run_cold(request: &AnalysisRequest) -> AnalysisReport {
                 sat_witness: None,
                 stats: r.stats,
                 cache: CacheProvenance::Uncached,
-                threads,
                 screen: screen_stats,
             }
         }
         AnalysisKind::Semisoundness => {
-            let r = crate::semisound::run_semisoundness(form, &request.budget, request.threads);
+            let r = crate::semisound::run_semisoundness(form, &request.budget);
             AnalysisReport {
                 kind: request.kind,
                 fragment,
@@ -409,7 +386,6 @@ fn run_cold(request: &AnalysisRequest) -> AnalysisReport {
                 sat_witness: None,
                 stats: r.stats,
                 cache: CacheProvenance::Uncached,
-                threads,
                 screen: screen_stats,
             }
         }
@@ -432,7 +408,6 @@ fn run_cold(request: &AnalysisRequest) -> AnalysisReport {
                 sat_witness,
                 stats: SearchStats::default(),
                 cache: CacheProvenance::Uncached,
-                threads,
                 screen: None,
             }
         }

@@ -10,17 +10,10 @@
 //! batch (so duplicate forms — isomorphic initial instances included —
 //! are solved once).
 //!
-//! Parallelism is two-level: the batch pool parallelises *across* forms
-//! (one job = one analysis of one form), and each bounded search may
-//! itself use the parallel frontier engine *within* a form. The analyzer
-//! **splits one thread budget** between the levels: with `t` configured
-//! threads and `j` jobs, the
-//! pool gets `min(t, j)` workers and every inner analysis is granted
-//! `t / pool` explorer threads — so the total concurrent worker count
-//! never exceeds the configured budget. (A saturated pool runs its
-//! searches single-threaded; a single huge job gets the whole budget
-//! within-form. The historical bug here was inner analyses defaulting to
-//! `default_threads()` *each*, oversubscribing the host `t × t`-fold.)
+//! The pool parallelises *across* forms (one job = one analysis of one
+//! form); every analysis itself runs single-threaded. With `t`
+//! configured threads and `j` jobs the pool gets `min(t, j)` workers
+//! ([`split_threads`]).
 //!
 //! Results come back in submission order, independent of scheduling:
 //!
@@ -217,21 +210,14 @@ impl BatchAnalyzer {
             .map(|it| rules_signature_of(&it.form))
             .collect();
 
-        let (pool_threads, inner_threads) = split_threads(self.threads, jobs.len());
-        #[cfg(not(feature = "parallel"))]
-        let _ = pool_threads; // the pool branch below is compiled out
+        let (pool_threads, _) = split_threads(self.threads, jobs.len());
 
         let budget = &self.budget;
         let cache = &self.cache;
         let rules_sigs = &rules_sigs;
         let run_job = move |i: usize, item: &BatchItem, kind: AnalysisKind| {
             let key = VerdictCache::key_with(&rules_sigs[i], &item.form, kind, budget);
-            // The explicit thread grant is load-bearing: without it every
-            // inner analysis would spawn `default_threads()` explorer
-            // workers on top of the pool's own.
-            let request = AnalysisRequest::new(item.form.clone(), kind)
-                .with_budget(budget.clone())
-                .with_threads(inner_threads);
+            let request = AnalysisRequest::new(item.form.clone(), kind).with_budget(budget.clone());
             analyze_keyed(&request, cache, &key)
         };
 
@@ -245,7 +231,6 @@ impl BatchAnalyzer {
             })
             .collect();
 
-        #[cfg(feature = "parallel")]
         if pool_threads > 1 {
             use std::sync::atomic::{AtomicUsize, Ordering};
             use std::sync::Mutex;
@@ -285,22 +270,14 @@ impl BatchAnalyzer {
     }
 }
 
-/// Split one thread budget between the across-forms pool and the
-/// within-form explorer: `(pool, inner)` with `pool * inner <= threads`
-/// (never more concurrent workers than configured), `pool <= jobs` (no
-/// idle pool members), and both at least 1. A saturated pool implies
-/// single-threaded inner searches; a lone job gets the whole budget
-/// within-form.
-///
-/// Exported because every layered consumer of the pipeline has the same
-/// oversubscription problem the batch analyzer had: `idar-server` splits
-/// its budget between HTTP workers and per-request explorer threads with
-/// this exact function.
+/// Size a pool for `jobs` concurrent jobs under a budget of `threads`:
+/// `(pool, 1)` with `pool = min(threads, jobs)`, at least 1 — never more
+/// workers than configured, no idle workers. The second component is
+/// the per-job thread grant, always 1 because explorations are
+/// single-threaded. `idar-server` sizes its HTTP worker pool with the
+/// same function.
 pub fn split_threads(threads: usize, jobs: usize) -> (usize, usize) {
-    let threads = threads.max(1);
-    let pool = threads.min(jobs).max(1);
-    let inner = (threads / pool).max(1);
-    (pool, inner)
+    (threads.min(jobs).max(1), 1)
 }
 
 #[cfg(test)]
@@ -367,7 +344,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_batch_matches_sequential() {
         let seq = BatchAnalyzer::new()
@@ -413,57 +389,21 @@ mod tests {
         }
     }
 
-    /// The oversubscription regression: the thread budget is split
-    /// between the pool and the inner searches, so the total concurrent
-    /// worker count (`pool × inner`) never exceeds the configured count
-    /// for any (threads, jobs) combination.
+    /// The pool never outnumbers the configured threads or the jobs,
+    /// and every job runs single-threaded.
     #[test]
     fn thread_budget_split_never_oversubscribes() {
         for threads in 0..=16 {
             for jobs in 0..=24 {
                 let (pool, inner) = split_threads(threads, jobs);
-                assert!(pool >= 1 && inner >= 1);
+                assert!(pool >= 1 && inner == 1);
                 assert!(pool <= jobs.max(1), "threads={threads} jobs={jobs}");
-                assert!(
-                    pool * inner <= threads.max(1),
-                    "threads={threads} jobs={jobs}: pool {pool} × inner {inner} oversubscribes"
-                );
+                assert!(pool <= threads.max(1), "threads={threads} jobs={jobs}");
             }
         }
-        assert_eq!(split_threads(4, 100), (4, 1), "saturated pool: inner 1");
-        assert_eq!(split_threads(8, 2), (2, 4), "few jobs: budget split");
-        assert_eq!(split_threads(4, 1), (1, 4), "lone job: whole budget");
-    }
-
-    /// End-to-end: a parallel batch grants every inner analysis exactly
-    /// its split share, observable as [`AnalysisReport::threads`] — the
-    /// historical `N×N` bug had each of the pool's workers spawning
-    /// `default_threads()` explorer threads of its own.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_batch_runs_inner_analyses_single_threaded() {
-        // 3 items × 3 kinds = 9 jobs on a 2-thread budget → pool 2,
-        // inner 1: at most 2 concurrent explorer workers in total.
-        let reports = BatchAnalyzer::new()
-            .with_limits(capped_limits())
-            .with_threads(2)
-            .run(suite());
-        for r in &reports {
-            for rep in [&r.completability, &r.semisoundness, &r.satisfiability] {
-                assert_eq!(rep.as_ref().unwrap().threads, 1, "{}", r.name);
-            }
-        }
-        // A lone job gets the whole budget within-form instead.
-        let reports = BatchAnalyzer::new()
-            .with_limits(capped_limits())
-            .with_threads(4)
-            .with_selection(AnalysisSelection {
-                completability: true,
-                semisoundness: false,
-                satisfiability: false,
-            })
-            .run(vec![BatchItem::new("solo", leave::example_3_12())]);
-        assert_eq!(reports[0].completability.as_ref().unwrap().threads, 4);
+        assert_eq!(split_threads(4, 100), (4, 1), "saturated pool");
+        assert_eq!(split_threads(8, 2), (2, 1), "few jobs");
+        assert_eq!(split_threads(4, 1), (1, 1), "lone job");
     }
 
     /// Duplicate (and isomorphic-duplicate) forms in one batch are solved

@@ -74,21 +74,12 @@ pub fn select_method(form: &GuardedForm) -> Method {
 
 /// The cold execution path behind the pipeline: method selection plus the
 /// budgeted run.
-pub(crate) fn run_completability(
-    form: &GuardedForm,
-    budget: &Budget,
-    threads: Option<usize>,
-) -> CompletabilityResult {
+pub(crate) fn run_completability(form: &GuardedForm, budget: &Budget) -> CompletabilityResult {
     let method = budget.force_method.unwrap_or_else(|| select_method(form));
-    run_method(form, method, budget, threads)
+    run_method(form, method, budget)
 }
 
-fn run_method(
-    form: &GuardedForm,
-    method: Method,
-    budget: &Budget,
-    threads: Option<usize>,
-) -> CompletabilityResult {
+fn run_method(form: &GuardedForm, method: Method, budget: &Budget) -> CompletabilityResult {
     match method {
         Method::PositiveSaturation => match crate::positive::completability_positive(form) {
             Ok(ans) => CompletabilityResult {
@@ -98,7 +89,7 @@ fn run_method(
                 stats: ans.stats,
             },
             // Preconditions violated (only possible when forced): fall back.
-            Err(_) => run_method(form, Method::BoundedExploration, budget, threads),
+            Err(_) => run_method(form, Method::BoundedExploration, budget),
         },
         Method::Depth1Canonical => match Depth1System::new(form) {
             Ok(sys) => {
@@ -111,7 +102,7 @@ fn run_method(
                     stats: ans.stats,
                 }
             }
-            Err(_) => run_method(form, Method::BoundedExploration, budget, threads),
+            Err(_) => run_method(form, Method::BoundedExploration, budget),
         },
         Method::NpTwoPhase => match crate::np::completability_np(form, &budget.limits) {
             Ok(ans) => CompletabilityResult {
@@ -120,7 +111,7 @@ fn run_method(
                 witness_run: ans.run,
                 stats: ans.stats,
             },
-            Err(_) => run_method(form, Method::BoundedExploration, budget, threads),
+            Err(_) => run_method(form, Method::BoundedExploration, budget),
         },
         // Forcing the screener runs it alone: a conclusive outcome is the
         // answer, an inconclusive one is an honest `Unknown` (the caller
@@ -146,13 +137,10 @@ fn run_method(
             }
         }
         Method::BoundedExploration | Method::ReachableEnumeration | Method::SatTableau => {
-            let mut explorer = Explorer::new(form, budget.limits)
+            let out = Explorer::new(form, budget.limits)
                 .with_symmetry(budget.symmetry)
-                .with_memory_budget(budget.memory);
-            if let Some(t) = threads {
-                explorer = explorer.with_threads(t);
-            }
-            let out = explorer.find(|i| form.is_complete(i));
+                .with_memory_budget(budget.memory)
+                .find(|i| form.is_complete(i));
             let verdict = match (&out.goal_run, out.stats.closed) {
                 (Some(_), _) => Verdict::Holds,
                 (None, true) => Verdict::Fails, // space exhausted: exact

@@ -1,16 +1,15 @@
 //! Bounded explicit-state exploration of a guarded form's run space.
 //!
-//! States live in the shared hash-consed [`StateStore`]: deduplicated
-//! — under the default [`SymmetryMode::Reduced`] — *up to isomorphism*
-//! via interned canonical encodings, which preserve sibling multiplicity.
-//! This is deliberately **not** the bisimulation quotient: Lemma 4.3
-//! makes the canonical-instance abstraction sound for depth-1 forms only,
-//! and Thm 4.1 shows that at depth ≥ 2 multiplicities carry real
-//! information (they encode counter values!). The depth-1 fast path lives
-//! in [`crate::depth1`]; this explorer is the general-purpose engine.
-//! [`SymmetryMode::Plain`] turns the symmetry reduction off (states are
-//! ordered trees) — the ablation baseline the differential fuzzer and the
-//! `reproduce` harness compare against.
+//! States are deduplicated — under the default [`SymmetryMode::Reduced`]
+//! — *up to isomorphism* via interned canonical encodings, which preserve
+//! sibling multiplicity. This is deliberately **not** the bisimulation
+//! quotient: Lemma 4.3 makes the canonical-instance abstraction sound for
+//! depth-1 forms only, and Thm 4.1 shows that at depth ≥ 2 multiplicities
+//! carry real information (they encode counter values!). The depth-1 fast
+//! path lives in [`crate::depth1`]; this explorer is the general-purpose
+//! engine. [`SymmetryMode::Plain`] turns the symmetry reduction off
+//! (states are ordered trees) — the ablation baseline the differential
+//! fuzzer and the `reproduce` harness compare against.
 //!
 //! Because completability is undecidable in general (Thm 4.1), the
 //! exploration is bounded, and the outcome records whether the search
@@ -18,44 +17,36 @@
 //! When it closed, negative answers are exact; otherwise they are reported
 //! as [`Verdict::Unknown`](crate::Verdict) by the callers.
 //!
-//! # Execution modes
+//! # One engine, two stores
 //!
-//! The explorer has two interchangeable engines:
+//! Every search runs one breadth-first driver, generic over a small
+//! `Store` trait and monomorphised per store:
 //!
-//! * **Sequential BFS** — one FIFO queue, one [`StateStore`]. Always
-//!   available; state indices follow discovery order.
-//! * **Pooled parallel BFS** (cargo feature `parallel`, on by default) —
-//!   a **persistent worker pool** over a fingerprint-sharded
-//!   [`ShardedStateStore`](crate::store::ShardedStateStore). Workers are
-//!   spawned lazily once per run and live until it ends (no per-layer
-//!   spawn/join); within a layer they claim frontier chunks from a
-//!   shared atomic cursor and intern successors *directly* into the
-//!   store shard that owns the successor's key fingerprint — dedup,
-//!   storage and BFS provenance in one lock acquisition, with no second
-//!   sequential merge pass. The layer barrier only assigns dense
-//!   [`StateId`]s (plain vector pushes, no hashing); the CSR successor
-//!   table is assembled from the per-worker edge logs at finish time.
-//!   See `docs/ARCHITECTURE.md` for the pool/shard diagram.
+//! * the flat [`StateStore`] keeps each state's instance, canonical words
+//!   and provenance resident — [`Explorer::find`], [`Explorer::graph`]
+//!   and [`Explorer::build_session`] run on it;
+//! * the out-of-core `SpillStore` ([`crate::spill`]) keeps only the
+//!   frontier's instances, with delta-compressed words that spill to disk
+//!   under a [`MemoryBudget`] — the capacity engine behind
+//!   [`Explorer::find_spilled`], [`Explorer::find_frontier_only`] and
+//!   budgeted `find`s.
 //!
-//! Both engines visit exactly the same state set, report the same
-//! [`SearchStats::closed`] flag and the same `states` count, and find
-//! goals at the same BFS depth; these invariants are independent of
-//! thread scheduling. What *may* vary — between the engines and, for the
-//! parallel engine, between runs (chunk claiming is racy, so the OS
-//! scheduler picks which discoverer supplies a state's parent pointer
-//! and barrier position) — is state numbering, which same-depth goal
-//! state is returned first, and the `transitions` count of searches that
-//! stop early (workers abandon their remaining chunks as soon as the
-//! terminal condition is flagged). Use `.with_threads(1)` when
-//! bit-identical graphs across runs matter. The differential tests in
-//! this module and in `tests/parallel_differential.rs` pin these
-//! guarantees down.
+//! The driver owns the FIFO queue, the depth-limit probe and the
+//! goal-before-state-cap sequencing. One expansion step owns
+//! prune → apply → intern for a single state, and
+//! [`SessionGraph`] resumes call the same step. State ids follow
+//! discovery order, so a search is deterministic: both stores report
+//! bit-identical [`SearchStats`] and the same goal state.
+//! [`crate::reference`] codes the same contract naively, as the oracle the
+//! differential tests and the fuzzer hold both stores to.
 
 use crate::session::{ExpandEvent, ExpansionLog, SessionGraph};
 use crate::spill::{MemoryBudget, SpillReport, SpillStore};
 use crate::store::{StateId, StateStore, SuccessorTable, SymmetryMode};
 use crate::verdict::{LimitKind, SearchStats};
 use idar_core::{GuardedForm, Instance, Update};
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// Resource limits for bounded exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,8 +106,7 @@ pub struct StateGraph {
     /// The interned states with BFS provenance; index 0 is the initial
     /// instance.
     pub store: StateStore,
-    /// CSR successor adjacency (empty for goal searches, which skip edge
-    /// collection).
+    /// CSR successor adjacency.
     pub succ: SuccessorTable,
     /// Search statistics.
     pub stats: SearchStats,
@@ -160,16 +150,14 @@ impl StateGraph {
     }
 }
 
-/// Number of worker threads the explorer uses by default: all available
-/// cores with the `parallel` feature, 1 without.
+/// The host's available parallelism (1 if unknown). Explorations are
+/// single-threaded; this sizes the across-request pools — the
+/// [`BatchAnalyzer`](crate::batch::BatchAnalyzer) workers and the
+/// server's HTTP workers.
 pub fn default_threads() -> usize {
-    if cfg!(feature = "parallel") {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        1
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Bounded breadth-first explorer over a guarded form's instances.
@@ -179,7 +167,7 @@ pub fn default_threads() -> usize {
 /// use idar_solver::{ExploreLimits, Explorer};
 ///
 /// let form = leave::example_3_12();
-/// let explorer = Explorer::new(&form, ExploreLimits::small()).with_threads(2);
+/// let explorer = Explorer::new(&form, ExploreLimits::small());
 /// let out = explorer.find(|i| form.is_complete(i));
 /// let run = out.goal_run.expect("the leave form is completable");
 /// assert!(form.is_complete_run(&run));
@@ -188,29 +176,26 @@ pub fn default_threads() -> usize {
 pub struct Explorer<'a> {
     form: &'a GuardedForm,
     limits: ExploreLimits,
-    threads: usize,
     symmetry: SymmetryMode,
     memory: MemoryBudget,
 }
 
 impl<'a> Explorer<'a> {
-    /// An explorer over `form` with the given limits, the default
-    /// thread count ([`default_threads`]), and symmetry reduction on.
+    /// An explorer over `form` with the given limits and symmetry
+    /// reduction on.
     pub fn new(form: &'a GuardedForm, limits: ExploreLimits) -> Self {
         Explorer {
             form,
             limits,
-            threads: default_threads(),
             symmetry: SymmetryMode::Reduced,
             memory: MemoryBudget::unbounded(),
         }
     }
 
-    /// Set the worker-thread count. `1` forces the sequential engine;
-    /// values above 1 use the parallel layered engine when the `parallel`
-    /// feature is enabled (and fall back to sequential otherwise).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// Ignores its argument: exploration is single-threaded. Kept so
+    /// existing callers still compile.
+    #[deprecated(note = "exploration is single-threaded; this is a no-op")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -224,12 +209,11 @@ impl<'a> Explorer<'a> {
     }
 
     /// Set the memory budget for goal searches. A bounded budget makes
-    /// [`Explorer::find`] run the out-of-core **capacity engine** (see
+    /// [`Explorer::find`] run on the out-of-core store (see
     /// [`crate::spill`]): delta-compressed state records that spill cold
     /// pages to a temp file so the arena-resident encoded bytes stay
-    /// under the budget. The engine is sequential (the thread setting is
-    /// ignored while a budget is set) and visits exactly the same states
-    /// with the same [`SearchStats`] as the sequential in-RAM engine.
+    /// under the budget. It visits exactly the same states with the same
+    /// [`SearchStats`] as the flat store.
     ///
     /// [`Explorer::graph`] and [`Explorer::build_session`] ignore the
     /// budget: retained graphs hand out `&Instance`/run-to views that
@@ -238,11 +222,6 @@ impl<'a> Explorer<'a> {
     pub fn with_memory_budget(mut self, memory: MemoryBudget) -> Self {
         self.memory = memory;
         self
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The configured memory budget.
@@ -258,28 +237,19 @@ impl<'a> Explorer<'a> {
     /// BFS from the initial instance until `goal` holds for some state (or
     /// the space/limits are exhausted). Returns the shortest-in-BFS run to
     /// the goal, if found.
-    pub fn find(&self, goal: impl Fn(&Instance) -> bool + Sync) -> ExploreOutcome {
+    pub fn find(&self, goal: impl FnMut(&Instance) -> bool) -> ExploreOutcome {
         if self.memory.is_bounded() {
-            let mut goal = goal;
-            return self.run_capacity(Some(&mut goal), false).0;
+            return self.run_capacity(goal, false).0;
         }
-        #[cfg(feature = "parallel")]
-        if self.threads > 1 {
-            let g = self.run_parallel(Some(&goal), false);
-            return ExploreOutcome {
-                goal_run: g.goal.map(|i| g.graph.store.run_to(i)),
-                stats: g.graph.stats,
-            };
-        }
-        let mut goal = goal;
-        let g = self.run(Some(&mut goal), false, None);
+        let mut store = StateStore::new(self.symmetry);
+        let (stats, hit) = bfs(self.form, &self.limits, &mut store, goal, &mut ());
         ExploreOutcome {
-            goal_run: g.goal.map(|i| g.graph.store.run_to(i)),
-            stats: g.graph.stats,
+            goal_run: hit.map(|j| store.run_to(j)),
+            stats,
         }
     }
 
-    /// [`Explorer::find`] on the capacity engine regardless of whether
+    /// [`Explorer::find`] on the out-of-core store regardless of whether
     /// the budget is bounded (an unbounded budget keeps every arena page
     /// hot but still delta-encodes), returning the run's
     /// [`SpillReport`] alongside the outcome. This is the entry point
@@ -288,11 +258,10 @@ impl<'a> Explorer<'a> {
         &self,
         goal: impl FnMut(&Instance) -> bool,
     ) -> (ExploreOutcome, SpillReport) {
-        let mut goal = goal;
-        self.run_capacity(Some(&mut goal), false)
+        self.run_capacity(goal, false)
     }
 
-    /// The capacity engine in **frontier-only** mode: closed-layer
+    /// The out-of-core store in **frontier-only** mode: closed-layer
     /// words, records, and provenance are dropped entirely, so memory
     /// scales with the widest BFS layer instead of the explored total.
     ///
@@ -313,42 +282,38 @@ impl<'a> Explorer<'a> {
             self.form.is_deletion_free(),
             "frontier-only exploration requires a deletion-free form"
         );
-        let mut goal = goal;
-        self.run_capacity(Some(&mut goal), true)
+        self.run_capacity(goal, true)
     }
 
     /// Exhaustively (within limits) build the reachable state graph.
     pub fn graph(&self) -> StateGraph {
-        #[cfg(feature = "parallel")]
-        if self.threads > 1 {
-            return self.run_parallel(None, true).graph;
-        }
-        self.run(None, true, None).graph
+        let mut store = StateStore::new(self.symmetry);
+        let mut edges = Vec::new();
+        let (stats, _) = bfs(self.form, &self.limits, &mut store, |_| false, &mut edges);
+        let succ = SuccessorTable::from_triples(store.len(), &edges);
+        StateGraph { store, succ, stats }
     }
 
     /// The **build phase** of the incremental split: explore exhaustively
     /// (within limits) and retain everything — states, edges, and the
     /// per-state [`ExpansionLog`] — as a [`SessionGraph`] that later
     /// queries [`resume`](Explorer::resume) from.
-    ///
-    /// Always runs the sequential engine regardless of the configured
-    /// thread count: the expansion journal requires the deterministic
-    /// enumeration order only the FIFO BFS guarantees.
     pub fn build_session(&self) -> SessionGraph {
+        let mut store = StateStore::new(self.symmetry);
         let mut log = ExpansionLog::default();
-        let r = self.run(None, true, Some(&mut log));
-        SessionGraph::from_build(r.graph, log, self.limits)
+        let (stats, _) = bfs(self.form, &self.limits, &mut store, |_| false, &mut log);
+        SessionGraph::from_build(store, stats, log, self.limits)
     }
 
     /// The **query phase**: re-seed the BFS at a state already interned
     /// in `session` and search for `goal` under *this* explorer's
     /// limits, reusing every retained state, provenance pointer, and
     /// logged expansion. Equivalent — in verdict, goal depth, and
-    /// [`SearchStats`] — to a cold sequential [`Explorer::find`] on the
-    /// form re-rooted at that state's instance; see the
-    /// [`crate::session`] docs for the exact contract. New states
-    /// discovered past the retained frontier are interned into the
-    /// session, growing it for subsequent queries.
+    /// [`SearchStats`] — to a cold [`Explorer::find`] on the form
+    /// re-rooted at that state's instance; see the [`crate::session`]
+    /// docs for the exact contract. New states discovered past the
+    /// retained frontier are interned into the session, growing it for
+    /// subsequent queries.
     pub fn resume(
         &self,
         session: &mut SessionGraph,
@@ -358,664 +323,262 @@ impl<'a> Explorer<'a> {
         session.resume_with(self.form, self.limits, from, goal)
     }
 
-    /// The sequential engine: FIFO BFS over a [`StateStore`].
-    ///
-    /// Dense [`StateId`]s are assigned in discovery order, so an id
-    /// doubles as the state's index — no side table.
-    fn run(
-        &self,
-        mut goal: Option<&mut dyn FnMut(&Instance) -> bool>,
-        want_edges: bool,
-        mut log: Option<&mut ExpansionLog>,
-    ) -> RunResult {
-        let mut stats = SearchStats::default();
-        let mut store = StateStore::new(self.symmetry);
-        let mut triples: Vec<(StateId, Update, StateId)> = Vec::new();
-        let finish =
-            |store, triples, stats, goal| finish_run(store, triples, stats, goal, want_edges);
-
-        let initial = self.form.initial().clone();
-        let (root, _) = store.intern(initial, None);
-        debug_assert_eq!(root, StateId(0));
-        stats.states = 1;
-
-        if let Some(goal) = goal.as_deref_mut() {
-            if goal(store.get(root)) {
-                stats.closed = true;
-                return finish(store, triples, stats, Some(root));
-            }
-        }
-
-        let mut queue: std::collections::VecDeque<StateId> = std::collections::VecDeque::new();
-        queue.push_back(root);
-        let mut pruned = false;
-
-        while let Some(i) = queue.pop_front() {
-            if store.depth(i) >= self.limits.max_depth {
-                // Queue depths are non-decreasing, so every state still
-                // queued is also at the depth limit: the search is
-                // exhaustive iff none of them has a successor. `any`
-                // short-circuits on the first successor found — the old
-                // probe re-ran `allowed_updates` over the entire
-                // unexpanded frontier unconditionally.
-                if std::iter::once(i)
-                    .chain(queue.drain(..))
-                    .any(|j| has_successor(self.form, store.get(j)))
-                {
-                    pruned = true;
-                    stats.limit_hit = Some(LimitKind::Depth);
-                }
-                break;
-            }
-            if let Some(log) = log.as_deref_mut() {
-                log.begin(i);
-            }
-            let updates = self.form.allowed_updates(store.get(i));
-            for u in updates {
-                stats.transitions += 1;
-                if let Update::Add { parent, edge } = u {
-                    if store.get(i).live_count() >= self.limits.max_state_size {
-                        pruned = true;
-                        stats.limit_hit = Some(LimitKind::StateSize);
-                        if let Some(log) = log.as_deref_mut() {
-                            log.push(i, ExpandEvent::Pruned(LimitKind::StateSize));
-                        }
-                        continue;
-                    }
-                    if let Some(cap) = self.limits.multiplicity_cap {
-                        if store.get(i).children_at(parent, edge).count() >= cap {
-                            pruned = true;
-                            stats.limit_hit = Some(LimitKind::Multiplicity);
-                            if let Some(log) = log.as_deref_mut() {
-                                log.push(i, ExpandEvent::Pruned(LimitKind::Multiplicity));
-                            }
-                            continue;
-                        }
-                    }
-                }
-                let mut next = store.get(i).clone();
-                self.form
-                    .apply_unchecked(&mut next, &u)
-                    .expect("allowed updates apply");
-                let (j, is_new) = store.intern(next, Some((i, u)));
-                if want_edges {
-                    triples.push((i, u, j));
-                }
-                if let Some(log) = log.as_deref_mut() {
-                    log.push(i, ExpandEvent::Edge(u, j));
-                }
-                if !is_new {
-                    continue;
-                }
-                stats.states += 1;
-
-                if let Some(goal) = goal.as_deref_mut() {
-                    if goal(store.get(j)) {
-                        return finish(store, triples, stats, Some(j));
-                    }
-                }
-
-                if stats.states >= self.limits.max_states {
-                    stats.limit_hit = Some(LimitKind::States);
-                    return finish(store, triples, stats, None);
-                }
-                queue.push_back(j);
-            }
-            if let Some(log) = log.as_deref_mut() {
-                log.seal(i);
-            }
-        }
-
-        stats.closed = !pruned;
-        finish(store, triples, stats, None)
-    }
-
-    /// The **capacity engine**: sequential FIFO BFS over the
-    /// out-of-core [`SpillStore`] instead of the flat [`StateStore`].
-    ///
-    /// The traversal mirrors [`Explorer::run`] step for step — same
-    /// expansion order, same prune checks in the same order, same
-    /// goal-before-state-cap sequencing, same depth-probe
-    /// short-circuit — so it produces an identical [`SearchStats`] and
-    /// finds the same goal state. What differs is residency: decoded
-    /// instances live only in the BFS queue (the pinned frontier — a
-    /// popped state's instance is dropped once expanded), canonical
-    /// words of closed layers live as delta records in the paged arena,
-    /// and cold pages spill to disk under the [`MemoryBudget`].
+    /// The capacity engine: the BFS driver over a [`SpillStore`].
+    /// Decoded instances live only in the BFS queue (a popped state's
+    /// instance is dropped once expanded), canonical words of closed
+    /// layers live as delta records in the paged arena, and cold pages
+    /// spill to disk under the [`MemoryBudget`].
     fn run_capacity(
         &self,
-        mut goal: Option<&mut dyn FnMut(&Instance) -> bool>,
+        goal: impl FnMut(&Instance) -> bool,
         frontier_only: bool,
     ) -> (ExploreOutcome, SpillReport) {
-        let mut stats = SearchStats::default();
         let mut store = SpillStore::new(self.symmetry, self.memory, frontier_only);
-
-        let initial = self.form.initial().clone();
-        let key = store.key_of(&initial);
-        let (root, _) = store.intern(key, None, 0);
-        debug_assert_eq!(root, 0);
-        stats.states = 1;
-
-        if let Some(goal) = goal.as_deref_mut() {
-            if goal(&initial) {
-                stats.closed = true;
-                let goal_run = if frontier_only {
-                    None
-                } else {
-                    Some(Vec::new())
-                };
-                return (ExploreOutcome { goal_run, stats }, store.report());
-            }
-        }
-
-        let mut queue: std::collections::VecDeque<(u32, usize, Instance)> =
-            std::collections::VecDeque::new();
-        queue.push_back((root, 0, initial));
-        let mut cur_depth = 0usize;
-        let mut pruned = false;
-
-        while let Some((i, d, inst)) = queue.pop_front() {
-            if d > cur_depth {
-                cur_depth = d;
-                store.begin_layer(d as u32);
-            }
-            if d >= self.limits.max_depth {
-                if std::iter::once(inst)
-                    .chain(queue.drain(..).map(|(_, _, s)| s))
-                    .any(|s| has_successor(self.form, &s))
-                {
-                    pruned = true;
-                    stats.limit_hit = Some(LimitKind::Depth);
-                }
-                break;
-            }
-            let updates = self.form.allowed_updates(&inst);
-            for u in updates {
-                stats.transitions += 1;
-                if let Update::Add { parent, edge } = u {
-                    if inst.live_count() >= self.limits.max_state_size {
-                        pruned = true;
-                        stats.limit_hit = Some(LimitKind::StateSize);
-                        continue;
-                    }
-                    if let Some(cap) = self.limits.multiplicity_cap {
-                        if inst.children_at(parent, edge).count() >= cap {
-                            pruned = true;
-                            stats.limit_hit = Some(LimitKind::Multiplicity);
-                            continue;
-                        }
-                    }
-                }
-                let mut next = inst.clone();
-                self.form
-                    .apply_unchecked(&mut next, &u)
-                    .expect("allowed updates apply");
-                let key = store.key_of(&next);
-                let (j, is_new) = store.intern(key, Some((i, u)), (d + 1) as u32);
-                if !is_new {
-                    continue;
-                }
-                stats.states += 1;
-
-                if let Some(goal) = goal.as_deref_mut() {
-                    if goal(&next) {
-                        let goal_run = store.run_to(j);
-                        return (ExploreOutcome { goal_run, stats }, store.report());
-                    }
-                }
-
-                if stats.states >= self.limits.max_states {
-                    stats.limit_hit = Some(LimitKind::States);
-                    return (
-                        ExploreOutcome {
-                            goal_run: None,
-                            stats,
-                        },
-                        store.report(),
-                    );
-                }
-                queue.push_back((j, d + 1, next));
-            }
-        }
-
-        stats.closed = !pruned;
-        (
-            ExploreOutcome {
-                goal_run: None,
-                stats,
-            },
-            store.report(),
-        )
-    }
-
-    /// The parallel engine: a persistent worker pool over the
-    /// fingerprint-sharded [`ShardedStateStore`].
-    ///
-    /// Workers are spawned lazily (the first time a layer is wide enough
-    /// to dispatch) and then live for the whole run, blocking on their
-    /// job channel between layers. Within a layer every pool member —
-    /// the coordinating thread included — claims frontier chunks from a
-    /// shared atomic cursor and interns successors straight into the
-    /// store shard owning the successor's fingerprint: dedup, storage
-    /// and parent provenance happen under one shard lock, so there is no
-    /// second sequential intern pass at the barrier. The barrier itself
-    /// only assigns dense [`StateId`]s in pool order (vector pushes),
-    /// mirroring the sequential engine's goal/state-cap truncation
-    /// exactly; states interned past a terminal condition are trimmed at
-    /// finish time, which keeps `stats.states` equal to the sequential
-    /// count at every limit boundary. Narrow layers (deep, thin spaces
-    /// like the Thm 4.1 machine simulations) are expanded inline by the
-    /// coordinator without waking the pool.
-    #[cfg(feature = "parallel")]
-    fn run_parallel(
-        &self,
-        goal: Option<&(dyn Fn(&Instance) -> bool + Sync)>,
-        want_edges: bool,
-    ) -> RunResult {
-        use crate::store::{PackedStateId, ShardedStateStore};
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::{mpsc, Arc};
-
-        /// One `(from, update, successor)` record; the successor is
-        /// still a packed id until finish-time remapping.
-        type PendEdge = (StateId, Update, PackedStateId);
-
-        /// A layer's shared work description: the frontier snapshot plus
-        /// the cursor workers claim chunks from.
-        struct LayerWork {
-            items: Vec<(StateId, Arc<Instance>)>,
-            cursor: AtomicUsize,
-            chunk: usize,
-            depth: u32,
-        }
-
-        /// What the pool is asked to do with a layer.
-        enum Job {
-            /// Expand every frontier state.
-            Expand(Arc<LayerWork>),
-            /// Depth-limit exhaustiveness probe: does *any* frontier
-            /// state still have a successor? Short-circuits pool-wide.
-            Probe(Arc<LayerWork>),
-        }
-
-        /// A state discovered (intern race won) by one pool member.
-        struct NewState {
-            id: PackedStateId,
-            inst: Arc<Instance>,
-            is_goal: bool,
-        }
-
-        /// One pool member's output for one job.
-        #[derive(Default)]
-        struct LayerOut {
-            new: Vec<NewState>,
-            transitions: usize,
-            pruned: Option<LimitKind>,
-            probe_found: bool,
-        }
-
-        /// The shared read-only context of every pool member.
-        #[derive(Clone, Copy)]
-        struct Ctx<'a> {
-            form: &'a GuardedForm,
-            limits: ExploreLimits,
-            store: &'a ShardedStateStore,
-            /// Terminal condition (goal found / state cap reached / probe
-            /// succeeded): abandon remaining chunks.
-            stop: &'a AtomicBool,
-            /// Running count of interned states (the workers' state-cap
-            /// heuristic; the barrier's dense assignment is the truth).
-            states_total: &'a AtomicUsize,
-            goal: Option<&'a (dyn Fn(&Instance) -> bool + Sync)>,
-            want_edges: bool,
-        }
-
-        /// The chunk-claiming protocol shared by [`expand`] and
-        /// [`probe`]: claim chunks off the layer's shared cursor and feed
-        /// items to `handle` until the layer drains or `handle` breaks
-        /// (the pool-wide terminal flag).
-        fn for_each_claimed(
-            work: &LayerWork,
-            mut handle: impl FnMut(&(StateId, Arc<Instance>)) -> std::ops::ControlFlow<()>,
-        ) {
-            let n = work.items.len();
-            'claim: loop {
-                let start = work.cursor.fetch_add(work.chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for item in &work.items[start..(start + work.chunk).min(n)] {
-                    if handle(item).is_break() {
-                        break 'claim;
-                    }
-                }
-            }
-        }
-
-        /// The expansion loop every pool member runs, mirroring the
-        /// sequential inner loop exactly (same prune checks, goal
-        /// evaluated only on newly discovered states).
-        fn expand(ctx: &Ctx, work: &LayerWork, edges: &mut Vec<PendEdge>) -> LayerOut {
-            use std::ops::ControlFlow;
-            let mut out = LayerOut::default();
-            for_each_claimed(work, |(from, inst)| {
-                if ctx.stop.load(Ordering::Relaxed) {
-                    return ControlFlow::Break(());
-                }
-                for u in ctx.form.allowed_updates(inst) {
-                    if ctx.stop.load(Ordering::Relaxed) {
-                        return ControlFlow::Break(());
-                    }
-                    out.transitions += 1;
-                    if let Update::Add { parent, edge } = u {
-                        if inst.live_count() >= ctx.limits.max_state_size {
-                            out.pruned = Some(LimitKind::StateSize);
-                            continue;
-                        }
-                        if let Some(cap) = ctx.limits.multiplicity_cap {
-                            if inst.children_at(parent, edge).count() >= cap {
-                                out.pruned = Some(LimitKind::Multiplicity);
-                                continue;
-                            }
-                        }
-                    }
-                    let mut next = (**inst).clone();
-                    ctx.form
-                        .apply_unchecked(&mut next, &u)
-                        .expect("allowed updates apply");
-                    let key = ctx.store.key_of(&next);
-                    let (id, created) =
-                        ctx.store
-                            .intern(key, next, Some((*from, u)), work.depth + 1);
-                    if ctx.want_edges {
-                        edges.push((*from, u, id));
-                    }
-                    if let Some(arc) = created {
-                        let count = ctx.states_total.fetch_add(1, Ordering::Relaxed) + 1;
-                        let is_goal = ctx.goal.is_some_and(|g| g(&arc));
-                        if is_goal || count >= ctx.limits.max_states {
-                            ctx.stop.store(true, Ordering::Relaxed);
-                        }
-                        out.new.push(NewState {
-                            id,
-                            inst: arc,
-                            is_goal,
-                        });
-                    }
-                }
-                ControlFlow::Continue(())
-            });
-            out
-        }
-
-        /// The depth-limit probe every pool member runs: short-circuit
-        /// pool-wide on the first frontier state with a successor.
-        fn probe(ctx: &Ctx, work: &LayerWork) -> LayerOut {
-            use std::ops::ControlFlow;
-            let mut out = LayerOut::default();
-            for_each_claimed(work, |(_, inst)| {
-                if ctx.stop.load(Ordering::Relaxed) {
-                    return ControlFlow::Break(());
-                }
-                if has_successor(ctx.form, inst) {
-                    out.probe_found = true;
-                    ctx.stop.store(true, Ordering::Relaxed);
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            });
-            out
-        }
-
-        let form = self.form;
-        let limits = self.limits;
-        let threads = self.threads;
-        let mut stats = SearchStats::default();
-
-        // Goal at the initial instance short-circuits before any pool
-        // machinery exists (and closes, per the sequential contract).
-        let initial = form.initial().clone();
-        if let Some(g) = goal {
-            if g(&initial) {
-                let mut store = StateStore::new(self.symmetry);
-                let (root, _) = store.intern(initial, None);
-                stats.states = 1;
-                stats.closed = true;
-                return finish_run(store, Vec::new(), stats, Some(root), want_edges);
-            }
-        }
-
-        let store = ShardedStateStore::new(self.symmetry);
-        let stop = AtomicBool::new(false);
-        let states_total = AtomicUsize::new(1); // the root
-        let root_key = store.key_of(&initial);
-        let (root_packed, root_arc) = store.intern(root_key, initial, None, 0);
-        let root_arc = root_arc.expect("the root interns into the empty store as new");
-        stats.states = 1;
-
-        // Dense-id assignment state: `locs[g]` is the packed id of dense
-        // state `g`; `global_of[shard][local]` inverts it (missing /
-        // `u32::MAX` ⇒ trimmed, never assigned).
-        let mut locs: Vec<PackedStateId> = vec![root_packed];
-        let mut global_of: Vec<Vec<u32>> = vec![Vec::new(); ShardedStateStore::SHARD_COUNT];
-        fn assign(global_of: &mut [Vec<u32>], p: PackedStateId, g: u32) {
-            let col = &mut global_of[p.shard()];
-            if col.len() <= p.local() {
-                col.resize(p.local() + 1, u32::MAX);
-            }
-            col[p.local()] = g;
-        }
-        assign(&mut global_of, root_packed, 0);
-
-        let ctx = Ctx {
-            form,
-            limits,
-            store: &store,
-            stop: &stop,
-            states_total: &states_total,
-            goal,
-            want_edges,
-        };
-
-        let (goal_state, coord_edges, worker_edges) = std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<LayerOut>();
-            let mut job_txs: Vec<mpsc::Sender<Job>> = Vec::new();
-            let mut handles = Vec::new();
-            let mut coord_edges: Vec<PendEdge> = Vec::new();
-
-            // Spawn the pool on first use; each worker loops over its job
-            // channel until the coordinator drops the senders, returning
-            // its accumulated edge log on join.
-            let mut dispatch = |work: &Arc<LayerWork>,
-                                probe_job: bool,
-                                job_txs: &mut Vec<mpsc::Sender<Job>>|
-             -> usize {
-                if job_txs.is_empty() {
-                    for _ in 0..threads - 1 {
-                        let (jtx, jrx) = mpsc::channel::<Job>();
-                        job_txs.push(jtx);
-                        let res = res_tx.clone();
-                        let wctx = ctx;
-                        handles.push(scope.spawn(move || {
-                            let mut edges: Vec<PendEdge> = Vec::new();
-                            while let Ok(job) = jrx.recv() {
-                                let out = match job {
-                                    Job::Expand(w) => expand(&wctx, &w, &mut edges),
-                                    Job::Probe(w) => probe(&wctx, &w),
-                                };
-                                if res.send(out).is_err() {
-                                    break;
-                                }
-                            }
-                            edges
-                        }));
-                    }
-                }
-                for tx in job_txs.iter() {
-                    let j = if probe_job {
-                        Job::Probe(work.clone())
-                    } else {
-                        Job::Expand(work.clone())
-                    };
-                    tx.send(j).expect("pool worker exited early");
-                }
-                job_txs.len()
-            };
-
-            let mut frontier: Vec<(StateId, Arc<Instance>)> = vec![(StateId(0), root_arc)];
-            let mut cur_depth = 0usize;
-            let mut pruned = false;
-            let mut goal_state: Option<StateId> = None;
-
-            // A layer is dispatched to the pool only when it offers every
-            // member a meaningful chunk; narrow layers are expanded
-            // inline by the coordinator without waking anyone.
-            const MIN_ITEMS_PER_WORKER: usize = 4;
-
-            'search: loop {
-                if frontier.is_empty() {
-                    stats.closed = !pruned;
-                    break;
-                }
-                let wide = threads > 1 && frontier.len() >= MIN_ITEMS_PER_WORKER * threads;
-                let chunk = (frontier.len() / (threads * 8)).clamp(1, 1024);
-                let work = Arc::new(LayerWork {
-                    items: std::mem::take(&mut frontier),
-                    cursor: AtomicUsize::new(0),
-                    chunk,
-                    depth: cur_depth as u32,
-                });
-
-                if cur_depth >= limits.max_depth {
-                    // Unexpanded frontier: exhaustiveness is lost iff any
-                    // frontier state still has a successor. One probe hit
-                    // short-circuits the whole pool.
-                    let sent = if wide {
-                        dispatch(&work, true, &mut job_txs)
-                    } else {
-                        0
-                    };
-                    let mut found = probe(&ctx, &work).probe_found;
-                    for _ in 0..sent {
-                        found |= res_rx.recv().expect("pool worker died").probe_found;
-                    }
-                    if found {
-                        pruned = true;
-                        stats.limit_hit = Some(LimitKind::Depth);
-                    }
-                    stats.closed = !pruned;
-                    break;
-                }
-
-                // --- expand: the pool (and this thread) drain the layer
-                let sent = if wide {
-                    dispatch(&work, false, &mut job_txs)
-                } else {
-                    0
-                };
-                let mut outs = Vec::with_capacity(sent + 1);
-                outs.push(expand(&ctx, &work, &mut coord_edges));
-                for _ in 0..sent {
-                    outs.push(res_rx.recv().expect("pool worker died"));
-                }
-
-                // --- barrier: merge stats, assign dense ids ------------
-                for out in &outs {
-                    stats.transitions += out.transitions;
-                    if let Some(k) = out.pruned {
-                        pruned = true;
-                        stats.limit_hit = Some(k);
-                    }
-                }
-                let mut next: Vec<(StateId, Arc<Instance>)> = Vec::new();
-                'merge: for out in outs {
-                    for ns in out.new {
-                        let g = StateId(locs.len() as u32);
-                        locs.push(ns.id);
-                        assign(&mut global_of, ns.id, g.0);
-                        stats.states += 1;
-                        if ns.is_goal {
-                            goal_state = Some(g);
-                            break 'merge;
-                        }
-                        if stats.states >= limits.max_states {
-                            stats.limit_hit = Some(LimitKind::States);
-                            break 'merge;
-                        }
-                        next.push((g, ns.inst));
-                    }
-                }
-                if goal_state.is_some() || stats.limit_hit == Some(LimitKind::States) {
-                    break 'search;
-                }
-                frontier = next;
-                cur_depth += 1;
-            }
-
-            drop(job_txs); // workers drain and exit
-            let worker_edges: Vec<Vec<PendEdge>> = handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker panicked"))
-                .collect();
-            (goal_state, coord_edges, worker_edges)
-        });
-
-        // --- finish: remap edges, flatten the shards -------------------
-        // Edges whose target was trimmed (interned past a terminal
-        // condition, never assigned a dense id) are dropped, matching the
-        // sequential engine's truncation. All frontier handles died with
-        // the scope, so the flatten unwraps instances without cloning.
-        let triples: Vec<(StateId, Update, StateId)> = if want_edges {
-            coord_edges
-                .into_iter()
-                .chain(worker_edges.into_iter().flatten())
-                .filter_map(|(from, u, p)| {
-                    let g = global_of[p.shard()].get(p.local()).copied();
-                    match g {
-                        Some(g) if g != u32::MAX => Some((from, u, StateId(g))),
-                        _ => None,
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        debug_assert_eq!(stats.states, locs.len());
-        let store = store.into_store(&locs);
-        finish_run(store, triples, stats, goal_state, want_edges)
+        let (stats, hit) = bfs(self.form, &self.limits, &mut store, goal, &mut ());
+        let goal_run = hit.and_then(|j| store.run_to(j.0));
+        (ExploreOutcome { goal_run, stats }, store.report())
     }
 }
 
-/// The depth-limit exhaustiveness probe shared by both engines (and by
-/// [`SessionGraph`] resumes): does this unexpanded frontier state still
+/// A state store the BFS driver runs over: the flat [`StateStore`] or
+/// the out-of-core [`SpillStore`]. Ids are dense and assigned in
+/// discovery order; the root is id 0.
+pub(crate) trait Store {
+    /// A queued state: its id plus whatever the store needs to expand it.
+    type Item;
+    /// Intern the initial instance.
+    fn root(&mut self, initial: Instance) -> Self::Item;
+    /// The id of a queued state.
+    fn id(item: &Self::Item) -> StateId;
+    /// The BFS depth of a queued state.
+    fn depth_of(&self, item: &Self::Item) -> usize;
+    /// The instance of a queued state.
+    fn instance<'s>(&'s self, item: &'s Self::Item) -> &'s Instance;
+    /// Intern `next`, reached from `parent` by `u`: its id, and its queue
+    /// item when it is new.
+    fn successor(
+        &mut self,
+        next: Instance,
+        parent: &Self::Item,
+        u: Update,
+    ) -> (StateId, Option<Self::Item>);
+    /// The driver is about to expand the first state of BFS layer `depth`.
+    fn begin_layer(&mut self, _depth: usize) {}
+}
+
+impl Store for StateStore {
+    type Item = StateId;
+
+    fn root(&mut self, initial: Instance) -> StateId {
+        self.intern(initial, None).0
+    }
+
+    fn id(item: &StateId) -> StateId {
+        *item
+    }
+
+    fn depth_of(&self, item: &StateId) -> usize {
+        self.depth(*item)
+    }
+
+    fn instance<'s>(&'s self, item: &'s StateId) -> &'s Instance {
+        self.get(*item)
+    }
+
+    fn successor(
+        &mut self,
+        next: Instance,
+        parent: &StateId,
+        u: Update,
+    ) -> (StateId, Option<StateId>) {
+        let (j, is_new) = self.intern(next, Some((*parent, u)));
+        (j, is_new.then_some(j))
+    }
+}
+
+/// The spill store keeps only compressed words, so the decoded instance
+/// travels in the queue item with its id and depth.
+impl Store for SpillStore {
+    type Item = (StateId, usize, Instance);
+
+    fn root(&mut self, initial: Instance) -> Self::Item {
+        let key = self.key_of(&initial);
+        let (id, _) = self.intern(key, None, 0);
+        (StateId(id), 0, initial)
+    }
+
+    fn id(item: &Self::Item) -> StateId {
+        item.0
+    }
+
+    fn depth_of(&self, item: &Self::Item) -> usize {
+        item.1
+    }
+
+    fn instance<'s>(&'s self, item: &'s Self::Item) -> &'s Instance {
+        &item.2
+    }
+
+    fn successor(
+        &mut self,
+        next: Instance,
+        parent: &Self::Item,
+        u: Update,
+    ) -> (StateId, Option<Self::Item>) {
+        let depth = parent.1 + 1;
+        let key = self.key_of(&next);
+        let (j, is_new) = self.intern(key, Some((parent.0 .0, u)), depth as u32);
+        (StateId(j), is_new.then_some((StateId(j), depth, next)))
+    }
+
+    fn begin_layer(&mut self, depth: usize) {
+        SpillStore::begin_layer(self, depth as u32);
+    }
+}
+
+/// Where the driver reports each expansion: nowhere (goal searches), an
+/// edge list (graphs), or an [`ExpansionLog`] (session builds).
+pub(crate) trait Journal {
+    /// Expansion of state `i` starts.
+    fn begin(&mut self, _i: StateId) {}
+    /// One enumeration outcome of state `i`.
+    fn push(&mut self, _i: StateId, _ev: ExpandEvent) {}
+    /// Expansion of state `i` ran to the end.
+    fn seal(&mut self, _i: StateId) {}
+}
+
+impl Journal for () {}
+
+impl Journal for Vec<(StateId, Update, StateId)> {
+    fn push(&mut self, i: StateId, ev: ExpandEvent) {
+        if let ExpandEvent::Edge(u, j) = ev {
+            Vec::push(self, (i, u, j));
+        }
+    }
+}
+
+/// The one BFS driver: a FIFO queue over `store` from the form's initial
+/// instance. The goal is checked on the root and then on each newly
+/// discovered state, before the state cap; a depth-limited search probes
+/// the unexpanded frontier for successors to decide whether it closed.
+/// Returns the statistics and the goal state found, if any.
+pub(crate) fn bfs<S: Store>(
+    form: &GuardedForm,
+    limits: &ExploreLimits,
+    store: &mut S,
+    mut goal: impl FnMut(&Instance) -> bool,
+    journal: &mut impl Journal,
+) -> (SearchStats, Option<StateId>) {
+    let mut stats = SearchStats {
+        states: 1,
+        ..SearchStats::default()
+    };
+    let root = store.root(form.initial().clone());
+    if goal(store.instance(&root)) {
+        stats.closed = true;
+        return (stats, Some(S::id(&root)));
+    }
+    let mut queue = VecDeque::from([root]);
+    let mut layer = 0;
+    let mut pruned = false;
+
+    while let Some(item) = queue.pop_front() {
+        let depth = store.depth_of(&item);
+        if depth > layer {
+            layer = depth;
+            store.begin_layer(depth);
+        }
+        if depth >= limits.max_depth {
+            // Queue depths are non-decreasing, so every state still
+            // queued is at the limit too: the search is exhaustive iff
+            // none of them has a successor.
+            if std::iter::once(&item)
+                .chain(&queue)
+                .any(|s| has_successor(form, store.instance(s)))
+            {
+                pruned = true;
+                stats.limit_hit = Some(LimitKind::Depth);
+            }
+            break;
+        }
+        let i = S::id(&item);
+        journal.begin(i);
+        let flow = expand(form, limits, store, &item, |store, ev, new| {
+            stats.transitions += 1;
+            journal.push(i, ev);
+            if let ExpandEvent::Pruned(k) = ev {
+                pruned = true;
+                stats.limit_hit = Some(k);
+            }
+            let Some(new) = new else {
+                return ControlFlow::Continue(());
+            };
+            stats.states += 1;
+            if goal(store.instance(&new)) {
+                return ControlFlow::Break(Some(S::id(&new)));
+            }
+            if stats.states >= limits.max_states {
+                stats.limit_hit = Some(LimitKind::States);
+                return ControlFlow::Break(None);
+            }
+            queue.push_back(new);
+            ControlFlow::Continue(())
+        });
+        if let ControlFlow::Break(hit) = flow {
+            return (stats, hit);
+        }
+        journal.seal(i);
+    }
+
+    stats.closed = !pruned;
+    (stats, None)
+}
+
+/// The one expansion step: enumerate `item`'s allowed updates in order;
+/// prune each addition that breaks a per-expansion limit, else apply it
+/// and intern the successor; hand every outcome — with the successor's
+/// queue item when it is new — to `visit`, which may stop the expansion.
+pub(crate) fn expand<S: Store, B>(
+    form: &GuardedForm,
+    limits: &ExploreLimits,
+    store: &mut S,
+    item: &S::Item,
+    mut visit: impl FnMut(&mut S, ExpandEvent, Option<S::Item>) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    for u in form.allowed_updates(store.instance(item)) {
+        if let Some(k) = pruned_by(limits, store.instance(item), u) {
+            visit(store, ExpandEvent::Pruned(k), None)?;
+            continue;
+        }
+        let mut next = store.instance(item).clone();
+        form.apply_unchecked(&mut next, &u)
+            .expect("allowed updates apply");
+        let (j, new) = store.successor(next, item, u);
+        visit(store, ExpandEvent::Edge(u, j), new)?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// The per-expansion limit, if any, that prunes applying `u` at `inst`:
+/// only additions are pruned, by state size first, then multiplicity.
+fn pruned_by(limits: &ExploreLimits, inst: &Instance, u: Update) -> Option<LimitKind> {
+    let Update::Add { parent, edge } = u else {
+        return None;
+    };
+    if inst.live_count() >= limits.max_state_size {
+        return Some(LimitKind::StateSize);
+    }
+    match limits.multiplicity_cap {
+        Some(cap) if inst.children_at(parent, edge).count() >= cap => Some(LimitKind::Multiplicity),
+        _ => None,
+    }
+}
+
+/// The depth-limit exhaustiveness probe shared by the driver and
+/// [`SessionGraph`] resumes: does this unexpanded frontier state still
 /// have any successor?
 pub(crate) fn has_successor(form: &GuardedForm, inst: &Instance) -> bool {
     !form.allowed_updates(inst).is_empty()
-}
-
-struct RunResult {
-    graph: StateGraph,
-    goal: Option<StateId>,
-}
-
-/// Shared graph finalization of both engines: build the CSR successor
-/// table (or an empty one for goal searches) and package the result.
-fn finish_run(
-    store: StateStore,
-    triples: Vec<(StateId, Update, StateId)>,
-    stats: SearchStats,
-    goal: Option<StateId>,
-    want_edges: bool,
-) -> RunResult {
-    let succ = if want_edges {
-        SuccessorTable::from_triples(store.len(), &triples)
-    } else {
-        SuccessorTable::empty(store.len())
-    };
-    RunResult {
-        graph: StateGraph { store, succ, stats },
-        goal,
-    }
 }
 
 #[cfg(test)]
@@ -1046,7 +609,7 @@ mod tests {
     #[test]
     fn finds_goal_and_run_replays() {
         let g = toggle_form();
-        let ex = Explorer::new(&g, ExploreLimits::small()).with_threads(1);
+        let ex = Explorer::new(&g, ExploreLimits::small());
         let out = ex.find(|i| g.is_complete(i));
         let run = out.goal_run.expect("goal reachable");
         assert_eq!(run.len(), 2);
@@ -1056,9 +619,7 @@ mod tests {
     #[test]
     fn graph_closes_on_finite_space() {
         let g = toggle_form();
-        let graph = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .graph();
+        let graph = Explorer::new(&g, ExploreLimits::small()).graph();
         assert_eq!(graph.state_count(), 4); // {}, {a}, {b}, {a,b}
         assert!(graph.stats.closed);
         // Every non-initial state's reconstructed run replays.
@@ -1072,9 +633,7 @@ mod tests {
     #[test]
     fn edges_cover_all_transitions() {
         let g = toggle_form();
-        let graph = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .graph();
+        let graph = Explorer::new(&g, ExploreLimits::small()).graph();
         // state {}: 2 adds; {a}: del a + add b; {b}: del b + add a;
         // {a,b}: del a + del b. Total 8 directed edges.
         assert_eq!(graph.edge_count(), 8);
@@ -1087,20 +646,18 @@ mod tests {
             max_states: 2,
             ..ExploreLimits::small()
         };
-        let graph = Explorer::new(&g, lim).with_threads(1).graph();
+        let graph = Explorer::new(&g, lim).graph();
         assert!(!graph.stats.closed);
         assert_eq!(graph.stats.limit_hit, Some(LimitKind::States));
     }
 
     /// The capacity engine (tiny spill budget) is verdict-, depth- and
-    /// stats-identical to the sequential in-RAM engine, and its witness
+    /// stats-identical to the flat in-RAM store, and its witness
     /// run replays.
     #[test]
     fn capacity_engine_matches_sequential_on_leave() {
         let g = idar_core::leave::example_3_12();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
+        let seq = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
         let (cap, report) = Explorer::new(&g, ExploreLimits::small())
             .with_memory_budget(MemoryBudget::bytes(4 * 1024))
             .find_spilled(|i| g.is_complete(i));
@@ -1121,9 +678,7 @@ mod tests {
     #[test]
     fn budgeted_find_closes_finite_space() {
         let g = toggle_form();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|_| false);
+        let seq = Explorer::new(&g, ExploreLimits::small()).find(|_| false);
         let cap = Explorer::new(&g, ExploreLimits::small())
             .with_memory_budget(MemoryBudget::bytes(0))
             .find(|_| false);
@@ -1133,7 +688,7 @@ mod tests {
     }
 
     /// Frontier-only mode on a deletion-free form: same stats and goal
-    /// depth as the sequential engine, no retained records.
+    /// depth as the flat store, no retained records.
     #[test]
     fn frontier_only_matches_on_deletion_free_form() {
         let schema = Arc::new(Schema::parse("a, b").unwrap());
@@ -1151,9 +706,7 @@ mod tests {
         let init = Instance::empty(schema.clone());
         let g = GuardedForm::new(schema, rules, init, Formula::parse("a & b").unwrap());
         assert!(g.is_deletion_free());
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
+        let seq = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
         let (fo, report) =
             Explorer::new(&g, ExploreLimits::small()).find_frontier_only(|i| g.is_complete(i));
         assert_eq!(fo.stats, seq.stats);
@@ -1175,7 +728,7 @@ mod tests {
             max_depth: usize::MAX,
             multiplicity_cap: None,
         };
-        let graph = Explorer::new(&g, lim).with_threads(1).graph();
+        let graph = Explorer::new(&g, lim).graph();
         assert!(!graph.stats.closed);
         assert_eq!(graph.stats.limit_hit, Some(LimitKind::StateSize));
         // 16 states: 0..=15 copies of `a` … plus none beyond the cap.
@@ -1192,7 +745,7 @@ mod tests {
             multiplicity_cap: Some(3),
             ..ExploreLimits::small()
         };
-        let graph = Explorer::new(&g, lim).with_threads(1).graph();
+        let graph = Explorer::new(&g, lim).graph();
         assert_eq!(graph.state_count(), 4); // 0,1,2,3 copies
         assert!(!graph.stats.closed);
         assert_eq!(graph.stats.limit_hit, Some(LimitKind::Multiplicity));
@@ -1201,9 +754,7 @@ mod tests {
     #[test]
     fn goal_at_initial_state() {
         let g = toggle_form().with_completion(Formula::True);
-        let out = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
+        let out = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
         assert_eq!(out.goal_run, Some(vec![]));
     }
 
@@ -1214,7 +765,7 @@ mod tests {
             max_depth: 1,
             ..ExploreLimits::small()
         };
-        let graph = Explorer::new(&g, lim).with_threads(1).graph();
+        let graph = Explorer::new(&g, lim).graph();
         // initial + {a} + {b}; {a,b} is at depth 2.
         assert_eq!(graph.state_count(), 3);
         assert!(!graph.stats.closed);
@@ -1226,22 +777,16 @@ mod tests {
     #[test]
     fn plain_mode_explores_the_ordered_space() {
         let g = toggle_form();
-        let reduced = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .graph();
+        let reduced = Explorer::new(&g, ExploreLimits::small()).graph();
         let plain = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
             .with_symmetry(SymmetryMode::Plain)
             .graph();
         assert_eq!(reduced.state_count(), 4);
         assert_eq!(plain.state_count(), 5); // {}, a, b, ab, ba
         assert!(reduced.stats.closed && plain.stats.closed);
         // Goal search agrees on existence and BFS depth.
-        let rf = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
+        let rf = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
         let pf = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
             .with_symmetry(SymmetryMode::Plain)
             .find(|i| g.is_complete(i));
         assert_eq!(
@@ -1249,138 +794,5 @@ mod tests {
             pf.goal_run.as_ref().map(Vec::len)
         );
         assert!(g.is_complete_run(&pf.goal_run.unwrap()));
-    }
-
-    // -- parallel engine ----------------------------------------------------
-
-    /// The canonical state set of a graph, as a sorted list of iso codes.
-    #[cfg(feature = "parallel")]
-    fn state_set(g: &StateGraph) -> Vec<String> {
-        let mut v: Vec<String> = g.states().iter().map(|s| s.iso_code()).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Parallel and sequential engines agree on the state set, closedness,
-    /// depths, and edge counts of a small closed space.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_graph_matches_sequential() {
-        let g = toggle_form();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .graph();
-        for threads in [2, 3, 8] {
-            let par = Explorer::new(&g, ExploreLimits::small())
-                .with_threads(threads)
-                .graph();
-            assert_eq!(state_set(&par), state_set(&seq), "threads={threads}");
-            assert_eq!(par.stats.states, seq.stats.states);
-            assert_eq!(par.stats.transitions, seq.stats.transitions);
-            assert!(par.stats.closed);
-            assert_eq!(par.edge_count(), seq.edge_count());
-            // Depth multisets agree (BFS layering is engine-independent).
-            let mut sd: Vec<usize> = (0..seq.state_count()).map(|i| seq.depth_of(i)).collect();
-            let mut pd: Vec<usize> = (0..par.state_count()).map(|i| par.depth_of(i)).collect();
-            sd.sort_unstable();
-            pd.sort_unstable();
-            assert_eq!(sd, pd);
-            // Every parallel parent pointer reconstructs a valid run.
-            for i in 0..par.state_count() {
-                let run = par.run_to(i);
-                assert_eq!(run.len(), par.depth_of(i));
-                let r = g.replay(&run).unwrap();
-                assert!(r.last().isomorphic(par.state(i)));
-            }
-        }
-    }
-
-    /// Parallel `find` returns a replayable shortest run.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_find_agrees() {
-        let g = toggle_form();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
-        let par = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(4)
-            .find(|i| g.is_complete(i));
-        let seq_run = seq.goal_run.expect("seq finds goal");
-        let par_run = par.goal_run.expect("par finds goal");
-        assert_eq!(seq_run.len(), par_run.len(), "same BFS goal depth");
-        assert!(g.is_complete_run(&par_run));
-    }
-
-    /// Limit behaviours (state cap, depth cap, size cap) are preserved.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_limits_match() {
-        let g = toggle_form();
-        // Depth cap.
-        let lim = ExploreLimits {
-            max_depth: 1,
-            ..ExploreLimits::small()
-        };
-        let par = Explorer::new(&g, lim).with_threads(4).graph();
-        assert_eq!(par.state_count(), 3);
-        assert!(!par.stats.closed);
-        assert_eq!(par.stats.limit_hit, Some(LimitKind::Depth));
-
-        // State-size cap on an unbounded form.
-        let schema = Arc::new(Schema::parse("a").unwrap());
-        let rules = AccessRules::with_default(&schema, Formula::True);
-        let init = Instance::empty(schema.clone());
-        let grow = GuardedForm::new(schema, rules, init, Formula::False);
-        let lim = ExploreLimits {
-            max_states: 1000,
-            max_state_size: 16,
-            max_depth: usize::MAX,
-            multiplicity_cap: None,
-        };
-        let par = Explorer::new(&grow, lim).with_threads(4).graph();
-        assert!(!par.stats.closed);
-        assert_eq!(par.stats.limit_hit, Some(LimitKind::StateSize));
-        assert_eq!(par.state_count(), 16);
-
-        // State-count cap.
-        let lim = ExploreLimits {
-            max_states: 2,
-            ..ExploreLimits::small()
-        };
-        let par = Explorer::new(&g, lim).with_threads(4).graph();
-        assert!(!par.stats.closed);
-        assert_eq!(par.stats.limit_hit, Some(LimitKind::States));
-    }
-
-    /// Goal on the initial instance short-circuits identically.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_goal_at_initial_state() {
-        let g = toggle_form().with_completion(Formula::True);
-        let out = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(4)
-            .find(|i| g.is_complete(i));
-        assert_eq!(out.goal_run, Some(vec![]));
-        assert!(out.stats.closed);
-    }
-
-    /// The parallel engine honours the plain symmetry mode and matches
-    /// the sequential plain exploration.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_plain_mode_matches_sequential() {
-        let g = toggle_form();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .with_symmetry(SymmetryMode::Plain)
-            .graph();
-        let par = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(4)
-            .with_symmetry(SymmetryMode::Plain)
-            .graph();
-        assert_eq!(par.state_count(), seq.state_count());
-        assert_eq!(par.stats.transitions, seq.stats.transitions);
-        assert!(par.stats.closed);
     }
 }

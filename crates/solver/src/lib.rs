@@ -34,6 +34,7 @@ pub mod explore;
 pub mod invariants;
 pub mod np;
 pub mod positive;
+pub mod reference;
 pub mod satengine;
 pub mod satisfiability;
 pub mod screen;
@@ -63,7 +64,5 @@ pub use screen::{prune, screen, ScreenOutcome, ScreenReport, ScreenStats};
 pub use semisound::{semisoundness, SemisoundnessOptions, SemisoundnessResult};
 pub use session::{ExpandEvent, ExpansionLog, SessionGraph};
 pub use spill::{MemoryBudget, SpillReport};
-#[cfg(feature = "parallel")]
-pub use store::{PackedStateId, ShardedStateStore};
 pub use store::{StateId, StateStore, SuccessorTable, SymmetryMode};
 pub use verdict::{LimitKind, Method, Verdict};

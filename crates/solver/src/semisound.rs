@@ -60,11 +60,7 @@ pub fn semisoundness(form: &GuardedForm, options: &SemisoundnessOptions) -> Semi
 }
 
 /// The cold execution path behind the pipeline.
-pub(crate) fn run_semisoundness(
-    form: &GuardedForm,
-    budget: &Budget,
-    threads: Option<usize>,
-) -> SemisoundnessResult {
+pub(crate) fn run_semisoundness(form: &GuardedForm, budget: &Budget) -> SemisoundnessResult {
     if form.schema().depth() <= 1 {
         if let Ok(sys) = Depth1System::new(form) {
             let ans = sys.semisoundness();
@@ -77,19 +73,13 @@ pub(crate) fn run_semisoundness(
             };
         }
     }
-    bounded_semisoundness(form, budget, threads)
+    bounded_semisoundness(form, budget)
 }
 
-fn bounded_semisoundness(
-    form: &GuardedForm,
-    budget: &Budget,
-    threads: Option<usize>,
-) -> SemisoundnessResult {
-    let mut explorer = Explorer::new(form, budget.limits).with_symmetry(budget.symmetry);
-    if let Some(t) = threads {
-        explorer = explorer.with_threads(t);
-    }
-    let graph = explorer.graph();
+fn bounded_semisoundness(form: &GuardedForm, budget: &Budget) -> SemisoundnessResult {
+    let graph = Explorer::new(form, budget.limits)
+        .with_symmetry(budget.symmetry)
+        .graph();
     let oracle_opts = Budget {
         limits: budget.oracle(),
         symmetry: budget.symmetry,
@@ -132,7 +122,7 @@ fn bounded_semisoundness(
         // Not completable within the enumerated subgraph; ask the oracle
         // (which can go beyond the enumeration's frontier).
         let sub = form.with_initial(graph.state(i).clone());
-        let r = crate::completability::run_completability(&sub, &oracle_opts, threads);
+        let r = crate::completability::run_completability(&sub, &oracle_opts);
         match r.verdict {
             Verdict::Holds => { /* fine */ }
             Verdict::Fails => {

@@ -20,7 +20,7 @@
 //!
 //! # Resume semantics contract
 //!
-//! [`Explorer::resume`](crate::Explorer::resume) re-runs the sequential BFS **as if** it had been
+//! [`Explorer::resume`](crate::Explorer::resume) re-runs the BFS **as if** it had been
 //! started cold from an already-interned state: same goal-check order,
 //! same prune bookkeeping, same truncation behaviour, and therefore the
 //! same [`SearchStats`] and verdict a cold `Explorer::find` from that
@@ -38,7 +38,7 @@
 //!
 //! # Exactness
 //!
-//! `exact()` is `stats.closed` of the build: the sequential engine sets
+//! `exact()` is `stats.closed` of the build: the explorer sets
 //! `closed` only when no prune event fired, and its depth-limit probe
 //! verifies the unexpanded frontier has no successors — so a closed
 //! build, even a depth-limited one, covers the *entire* reachable space.
@@ -46,11 +46,12 @@
 //! ([`Verdict::Holds`]/[`Verdict::Fails`], never
 //! [`Verdict::Unknown`]), and a lookup replaces the whole solve.
 
-use crate::explore::{has_successor, ExploreLimits, ExploreOutcome, StateGraph};
+use crate::explore::{expand, has_successor, ExploreLimits, ExploreOutcome, Journal};
 use crate::store::{StateId, StateStore, SuccessorTable};
 use crate::verdict::{LimitKind, SearchStats, Verdict};
 use idar_core::{GuardedForm, Instance, Update};
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 
 /// One logged outcome of enumerating a single allowed update while
 /// expanding a state: either an edge to the (possibly pre-existing)
@@ -96,28 +97,6 @@ impl ExpansionLog {
         &mut self.spans[i.index()]
     }
 
-    /// Open (or replace) the span of `i`: its expansion is starting.
-    pub(crate) fn begin(&mut self, i: StateId) {
-        *self.slot(i) = Some(Span::default());
-    }
-
-    /// Record one enumeration outcome for the open span of `i`.
-    pub(crate) fn push(&mut self, i: StateId, ev: ExpandEvent) {
-        self.slot(i)
-            .as_mut()
-            .expect("expansion span opened before events")
-            .events
-            .push(ev);
-    }
-
-    /// Mark the span of `i` complete: enumeration ran to the end.
-    pub(crate) fn seal(&mut self, i: StateId) {
-        self.slot(i)
-            .as_mut()
-            .expect("expansion span opened before sealing")
-            .complete = true;
-    }
-
     fn get(&self, i: StateId) -> Option<&Span> {
         self.spans.get(i.index()).and_then(|s| s.as_ref())
     }
@@ -157,6 +136,31 @@ impl ExpansionLog {
     }
 }
 
+/// The session build's journal: one span per expanded state.
+impl Journal for ExpansionLog {
+    /// Open (or replace) the span of `i`: its expansion is starting.
+    fn begin(&mut self, i: StateId) {
+        *self.slot(i) = Some(Span::default());
+    }
+
+    /// Record one enumeration outcome for the open span of `i`.
+    fn push(&mut self, i: StateId, ev: ExpandEvent) {
+        self.slot(i)
+            .as_mut()
+            .expect("expansion span opened before events")
+            .events
+            .push(ev);
+    }
+
+    /// Mark the span of `i` complete: enumeration ran to the end.
+    fn seal(&mut self, i: StateId) {
+        self.slot(i)
+            .as_mut()
+            .expect("expansion span opened before sealing")
+            .complete = true;
+    }
+}
+
 /// The retained build artifact of one exploration: states, edges,
 /// expansion journal, bookkeeping — everything a later query needs to
 /// continue where the build stopped. See the module docs for the
@@ -179,12 +183,17 @@ pub struct SessionGraph {
 }
 
 impl SessionGraph {
-    pub(crate) fn from_build(graph: StateGraph, log: ExpansionLog, limits: ExploreLimits) -> Self {
+    pub(crate) fn from_build(
+        store: StateStore,
+        stats: SearchStats,
+        log: ExpansionLog,
+        limits: ExploreLimits,
+    ) -> Self {
         SessionGraph {
-            store: graph.store,
-            succ: graph.succ,
+            succ: SuccessorTable::from_triples(store.len(), &log.triples()),
+            store,
             log,
-            stats: graph.stats,
+            stats,
             limits,
             verdicts: None,
             succ_stale: false,
@@ -316,7 +325,7 @@ impl SessionGraph {
     }
 
     /// The query phase: continue the BFS from an already-interned state,
-    /// mirroring a cold sequential run from that instance event for
+    /// mirroring a cold run from that instance event for
     /// event. Called through [`Explorer::resume`](crate::Explorer::resume).
     pub(crate) fn resume_with(
         &mut self,
@@ -413,10 +422,9 @@ impl SessionGraph {
     }
 
     /// The expansion events of `i`: replayed from a complete logged span
-    /// when valid, otherwise produced by direct expansion — mirroring
-    /// the sequential engine's inner loop (same prune order) — which
-    /// interns any new successors into the retained store and, when the
-    /// limits match the build's, records the completed span.
+    /// when valid, otherwise produced by the explorer's expansion step,
+    /// which interns any new successors into the retained store; when
+    /// the limits match the build's, the completed span is recorded.
     fn expansion_of(
         &mut self,
         form: &GuardedForm,
@@ -432,29 +440,14 @@ impl SessionGraph {
             }
         }
         let mut events = Vec::new();
-        for u in form.allowed_updates(self.store.get(i)) {
-            if let Update::Add { parent, edge } = u {
-                if self.store.get(i).live_count() >= limits.max_state_size {
-                    events.push(ExpandEvent::Pruned(LimitKind::StateSize));
-                    continue;
-                }
-                if let Some(cap) = limits.multiplicity_cap {
-                    if self.store.get(i).children_at(parent, edge).count() >= cap {
-                        events.push(ExpandEvent::Pruned(LimitKind::Multiplicity));
-                        continue;
-                    }
-                }
-            }
-            let mut next = self.store.get(i).clone();
-            form.apply_unchecked(&mut next, &u)
-                .expect("allowed updates apply");
-            let (j, _is_new) = self.store.intern(next, Some((i, u)));
-            events.push(ExpandEvent::Edge(u, j));
-        }
+        let _ = expand::<_, ()>(form, &limits, &mut self.store, &i, |_, ev, _| {
+            events.push(ev);
+            ControlFlow::Continue(())
+        });
         if replay_ok {
             self.log.begin(i);
-            for ev in &events {
-                self.log.push(i, *ev);
+            for &ev in &events {
+                self.log.push(i, ev);
             }
             self.log.seal(i);
             self.succ_stale = true;
@@ -508,9 +501,7 @@ mod tests {
     #[test]
     fn closed_build_is_exact_and_annotates() {
         let g = toggle_form();
-        let mut s = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .build_session();
+        let mut s = Explorer::new(&g, ExploreLimits::small()).build_session();
         assert!(s.exact());
         assert_eq!(s.retained_states(), 4);
         assert!(s.frontier().is_empty());
@@ -525,17 +516,13 @@ mod tests {
     #[test]
     fn resume_matches_cold_run_per_state() {
         let g = toggle_form();
-        let mut s = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .build_session();
+        let mut s = Explorer::new(&g, ExploreLimits::small()).build_session();
         for i in 0..s.retained_states() {
             let id = StateId(i as u32);
-            let warm = Explorer::new(&g, ExploreLimits::small())
-                .with_threads(1)
-                .resume(&mut s, id, |x| g.is_complete(x));
+            let warm =
+                Explorer::new(&g, ExploreLimits::small()).resume(&mut s, id, |x| g.is_complete(x));
             let cold_form = g.with_initial(s.store().get(id).clone());
             let cold = Explorer::new(&cold_form, ExploreLimits::small())
-                .with_threads(1)
                 .find(|x| cold_form.is_complete(x));
             assert_eq!(warm.stats, cold.stats, "state {i}");
             assert_eq!(
@@ -555,11 +542,10 @@ mod tests {
             max_states: 2,
             ..ExploreLimits::small()
         };
-        let mut s = Explorer::new(&g, lim).with_threads(1).build_session();
+        let mut s = Explorer::new(&g, lim).build_session();
         assert!(!s.exact());
         assert_eq!(s.retained_states(), 2);
         let out = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
             .resume(&mut s, StateId(0), |x| g.is_complete(x));
         let run = out.goal_run.expect("goal reachable");
         assert_eq!(run.len(), 2);
@@ -570,18 +556,14 @@ mod tests {
     #[test]
     fn resume_respects_its_own_limits() {
         let g = toggle_form();
-        let mut s = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .build_session();
+        let mut s = Explorer::new(&g, ExploreLimits::small()).build_session();
         // A depth-0 resume from the root mirrors a cold depth-0 run:
         // the probe sees successors, so the search is not closed.
         let lim = ExploreLimits {
             max_depth: 0,
             ..ExploreLimits::small()
         };
-        let out = Explorer::new(&g, lim)
-            .with_threads(1)
-            .resume(&mut s, StateId(0), |x| g.is_complete(x));
+        let out = Explorer::new(&g, lim).resume(&mut s, StateId(0), |x| g.is_complete(x));
         assert!(out.goal_run.is_none());
         assert!(!out.stats.closed);
         assert_eq!(out.stats.limit_hit, Some(LimitKind::Depth));

@@ -6,11 +6,12 @@
 //! ~0.5 KB per state on workflow-shaped instances, which caps searches
 //! around 10⁶–10⁷ states on a normal box. This module replaces the
 //! resident columns with a three-level hierarchy, with **zero semantic
-//! change**: the capacity engine
+//! change**: the explorer's BFS driver runs over either store, and on
+//! this one
 //! ([`Explorer::find_spilled`](crate::explore::Explorer::find_spilled))
 //! visits the same states in the same order and returns the same
-//! [`SearchStats`](crate::verdict::SearchStats) as the sequential in-RAM
-//! engine.
+//! [`SearchStats`](crate::verdict::SearchStats) as on the flat in-RAM
+//! store.
 //!
 //! 1. **Delta-encoded records.** A state's canonical words are stored as
 //!    a varint diff against its BFS parent's words
@@ -233,7 +234,7 @@ enum Slot {
 }
 
 /// Append-only record arena over 64 KiB pages with file-backed spilling.
-/// Single-writer (the sequential capacity engine owns it).
+/// Single-writer (the capacity engine owns it).
 #[derive(Debug, Default)]
 struct PagedArena {
     sealed: Vec<Slot>,
@@ -395,8 +396,8 @@ enum SpillBucket {
 }
 
 /// The spillable, delta-compressed state store the capacity engine runs
-/// on. Ids are dense `u32`s in discovery order (the sequential BFS
-/// invariant the hot-window arithmetic relies on). See the module docs
+/// on. Ids are dense `u32`s in discovery order (the BFS invariant the
+/// hot-window arithmetic relies on). See the module docs
 /// for the hierarchy.
 #[derive(Debug)]
 pub(crate) struct SpillStore {

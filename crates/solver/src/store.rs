@@ -114,9 +114,7 @@ impl Bucket {
     }
 }
 
-/// A hash-consed store of explored states (single-writer; the pooled
-/// parallel engine interns concurrently into a [`ShardedStateStore`] and
-/// finalizes into this type once the run ends). See the module docs.
+/// A hash-consed store of explored states. See the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct StateStore {
     symmetry: SymmetryMode,
@@ -138,44 +136,6 @@ impl StateStore {
         StateStore {
             symmetry,
             ..StateStore::default()
-        }
-    }
-
-    /// Assemble a store from already-interned per-state columns (the
-    /// pooled parallel engine's finalization path). The caller guarantees
-    /// the columns are parallel, deduplicated under `symmetry`, and in
-    /// the dense-id order it wants; only the fingerprint index is rebuilt
-    /// here (one hash insert per state — no re-encoding, no `memcmp`s).
-    #[cfg(feature = "parallel")]
-    pub(crate) fn from_parts(
-        symmetry: SymmetryMode,
-        keys: Vec<Box<[u32]>>,
-        fingerprints: Vec<u64>,
-        states: Vec<Instance>,
-        parents: Vec<Option<(StateId, Update)>>,
-        depths: Vec<u32>,
-        collisions: u64,
-    ) -> StateStore {
-        let mut buckets: HashMap<u64, Bucket> = HashMap::with_capacity(fingerprints.len());
-        for (i, &fp) in fingerprints.iter().enumerate() {
-            match buckets.entry(fp) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().push(StateId(i as u32))
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Bucket::One(StateId(i as u32)));
-                }
-            }
-        }
-        StateStore {
-            symmetry,
-            buckets,
-            keys,
-            fingerprints,
-            states,
-            parents,
-            depths,
-            collisions,
         }
     }
 
@@ -421,263 +381,6 @@ impl SuccessorTable {
     }
 }
 
-#[cfg(feature = "parallel")]
-pub use sharded::{PackedStateId, ShardedStateStore};
-
-/// The concurrent intern substrate of the pooled parallel engine:
-/// the fingerprint space is partitioned over mutex-protected shards that
-/// *own* their states outright — a successor is deduplicated, stored,
-/// and given provenance in one lock acquisition, with no second merge
-/// pass (the double intern the layered engine used to pay).
-#[cfg(feature = "parallel")]
-mod sharded {
-    use super::{StateId, StateStore, SymmetryMode};
-    use idar_core::{CanonKey, Instance, Update};
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex};
-
-    /// Number of fingerprint-owned shards. A power of two well above
-    /// typical worker counts keeps lock contention negligible.
-    const SHARDS: usize = 64;
-    /// Bits of a [`PackedStateId`] holding the within-shard index.
-    const LOCAL_BITS: u32 = 26;
-    const LOCAL_MASK: u32 = (1 << LOCAL_BITS) - 1;
-
-    /// A provisional state id handed out during a pooled exploration:
-    /// the owning shard in the high bits, the within-shard index in the
-    /// low bits. Dense [`StateId`]s are assigned at the layer barrier
-    /// (root = 0, then assignment order); packed ids only bridge the gap
-    /// between concurrent interning and that assignment.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub struct PackedStateId(u32);
-
-    impl PackedStateId {
-        fn new(shard: usize, local: usize) -> PackedStateId {
-            assert!(
-                local < (1 << LOCAL_BITS) as usize,
-                "sharded store shard overflow ({local} states in one shard)"
-            );
-            PackedStateId(((shard as u32) << LOCAL_BITS) | local as u32)
-        }
-
-        /// The owning shard's index.
-        #[inline]
-        pub fn shard(self) -> usize {
-            (self.0 >> LOCAL_BITS) as usize
-        }
-
-        /// The index within the owning shard.
-        #[inline]
-        pub fn local(self) -> usize {
-            (self.0 & LOCAL_MASK) as usize
-        }
-    }
-
-    /// One fingerprint bucket of a shard: within-shard indices of the
-    /// (rarely > 1) distinct encodings sharing a fingerprint, singleton
-    /// inline — same fingerprint-first probe layout as the sequential
-    /// store's `Bucket`.
-    #[derive(Debug)]
-    enum LocalBucket {
-        One(u32),
-        Many(Vec<u32>),
-    }
-
-    impl LocalBucket {
-        #[inline]
-        fn ids(&self) -> &[u32] {
-            match self {
-                LocalBucket::One(id) => std::slice::from_ref(id),
-                LocalBucket::Many(ids) => ids,
-            }
-        }
-
-        fn push(&mut self, id: u32) {
-            match self {
-                LocalBucket::One(a) => *self = LocalBucket::Many(vec![*a, id]),
-                LocalBucket::Many(ids) => ids.push(id),
-            }
-        }
-    }
-
-    /// One shard: a self-contained mini-store for the fingerprints it
-    /// owns (dedup index + state columns + BFS provenance).
-    #[derive(Debug, Default)]
-    struct Shard {
-        /// fingerprint → within-shard indices of the (rarely > 1)
-        /// distinct encodings sharing it.
-        buckets: HashMap<u64, LocalBucket>,
-        keys: Vec<Box<[u32]>>,
-        fingerprints: Vec<u64>,
-        states: Vec<Arc<Instance>>,
-        parents: Vec<Option<(StateId, Update)>>,
-        depths: Vec<u32>,
-        collisions: u64,
-    }
-
-    /// A [`StateStore`] sharded by key fingerprint for concurrent
-    /// interning. Worker threads call [`ShardedStateStore::intern`]
-    /// directly from the expansion loop; [`ShardedStateStore::into_store`]
-    /// flattens the shards into a dense sequential store at finish time.
-    ///
-    /// The symmetry mode keys shard ownership: in
-    /// [`SymmetryMode::Reduced`] the fingerprint (and therefore the
-    /// owning shard) is that of the canonical sorted encoding, in
-    /// [`SymmetryMode::Plain`] that of the ordered-tree encoding — so
-    /// symmetry reduction and parallel exploration compose without any
-    /// engine-side special-casing.
-    #[derive(Debug)]
-    pub struct ShardedStateStore {
-        symmetry: SymmetryMode,
-        shards: Box<[Mutex<Shard>]>,
-    }
-
-    impl ShardedStateStore {
-        /// Number of shards (the valid range of [`PackedStateId::shard`]).
-        pub const SHARD_COUNT: usize = SHARDS;
-
-        /// An empty sharded store deduplicating under `symmetry`.
-        pub fn new(symmetry: SymmetryMode) -> ShardedStateStore {
-            ShardedStateStore {
-                symmetry,
-                shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            }
-        }
-
-        /// The store's symmetry mode.
-        pub fn symmetry(&self) -> SymmetryMode {
-            self.symmetry
-        }
-
-        /// The dedup key of an instance under this store's symmetry mode.
-        pub fn key_of(&self, inst: &Instance) -> CanonKey {
-            match self.symmetry {
-                SymmetryMode::Reduced => inst.canon_key(),
-                SymmetryMode::Plain => inst.ordered_key(),
-            }
-        }
-
-        #[inline]
-        fn shard_of(&self, fingerprint: u64) -> usize {
-            // High bits: the low fingerprint bits also pick hash-map
-            // buckets inside the shard; disjoint bits keep the two
-            // uncorrelated.
-            (fingerprint >> 58) as usize % SHARDS
-        }
-
-        /// Intern a state under its precomputed dedup key: returns its
-        /// packed id and, iff this call created the state, a shared
-        /// handle to the stored instance (what the discovering worker
-        /// puts on the next frontier). Exactly one concurrent caller
-        /// wins the discovery for each distinct class; losers get the
-        /// winner's id and `None`.
-        pub fn intern(
-            &self,
-            key: CanonKey,
-            inst: Instance,
-            parent: Option<(StateId, Update)>,
-            depth: u32,
-        ) -> (PackedStateId, Option<Arc<Instance>>) {
-            let fp = key.fingerprint();
-            let shard_ix = self.shard_of(fp);
-            let mut shard = self.shards[shard_ix].lock().expect("store shard poisoned");
-            let shard = &mut *shard;
-            let local = shard.states.len();
-            match shard.buckets.entry(fp) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for &cand in e.get().ids() {
-                        if *shard.keys[cand as usize] == *key.words() {
-                            return (PackedStateId::new(shard_ix, cand as usize), None);
-                        }
-                    }
-                    shard.collisions += 1;
-                    e.get_mut().push(local as u32);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(LocalBucket::One(local as u32));
-                }
-            }
-            let id = PackedStateId::new(shard_ix, local);
-            let (fingerprint, words) = key.into_parts();
-            let arc = Arc::new(inst);
-            shard.fingerprints.push(fingerprint);
-            shard.keys.push(words);
-            shard.states.push(arc.clone());
-            shard.parents.push(parent);
-            shard.depths.push(depth);
-            (id, Some(arc))
-        }
-
-        /// Total states interned so far (locks every shard; diagnostics
-        /// only — the engines track counts with an atomic instead).
-        pub fn len(&self) -> usize {
-            self.shards
-                .iter()
-                .map(|s| s.lock().expect("store shard poisoned").states.len())
-                .sum()
-        }
-
-        /// Is the store empty?
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Flatten into a dense sequential [`StateStore`], assigning
-        /// `StateId(g)` to the state `order[g]`. Packed ids absent from
-        /// `order` are dropped (states interned past a state-count cap or
-        /// after an early goal, mirroring the sequential truncation).
-        /// Instances are unwrapped without cloning when the exploration
-        /// has released its frontier handles.
-        pub fn into_store(self, order: &[PackedStateId]) -> StateStore {
-            let shards: Vec<Shard> = self
-                .shards
-                .into_vec()
-                .into_iter()
-                .map(|m| m.into_inner().expect("store shard poisoned"))
-                .collect();
-            let collisions = shards.iter().map(|s| s.collisions).sum();
-            // Wrap the move-only columns so states can be extracted in
-            // `order` without cloning.
-            let mut col_states: Vec<Vec<Option<Arc<Instance>>>> = Vec::with_capacity(SHARDS);
-            let mut col_keys: Vec<Vec<Option<Box<[u32]>>>> = Vec::with_capacity(SHARDS);
-            let mut col_fps: Vec<Vec<u64>> = Vec::with_capacity(SHARDS);
-            let mut col_parents: Vec<Vec<Option<(StateId, Update)>>> = Vec::with_capacity(SHARDS);
-            let mut col_depths: Vec<Vec<u32>> = Vec::with_capacity(SHARDS);
-            for s in shards {
-                col_states.push(s.states.into_iter().map(Some).collect());
-                col_keys.push(s.keys.into_iter().map(Some).collect());
-                col_fps.push(s.fingerprints);
-                col_parents.push(s.parents);
-                col_depths.push(s.depths);
-            }
-            let n = order.len();
-            let mut keys = Vec::with_capacity(n);
-            let mut fingerprints = Vec::with_capacity(n);
-            let mut states = Vec::with_capacity(n);
-            let mut parents = Vec::with_capacity(n);
-            let mut depths = Vec::with_capacity(n);
-            for &p in order {
-                let (s, l) = (p.shard(), p.local());
-                keys.push(col_keys[s][l].take().expect("duplicate id in order"));
-                fingerprints.push(col_fps[s][l]);
-                let arc = col_states[s][l].take().expect("duplicate id in order");
-                states.push(Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()));
-                parents.push(col_parents[s][l]);
-                depths.push(col_depths[s][l]);
-            }
-            StateStore::from_parts(
-                self.symmetry,
-                keys,
-                fingerprints,
-                states,
-                parents,
-                depths,
-                collisions,
-            )
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,100 +454,6 @@ mod tests {
         assert_eq!(store.depth(two), 2);
         assert_eq!(store.run_to(two), vec![u1, u2]);
         assert_eq!(store.fingerprint(one), i1.canon_key().fingerprint());
-    }
-
-    /// Concurrent interning into the sharded store: every thread sees
-    /// the same packed id per class, exactly one wins each discovery,
-    /// and the flattened sequential store preserves states, provenance,
-    /// and the intern/lookup fixpoint.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn sharded_store_concurrent_intern_and_flatten() {
-        let s = schema();
-        let store = ShardedStateStore::new(SymmetryMode::Reduced);
-        let texts = ["a", "a(b)", "a(b, c)", "s", "a(c), s", "a(b, c), s"];
-        let insts: Vec<Instance> = texts
-            .iter()
-            .map(|t| Instance::parse(s.clone(), t).unwrap())
-            .collect();
-        let root = Instance::empty(s.clone());
-        let (root_id, created) = store.intern(store.key_of(&root), root, None, 0);
-        assert!(created.is_some());
-
-        let results: Vec<(Vec<PackedStateId>, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let insts = &insts;
-                    let store = &store;
-                    scope.spawn(move || {
-                        let mut wins = 0;
-                        let ids = insts
-                            .iter()
-                            .map(|i| {
-                                let (id, new) = store.intern(
-                                    store.key_of(i),
-                                    i.clone(),
-                                    Some((
-                                        StateId(0),
-                                        Update::Del {
-                                            node: InstNodeId(1),
-                                        },
-                                    )),
-                                    1,
-                                );
-                                wins += usize::from(new.is_some());
-                                id
-                            })
-                            .collect();
-                        (ids, wins)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Every thread sees the same id for the same class…
-        for (ids, _) in &results[1..] {
-            assert_eq!(ids, &results[0].0);
-        }
-        // …and each discovery is won exactly once across the pool.
-        let wins: usize = results.iter().map(|(_, w)| w).sum();
-        assert_eq!(wins, texts.len());
-        assert_eq!(store.len(), texts.len() + 1);
-
-        // Flatten with the root first, then the texts in results order.
-        let mut order = vec![root_id];
-        order.extend(results[0].0.iter().copied());
-        let flat = store.into_store(&order);
-        assert_eq!(flat.len(), texts.len() + 1);
-        assert_eq!(flat.depth(StateId(0)), 0);
-        for (k, t) in texts.iter().enumerate() {
-            let id = StateId(k as u32 + 1);
-            let inst = Instance::parse(s.clone(), t).unwrap();
-            assert!(flat.get(id).isomorphic(&inst), "{t}");
-            assert_eq!(flat.lookup(&inst), Some(id), "{t}");
-            assert_eq!(flat.depth(id), 1);
-            assert_eq!(flat.parent(id).unwrap().0, StateId(0));
-            assert_eq!(flat.fingerprint(id), inst.canon_key().fingerprint());
-        }
-        assert_eq!(flat.collisions(), 0);
-    }
-
-    /// Trimming: packed ids absent from the flatten order are dropped,
-    /// mirroring the engines' state-cap / early-goal truncation.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn sharded_store_flatten_trims_unordered_states() {
-        let s = schema();
-        let store = ShardedStateStore::new(SymmetryMode::Plain);
-        let a = Instance::parse(s.clone(), "a(b, c), s").unwrap();
-        let b = Instance::parse(s.clone(), "s, a(c, b)").unwrap();
-        let (ia, na) = store.intern(store.key_of(&a), a.clone(), None, 0);
-        let (_, nb) = store.intern(store.key_of(&b), b.clone(), None, 0);
-        assert!(na.is_some() && nb.is_some(), "plain mode keeps both orders");
-        let flat = store.into_store(&[ia]);
-        assert_eq!(flat.len(), 1);
-        assert_eq!(flat.lookup(&a), Some(StateId(0)));
-        assert_eq!(flat.lookup(&b), None, "trimmed state is absent");
     }
 
     #[test]

@@ -54,22 +54,8 @@ pub struct Event {
 
 impl WorkflowGraph {
     /// Explore `form` within `limits` and annotate the result.
-    ///
-    /// Uses the explorer's default engine — the parallel layered frontier
-    /// when the `parallel` feature is on and more than one core is
-    /// available. Use [`WorkflowGraph::build_with_threads`] to pin the
-    /// worker count (e.g. `1` for a fully sequential build).
     pub fn build(form: &GuardedForm, limits: ExploreLimits) -> WorkflowGraph {
-        Self::build_with_threads(form, limits, idar_solver::default_threads())
-    }
-
-    /// [`WorkflowGraph::build`] with an explicit explorer thread count.
-    pub fn build_with_threads(
-        form: &GuardedForm,
-        limits: ExploreLimits,
-        threads: usize,
-    ) -> WorkflowGraph {
-        let graph = Explorer::new(form, limits).with_threads(threads).graph();
+        let graph = Explorer::new(form, limits).graph();
         let n = graph.state_count();
         let complete: Vec<bool> = graph.states().iter().map(|s| form.is_complete(s)).collect();
         // Backward reachability from complete states.

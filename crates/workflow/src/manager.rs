@@ -224,11 +224,6 @@ pub struct FormManager {
     /// The oracle method Table 1 dispatch (or `force_method`) selects —
     /// fixed per session, decides session-graph eligibility.
     method: Method,
-    /// Explorer threads granted to each oracle run (`None`: the explorer
-    /// default). Layered hosts (e.g. `idar-server`, whose HTTP workers
-    /// each drive a manager) pin this to their `split_threads` share so
-    /// sessions never oversubscribe the host's budget.
-    threads: Option<usize>,
     /// Memory budget: evict the retained graph (falling back to cold
     /// solves) once it holds more than this many states.
     max_retained_states: usize,
@@ -262,7 +257,6 @@ impl FormManager {
             rules_sig,
             fragment,
             method,
-            threads: None,
             max_retained_states: 1 << 20,
             max_retained_bytes: None,
             session: RefCell::new(if eligible {
@@ -282,10 +276,10 @@ impl FormManager {
         self
     }
 
-    /// Pin the explorer-thread grant of every oracle run this session
-    /// makes (thread counts are accounting, never verdict-affecting).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+    /// Ignores its argument: exploration is single-threaded. Kept so
+    /// existing callers still compile.
+    #[deprecated(note = "oracle runs are single-threaded; this is a no-op")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -461,10 +455,7 @@ impl FormManager {
             AnalysisKind::Completability,
             &self.oracle,
         );
-        let mut request = AnalysisRequest::completability(sub).with_budget(self.oracle.clone());
-        if let Some(t) = self.threads {
-            request = request.with_threads(t);
-        }
+        let request = AnalysisRequest::completability(sub).with_budget(self.oracle.clone());
         let report = analyze_keyed(&request, &self.cache, &key);
         // `screen` is `None` on cache hits, so this counts only calls
         // the screener itself answered (zero states expanded).
@@ -540,9 +531,9 @@ impl FormManager {
         if self.method != Method::BoundedExploration {
             return None;
         }
-        let out = Explorer::new(&self.form, self.oracle.limits)
-            .with_threads(1)
-            .resume(&mut active.graph, id, |i| self.form.is_complete(i));
+        let out =
+            Explorer::new(&self.form, self.oracle.limits)
+                .resume(&mut active.graph, id, |i| self.form.is_complete(i));
         let verdict = match (out.goal_run.is_some(), out.stats.closed) {
             (true, _) => Verdict::Holds,
             (false, true) => Verdict::Fails,

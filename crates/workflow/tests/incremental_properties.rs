@@ -5,9 +5,8 @@
 //!
 //! * **resume-equivalence** — `Explorer::resume` from *any* state
 //!   interned in a `SessionGraph` produces exactly the same
-//!   `SearchStats` and goal depth as a cold sequential run on the form
-//!   re-rooted at that state's instance (and agrees with the parallel
-//!   engine on every engine-invariant observable);
+//!   `SearchStats` and goal depth as a cold run on the form re-rooted at
+//!   that state's instance, and as the naive reference explorer;
 //! * **eviction round-trip** — a `FormManager` whose retained graph is
 //!   evicted under a tiny memory budget answers every vet/safe_updates
 //!   query identically to a manager that kept its graph.
@@ -15,7 +14,8 @@
 use idar_gen::builders::subset_lattice;
 use idar_gen::scenario::{ChainSpec, ScenarioSpec};
 use idar_solver::{
-    Budget, ExploreLimits, Explorer, Method, StateId, SymmetryMode, Verdict, VerdictCache,
+    reference, Budget, ExploreLimits, Explorer, Method, StateId, SymmetryMode, Verdict,
+    VerdictCache,
 };
 use idar_workflow::manager::{FormManager, UnknownPolicy};
 use std::sync::Arc;
@@ -35,10 +35,10 @@ fn closing_forms() -> Vec<(String, idar_core::GuardedForm)> {
     ]
 }
 
-/// Resume from every retained state must match a cold sequential run
+/// Resume from every retained state must match a cold run
 /// re-rooted at that state — exact `SearchStats` equality and equal goal
-/// depth — under both symmetry modes. The parallel engine is held to the
-/// engine-invariant subset: state count, closure, goal presence/depth.
+/// depth — under both symmetry modes, and the reference explorer agrees
+/// with both.
 #[test]
 fn resume_equals_cold_run_from_every_state() {
     let limits = ExploreLimits::small();
@@ -51,14 +51,14 @@ fn resume_equals_cold_run_from_every_state() {
             let retained = session.retained_states();
             for i in 0..retained {
                 let id = StateId(i as u32);
-                let warm = Explorer::new(&form, limits)
-                    .with_symmetry(mode)
-                    .with_threads(1)
-                    .resume(&mut session, id, |x| form.is_complete(x));
+                let warm = Explorer::new(&form, limits).with_symmetry(mode).resume(
+                    &mut session,
+                    id,
+                    |x| form.is_complete(x),
+                );
                 let rerooted = form.with_initial(session.store().get(id).clone());
                 let cold = Explorer::new(&rerooted, limits)
                     .with_symmetry(mode)
-                    .with_threads(1)
                     .find(|x| rerooted.is_complete(x));
                 assert_eq!(warm.stats, cold.stats, "{name} {mode:?} state {i}");
                 assert_eq!(
@@ -66,22 +66,16 @@ fn resume_equals_cold_run_from_every_state() {
                     cold.goal_run.as_ref().map(Vec::len),
                     "{name} {mode:?} state {i}: goal depth"
                 );
-                let par = Explorer::new(&rerooted, limits)
-                    .with_symmetry(mode)
-                    .with_threads(4)
-                    .find(|x| rerooted.is_complete(x));
+                let oracle =
+                    reference::explore(&rerooted, &limits, mode, |x| rerooted.is_complete(x));
                 assert_eq!(
-                    warm.stats.states, par.stats.states,
-                    "{name} {mode:?} state {i}: parallel state count"
-                );
-                assert_eq!(
-                    warm.stats.closed, par.stats.closed,
-                    "{name} {mode:?} state {i}: parallel closure"
+                    warm.stats, oracle.stats,
+                    "{name} {mode:?} state {i}: oracle"
                 );
                 assert_eq!(
                     warm.goal_run.as_ref().map(Vec::len),
-                    par.goal_run.as_ref().map(Vec::len),
-                    "{name} {mode:?} state {i}: parallel goal depth"
+                    oracle.goal_depth,
+                    "{name} {mode:?} state {i}: oracle goal depth"
                 );
             }
             // An exact session answers queries without growing.
@@ -102,11 +96,8 @@ fn truncated_session_converges_to_the_cold_space() {
     };
     let mut session = Explorer::new(&form, tight).build_session();
     assert!(!session.exact());
-    let cold = Explorer::new(&form, ExploreLimits::small())
-        .with_threads(1)
-        .find(|x| form.is_complete(x));
+    let cold = Explorer::new(&form, ExploreLimits::small()).find(|x| form.is_complete(x));
     let warm = Explorer::new(&form, ExploreLimits::small())
-        .with_threads(1)
         .resume(&mut session, StateId(0), |x| form.is_complete(x));
     assert_eq!(warm.stats, cold.stats);
     assert_eq!(
@@ -207,7 +198,7 @@ fn mid_session_eviction_stays_equivalent_to_cold() {
 fn annotation_agrees_with_resume_on_exact_graphs() {
     let form = subset_lattice(4);
     let limits = ExploreLimits::small();
-    let explorer = Explorer::new(&form, limits).with_threads(1);
+    let explorer = Explorer::new(&form, limits);
     let mut session = explorer.build_session();
     session.annotate(&form);
     assert!(session.exact());

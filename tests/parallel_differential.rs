@@ -1,32 +1,87 @@
-//! Differential tests: the pooled parallel frontier engine must be
-//! indistinguishable from the sequential explorer wherever the contract
-//! promises it — same state set, same `SearchStats.closed`, same
-//! verdicts, same BFS goal depths — on the paper's running example, the
-//! Theorem 4.1 two-counter workloads, the limit *boundaries* (depth
-//! limit hitting exactly at a frontier, state-count cap firing
-//! mid-layer, a goal discovered inside a pool-claimed chunk) under both
+//! Differential tests of the exploration engine: the BFS driver on the
+//! flat `StateStore`, the same driver on the out-of-core `SpillStore`
+//! under a spill budget small enough to page records out, and the naive
+//! reference explorer (`idar_solver::reference`) must report
+//! bit-identical `SearchStats` and the same BFS goal depth — on the
+//! paper's running example, the Theorem 4.1 two-counter workloads, the
+//! limit *boundaries* (depth limit hitting exactly at a frontier, the
+//! state cap firing mid-layer, a goal discovered mid-layer) under both
 //! symmetry modes, and (via the proptest block at the bottom) on
 //! seed-generated `idar-gen` forms from every fragment.
-//!
-//! These tests force thread counts above the machine's core count on
-//! purpose: the pooled code paths (lazy spawn, chunk claiming, sharded
-//! interning, barrier assignment, trim-at-finish) are exercised even on
-//! a single-core host.
 
-use idar::core::leave;
+use idar::core::{leave, GuardedForm, Instance};
 use idar::solver::{
-    completability, CompletabilityOptions, ExploreLimits, Explorer, LimitKind, Method,
-    SymmetryMode, Verdict,
+    completability, reference, CompletabilityOptions, ExploreLimits, ExploreOutcome, Explorer,
+    LimitKind, MemoryBudget, Method, SymmetryMode, Verdict,
 };
 use idar_bench::workloads;
 use proptest::prelude::*;
 
-/// Sorted iso-codes of a graph's states: the canonical state set.
-fn state_set(g: &idar::solver::explore::StateGraph) -> Vec<String> {
-    let mut v: Vec<String> = g.states().iter().map(|s| s.iso_code()).collect();
-    v.sort_unstable();
-    v
+/// A spill budget of a few pages: most records live on disk.
+const SPILL_BUDGET: MemoryBudget = MemoryBudget::bytes(4096);
+
+/// Run one goal search on the flat store, the spill store and the
+/// reference explorer; assert identical stats and goal depth, check that
+/// every witness run replays to a goal state, and return the flat
+/// outcome.
+fn all_engines(
+    form: &GuardedForm,
+    limits: ExploreLimits,
+    symmetry: SymmetryMode,
+    goal: impl Fn(&Instance) -> bool + Copy,
+    ctx: &str,
+) -> ExploreOutcome {
+    let explorer = Explorer::new(form, limits).with_symmetry(symmetry);
+    let flat = explorer.find(goal);
+    let (spilled, _) = explorer.with_memory_budget(SPILL_BUDGET).find_spilled(goal);
+    let oracle = reference::explore(form, &limits, symmetry, goal);
+    for (engine, out) in [("flat", &flat), ("spill", &spilled)] {
+        assert_eq!(out.stats, oracle.stats, "{ctx} {symmetry}: {engine} stats");
+        assert_eq!(
+            out.goal_run.as_ref().map(Vec::len),
+            oracle.goal_depth,
+            "{ctx} {symmetry}: {engine} goal depth"
+        );
+        if let Some(run) = &out.goal_run {
+            let replay = form.replay(run).expect("witness run replays");
+            assert!(goal(replay.last()), "{ctx} {symmetry}: {engine} run");
+        }
+    }
+    flat
 }
+
+/// [`all_engines`] with a goal that never holds: the exhaustive search
+/// behind `Explorer::graph` and `Explorer::build_session`, whose stats
+/// must match too, and whose successor tables must hold exactly the
+/// oracle's unpruned transitions.
+fn all_engines_exhaustive(
+    form: &GuardedForm,
+    limits: ExploreLimits,
+    symmetry: SymmetryMode,
+    ctx: &str,
+) -> ExploreOutcome {
+    let out = all_engines(form, limits, symmetry, |_| false, ctx);
+    let edges = reference::explore(form, &limits, symmetry, |_| false).edges;
+    let explorer = Explorer::new(form, limits).with_symmetry(symmetry);
+    let graph = explorer.graph();
+    assert_eq!(graph.stats, out.stats, "{ctx} {symmetry}: graph stats");
+    assert_eq!(graph.state_count(), out.stats.states, "{ctx} {symmetry}");
+    assert_eq!(graph.edge_count(), edges, "{ctx} {symmetry}: graph edges");
+    let mut session = explorer.build_session();
+    assert_eq!(
+        session.build_stats(),
+        out.stats,
+        "{ctx} {symmetry}: session"
+    );
+    assert_eq!(
+        session.successor_table().edge_count(),
+        edges,
+        "{ctx} {symmetry}: session edges"
+    );
+    out
+}
+
+const MODES: [SymmetryMode; 2] = [SymmetryMode::Reduced, SymmetryMode::Plain];
 
 fn capped(cap: usize) -> ExploreLimits {
     ExploreLimits {
@@ -35,62 +90,54 @@ fn capped(cap: usize) -> ExploreLimits {
     }
 }
 
-/// Ex. 3.12 leave form, multiplicity-capped so the space is finite: both
-/// engines must enumerate exactly the same isomorphism classes and agree
-/// that the capped search did not close (the cap prunes, by design).
+/// Ex. 3.12 leave form, multiplicity-capped so the space is finite: every
+/// engine enumerates the same states and agrees that the capped search
+/// did not close (the cap prunes, by design).
 #[test]
 fn leave_example_3_12_same_state_set() {
     let form = leave::example_3_12();
-    let seq = Explorer::new(&form, capped(2)).with_threads(1).graph();
-    for threads in [2, 4] {
-        let par = Explorer::new(&form, capped(2))
-            .with_threads(threads)
-            .graph();
-        assert_eq!(state_set(&par), state_set(&seq), "threads={threads}");
-        assert_eq!(par.stats.states, seq.stats.states);
-        assert_eq!(par.stats.transitions, seq.stats.transitions);
-        assert_eq!(par.stats.closed, seq.stats.closed);
-        assert_eq!(par.edge_count(), seq.edge_count());
+    for symmetry in MODES {
+        let out = all_engines_exhaustive(&form, capped(2), symmetry, "leave");
+        assert!(!out.stats.closed);
+        assert_eq!(out.stats.limit_hit, Some(LimitKind::Multiplicity));
     }
 }
 
-/// Both engines find a complete run for φ = f at the same BFS depth, and
-/// both runs replay.
+/// Every engine finds a complete run for φ = f at the same BFS depth.
 #[test]
 fn leave_example_3_12_same_goal_depth() {
     let form = leave::example_3_12();
-    let seq = Explorer::new(&form, ExploreLimits::small())
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
-    let par = Explorer::new(&form, ExploreLimits::small())
-        .with_threads(4)
-        .find(|i| form.is_complete(i));
-    let seq_run = seq.goal_run.expect("completable");
-    let par_run = par.goal_run.expect("completable");
-    assert_eq!(seq_run.len(), par_run.len());
-    assert!(form.is_complete_run(&par_run));
+    for symmetry in MODES {
+        let out = all_engines(
+            &form,
+            ExploreLimits::small(),
+            symmetry,
+            |i| form.is_complete(i),
+            "leave",
+        );
+        assert!(form.is_complete_run(&out.goal_run.expect("completable")));
+    }
 }
 
-/// φ = f ∧ ¬s has no complete run (Sec. 3.5): both engines agree on the
-/// verdict-relevant facts under the capped search.
+/// φ = f ∧ ¬s has no complete run (Sec. 3.5): no engine finds one under
+/// the capped search, and all agree on the counts.
 #[test]
 fn leave_negative_claim_agrees() {
     let form = leave::example_3_12().with_completion(idar::core::Formula::parse("f & !s").unwrap());
-    let seq = Explorer::new(&form, capped(2))
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
-    let par = Explorer::new(&form, capped(2))
-        .with_threads(4)
-        .find(|i| form.is_complete(i));
-    assert!(seq.goal_run.is_none());
-    assert!(par.goal_run.is_none());
-    assert_eq!(seq.stats.closed, par.stats.closed);
-    assert_eq!(seq.stats.states, par.stats.states);
+    for symmetry in MODES {
+        let out = all_engines(
+            &form,
+            capped(2),
+            symmetry,
+            |i| form.is_complete(i),
+            "leave f & !s",
+        );
+        assert!(out.goal_run.is_none());
+    }
 }
 
-/// Halting two-counter machines (Thm 4.1): completability through the
-/// forced bounded-exploration path must return `Holds` with equal-length
-/// witness runs from both engines.
+/// Halting two-counter machines (Thm 4.1): every engine reaches the halt
+/// state at the same BFS depth.
 #[test]
 fn two_counter_halting_machines_agree() {
     let machines = [
@@ -100,32 +147,26 @@ fn two_counter_halting_machines_agree() {
         ),
         ("transfer(2)", idar::machines::library::transfer_c1_to_c2(2)),
     ];
+    let limits = ExploreLimits {
+        max_states: 500_000,
+        max_state_size: 256,
+        ..ExploreLimits::default()
+    };
     for (name, machine) in machines {
         let w = workloads::tcm(&machine, name, true);
-        let limits = ExploreLimits {
-            max_states: 500_000,
-            max_state_size: 256,
-            ..ExploreLimits::default()
-        };
-        let seq = Explorer::new(&w.form, limits)
-            .with_threads(1)
-            .find(|i| w.form.is_complete(i));
-        let par = Explorer::new(&w.form, limits)
-            .with_threads(4)
-            .find(|i| w.form.is_complete(i));
-        let seq_run = seq
-            .goal_run
-            .unwrap_or_else(|| panic!("{name}: seq finds halt"));
-        let par_run = par
-            .goal_run
-            .unwrap_or_else(|| panic!("{name}: par finds halt"));
-        assert_eq!(seq_run.len(), par_run.len(), "{name}: same BFS goal depth");
-        assert!(w.form.is_complete_run(&par_run), "{name}: par run replays");
+        let out = all_engines(
+            &w.form,
+            limits,
+            SymmetryMode::Reduced,
+            |i| w.form.is_complete(i),
+            name,
+        );
+        assert!(out.goal_run.is_some(), "{name}: halts");
     }
 }
 
-/// A diverging machine under tight limits: neither engine may claim a
-/// verdict, and closedness must agree (both searches are truncated).
+/// A diverging machine under tight limits: no engine may find a halt,
+/// and all stop at the same limit with the same counts.
 #[test]
 fn two_counter_diverging_machine_agrees() {
     let machine = idar::machines::library::ping_pong();
@@ -135,84 +176,60 @@ fn two_counter_diverging_machine_agrees() {
         max_state_size: 64,
         ..ExploreLimits::default()
     };
-    let seq = Explorer::new(&w.form, limits)
-        .with_threads(1)
-        .find(|i| w.form.is_complete(i));
-    let par = Explorer::new(&w.form, limits)
-        .with_threads(4)
-        .find(|i| w.form.is_complete(i));
-    assert!(seq.goal_run.is_none());
-    assert!(par.goal_run.is_none());
-    assert_eq!(seq.stats.closed, par.stats.closed);
-    // When both searches closed, the negative answer is exact and the
-    // state sets must coincide in size.
-    if seq.stats.closed {
-        assert_eq!(seq.stats.states, par.stats.states);
-    }
+    let out = all_engines(
+        &w.form,
+        limits,
+        SymmetryMode::Reduced,
+        |i| w.form.is_complete(i),
+        "ping_pong",
+    );
+    assert!(out.goal_run.is_none());
 }
 
-/// The subset-lattice scaling workload: a closed 2ⁿ space where the two
-/// engines must agree on everything observable.
+/// The subset-lattice scaling workload: a closed 2ⁿ space.
 #[test]
 fn subset_lattice_closed_space_agrees() {
     let w = workloads::subset_lattice(8);
-    let seq = Explorer::new(&w.form, ExploreLimits::small())
-        .with_threads(1)
-        .graph();
-    let par = Explorer::new(&w.form, ExploreLimits::small())
-        .with_threads(4)
-        .graph();
-    assert_eq!(seq.state_count(), 256);
-    assert_eq!(state_set(&par), state_set(&seq));
-    assert!(seq.stats.closed && par.stats.closed);
-    assert_eq!(seq.stats.transitions, par.stats.transitions);
+    let out = all_engines_exhaustive(
+        &w.form,
+        ExploreLimits::small(),
+        SymmetryMode::Reduced,
+        "lattice(8)",
+    );
+    assert_eq!(out.stats.states, 256);
+    assert!(out.stats.closed);
+    assert_eq!(out.stats.transitions, 8 * 256);
 }
 
 /// Depth limit hitting **exactly at a frontier**: layers below the limit
-/// are fully expanded by both engines, the probe fires on the frontier
-/// that still has successors, and everything observable agrees — under
-/// both symmetry modes. (The subset lattice grants deletes, so every
-/// depth-`d` frontier state has a successor and the limit must de-close
-/// the search.)
+/// are fully expanded, the probe fires on the frontier that still has
+/// successors, and every engine agrees — under both symmetry modes. (The
+/// subset lattice grants deletes, so every depth-`d` frontier state has
+/// a successor and the limit must de-close the search.)
 #[test]
 fn depth_limit_hit_exactly_at_frontier_agrees() {
     let w = workloads::subset_lattice(10);
-    for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
+    for symmetry in MODES {
         for max_depth in [1usize, 2, 3] {
             let limits = ExploreLimits {
                 max_depth,
                 ..ExploreLimits::default()
             };
-            let seq = Explorer::new(&w.form, limits)
-                .with_threads(1)
-                .with_symmetry(symmetry)
-                .graph();
-            assert_eq!(seq.stats.limit_hit, Some(LimitKind::Depth));
-            for threads in [2, 4] {
-                let par = Explorer::new(&w.form, limits)
-                    .with_threads(threads)
-                    .with_symmetry(symmetry)
-                    .graph();
-                let ctx = format!("{symmetry} depth {max_depth} threads {threads}");
-                assert_eq!(par.state_count(), seq.state_count(), "{ctx}");
-                assert_eq!(par.stats.states, seq.stats.states, "{ctx}");
-                assert_eq!(par.stats.transitions, seq.stats.transitions, "{ctx}");
-                assert!(!par.stats.closed, "{ctx}");
-                assert_eq!(par.stats.limit_hit, Some(LimitKind::Depth), "{ctx}");
-                assert_eq!(state_set(&par), state_set(&seq), "{ctx}");
-                assert_eq!(par.edge_count(), seq.edge_count(), "{ctx}");
-            }
+            let ctx = format!("depth {max_depth}");
+            let out = all_engines_exhaustive(&w.form, limits, symmetry, &ctx);
+            assert!(!out.stats.closed, "{ctx}");
+            assert_eq!(out.stats.limit_hit, Some(LimitKind::Depth), "{ctx}");
         }
     }
 }
 
 /// A depth limit that exactly exhausts the space: the deletion-free
 /// lattice's deepest states have no successors, so the probe finds
-/// nothing, no limit is recorded, and the search **closes** — in both
-/// engines, under both symmetry modes.
+/// nothing, no limit is recorded, and the search **closes** — on every
+/// engine, under both symmetry modes.
 #[test]
 fn depth_limit_exhausting_the_space_closes_in_both_engines() {
-    use idar::core::{AccessRules, Formula, GuardedForm, Instance, Schema};
+    use idar::core::{AccessRules, Formula, Schema};
     use std::sync::Arc;
     let n = 6usize;
     let labels: Vec<String> = (0..n).map(|i| format!("l{i}")).collect();
@@ -236,73 +253,44 @@ fn depth_limit_exhausting_the_space_closes_in_both_engines() {
         max_depth: n,
         ..ExploreLimits::default()
     };
-    for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
-        let seq = Explorer::new(&form, limits)
-            .with_threads(1)
-            .with_symmetry(symmetry)
-            .graph();
-        assert!(seq.stats.closed, "{symmetry}: depth n exhausts the space");
-        assert_eq!(seq.stats.limit_hit, None, "{symmetry}");
+    for symmetry in MODES {
+        let out = all_engines_exhaustive(&form, limits, symmetry, "add-once");
+        assert!(out.stats.closed, "{symmetry}: depth n exhausts the space");
+        assert_eq!(out.stats.limit_hit, None, "{symmetry}");
         if symmetry == SymmetryMode::Reduced {
-            assert_eq!(seq.state_count(), 1 << n, "one state per subset");
-        }
-        for threads in [2, 4] {
-            let par = Explorer::new(&form, limits)
-                .with_threads(threads)
-                .with_symmetry(symmetry)
-                .graph();
-            assert!(par.stats.closed, "{symmetry} threads {threads}");
-            assert_eq!(par.stats.limit_hit, None, "{symmetry} threads {threads}");
-            assert_eq!(par.state_count(), seq.state_count());
-            assert_eq!(par.stats.transitions, seq.stats.transitions);
-            assert_eq!(state_set(&par), state_set(&seq));
+            assert_eq!(out.stats.states, 1 << n, "one state per subset");
         }
     }
 }
 
-/// State-count cap firing **mid-layer**: both engines must stop at
-/// *exactly* the cap (the pooled engine trims barrier assignment at the
-/// cap, whatever its workers interned past it), report the `States`
-/// limit, and stay un-closed — under both symmetry modes.
+/// State-count cap firing **mid-layer**: every engine stops at exactly
+/// the cap, reports the `States` limit, and stays un-closed — under both
+/// symmetry modes.
 #[test]
 fn state_limit_mid_layer_agrees() {
     let w = workloads::subset_lattice(8);
-    for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
+    for symmetry in MODES {
         for max_states in [2usize, 7, 37, 100] {
             let limits = ExploreLimits {
                 max_states,
                 ..ExploreLimits::default()
             };
-            let seq = Explorer::new(&w.form, limits)
-                .with_threads(1)
-                .with_symmetry(symmetry)
-                .graph();
-            for threads in [2, 4] {
-                let par = Explorer::new(&w.form, limits)
-                    .with_threads(threads)
-                    .with_symmetry(symmetry)
-                    .graph();
-                let ctx = format!("{symmetry} cap {max_states} threads {threads}");
-                assert_eq!(seq.state_count(), max_states, "{ctx}");
-                assert_eq!(par.state_count(), max_states, "{ctx}");
-                assert_eq!(par.stats.states, seq.stats.states, "{ctx}");
-                assert!(!seq.stats.closed && !par.stats.closed, "{ctx}");
-                assert_eq!(seq.stats.limit_hit, Some(LimitKind::States), "{ctx}");
-                assert_eq!(par.stats.limit_hit, Some(LimitKind::States), "{ctx}");
-            }
+            let ctx = format!("cap {max_states}");
+            let out = all_engines_exhaustive(&w.form, limits, symmetry, &ctx);
+            assert_eq!(out.stats.states, max_states, "{ctx}");
+            assert!(!out.stats.closed, "{ctx}");
+            assert_eq!(out.stats.limit_hit, Some(LimitKind::States), "{ctx}");
         }
     }
 }
 
-/// A goal discovered **inside a pool-claimed chunk**: the goal sits deep
-/// in combinatorially wide layers (well past the dispatch threshold for
-/// every thread count tested), so it is found by a worker mid-chunk, not
-/// by the coordinator — and its BFS depth must still match the
-/// sequential engine exactly, under both symmetry modes.
+/// A goal discovered **mid-layer**, deep in combinatorially wide layers:
+/// every engine stops on the same state at the same BFS depth, with the
+/// same transition count, under both symmetry modes.
 #[test]
-fn goal_found_during_stolen_chunk_agrees() {
+fn goal_found_mid_layer_agrees() {
     let w = workloads::subset_lattice(12);
-    for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
+    for symmetry in MODES {
         // Reduced: 2¹² subsets, goal deep at depth 8. Plain: the ordered
         // space explodes past the state cap beyond depth 5, so the goal
         // sits at depth 5 — still behind combinatorially wide layers.
@@ -310,43 +298,29 @@ fn goal_found_during_stolen_chunk_agrees() {
             SymmetryMode::Reduced => 8usize,
             SymmetryMode::Plain => 5usize,
         };
-        let goal =
-            |i: &idar::core::Instance| i.children(idar::core::InstNodeId::ROOT).len() == goal_size;
-        let seq = Explorer::new(&w.form, ExploreLimits::default())
-            .with_threads(1)
-            .with_symmetry(symmetry)
-            .find(goal);
-        let seq_run = seq.goal_run.expect("goal reachable");
-        assert_eq!(seq_run.len(), goal_size, "{symmetry}: goal at BFS depth");
-        for threads in [2, 4, 8] {
-            let par = Explorer::new(&w.form, ExploreLimits::default())
-                .with_threads(threads)
-                .with_symmetry(symmetry)
-                .find(goal);
-            let par_run = par
-                .goal_run
-                .unwrap_or_else(|| panic!("{symmetry} threads {threads}: goal missed"));
-            assert_eq!(
-                par_run.len(),
-                seq_run.len(),
-                "{symmetry} threads {threads}: same BFS goal depth"
-            );
-            let replay = w.form.replay(&par_run).expect("pooled run replays");
-            assert!(goal(replay.last()), "{symmetry} threads {threads}");
-        }
+        let goal = |i: &Instance| i.children(idar::core::InstNodeId::ROOT).len() == goal_size;
+        let out = all_engines(
+            &w.form,
+            ExploreLimits::default(),
+            symmetry,
+            goal,
+            "lattice(12)",
+        );
+        let run = out.goal_run.expect("goal reachable");
+        assert_eq!(run.len(), goal_size, "{symmetry}: goal at BFS depth");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Pooled-engine `SearchStats` and goal verdicts match the
-    /// sequential engine on seed-generated forms from every `idar-gen`
-    /// fragment: counts/closedness always, transitions and state sets on
-    /// closed searches, goal existence and BFS depth whenever neither
-    /// engine hit a limit, and every returned run must replay complete.
+    /// On seed-generated forms from every `idar-gen` fragment, under
+    /// both symmetry modes: the exhaustive search and the completion
+    /// goal search agree across the flat store, the spill store and the
+    /// reference explorer — stats field for field, goal depth, and
+    /// replayable witness runs.
     #[test]
-    fn pooled_engine_matches_sequential_on_generated_forms(
+    fn engines_match_oracle_on_generated_forms(
         ix in 0usize..4,
         seed in 0u64..1_000_000,
     ) {
@@ -359,50 +333,31 @@ proptest! {
             max_depth: usize::MAX,
             multiplicity_cap: Some(2),
         };
-        let seq = Explorer::new(&form, limits).with_threads(1).graph();
-        let par = Explorer::new(&form, limits).with_threads(4).graph();
-        prop_assert_eq!(par.state_count(), seq.state_count());
-        prop_assert_eq!(par.stats.states, seq.stats.states);
-        prop_assert_eq!(par.stats.closed, seq.stats.closed);
-        if seq.stats.closed {
-            prop_assert_eq!(par.stats.transitions, seq.stats.transitions);
-            prop_assert_eq!(state_set(&par), state_set(&seq));
-            prop_assert_eq!(par.edge_count(), seq.edge_count());
-        }
-
-        let seq_f = Explorer::new(&form, limits)
-            .with_threads(1)
-            .find(|i| form.is_complete(i));
-        let par_f = Explorer::new(&form, limits)
-            .with_threads(4)
-            .find(|i| form.is_complete(i));
-        if seq_f.stats.limit_hit.is_none() && par_f.stats.limit_hit.is_none() {
-            prop_assert_eq!(seq_f.goal_run.is_some(), par_f.goal_run.is_some());
-            if let (Some(a), Some(b)) = (&seq_f.goal_run, &par_f.goal_run) {
-                prop_assert_eq!(a.len(), b.len());
-            }
-        }
-        for run in [&seq_f.goal_run, &par_f.goal_run].into_iter().flatten() {
-            prop_assert!(form.is_complete_run(run));
+        let ctx = format!("{} seed {seed}", cfg.fragment);
+        for symmetry in MODES {
+            all_engines_exhaustive(&form, limits, symmetry, &ctx);
+            all_engines(&form, limits, symmetry, |i| form.is_complete(i), &ctx);
         }
     }
 }
 
 /// End-to-end through the solver dispatch: forcing bounded exploration on
-/// the leave form yields the same verdict regardless of engine (the
-/// solver uses the explorer's default thread count internally, so this
-/// also smoke-tests the default path).
+/// the leave form yields the same verdict on the flat and the spill
+/// store.
 #[test]
 fn completability_verdicts_engine_independent() {
     let form = leave::example_3_12();
-    let r = completability(
-        &form,
-        &CompletabilityOptions {
-            limits: ExploreLimits::small(),
-            force_method: Some(Method::BoundedExploration),
-            ..Default::default()
-        },
-    );
-    assert_eq!(r.verdict, Verdict::Holds);
-    assert!(form.is_complete_run(r.witness_run.as_ref().unwrap()));
+    for memory in [MemoryBudget::unbounded(), SPILL_BUDGET] {
+        let r = completability(
+            &form,
+            &CompletabilityOptions {
+                limits: ExploreLimits::small(),
+                force_method: Some(Method::BoundedExploration),
+                memory,
+                ..Default::default()
+            },
+        );
+        assert_eq!(r.verdict, Verdict::Holds, "{memory}");
+        assert!(form.is_complete_run(r.witness_run.as_ref().unwrap()));
+    }
 }

@@ -9,25 +9,30 @@
 //! * `canonicalize()` maps every renaming to the identical canonical
 //!   form and fingerprint (and is itself a fixpoint);
 //! * completability **and** semi-soundness verdicts agree across
-//!   renamings, on the sequential *and* the parallel engine;
+//!   renamings, on the flat *and* the out-of-core state store;
 //! * the `StateStore` intern/lookup fixpoint: interning any member of a
 //!   class and looking up any other member yields the same dense id.
 
 use idar::core::Instance;
 use idar::solver::{
-    analyze, AnalysisKind, AnalysisRequest, Budget, ExploreLimits, StateStore, SymmetryMode,
+    analyze, AnalysisKind, AnalysisRequest, Budget, ExploreLimits, MemoryBudget, StateStore,
+    SymmetryMode,
 };
 use idar_gen::{generate, generate_stream, FragmentSpec, GenConfig};
 use idar_logic::gen::{Rng, XorShift};
 
-/// Small limits so every analysis closes or bounds in milliseconds.
-fn budget() -> Budget {
-    Budget::with_limits(ExploreLimits {
-        max_states: 2_000,
-        max_state_size: 20,
-        max_depth: usize::MAX,
-        multiplicity_cap: Some(2),
-    })
+/// Small limits so every analysis closes or bounds in milliseconds; a
+/// bounded `memory` runs bounded exploration on the out-of-core store.
+fn budget(memory: MemoryBudget) -> Budget {
+    Budget {
+        memory,
+        ..Budget::with_limits(ExploreLimits {
+            max_states: 2_000,
+            max_state_size: 20,
+            max_depth: usize::MAX,
+            multiplicity_cap: Some(2),
+        })
+    }
 }
 
 /// Rebuild `inst` with every node's children inserted in a random order —
@@ -105,24 +110,20 @@ fn verdicts_are_invariant_under_renaming_all_fragments_both_engines() {
         for (k, form) in forms_of(fragment, 6).into_iter().enumerate() {
             let mut rng = XorShift::new(0xBEEF ^ (k as u64) << 3);
             for kind in [AnalysisKind::Completability, AnalysisKind::Semisoundness] {
-                for threads in [1usize, 4] {
+                for memory in [MemoryBudget::unbounded(), MemoryBudget::bytes(4096)] {
                     let base = analyze(
-                        &AnalysisRequest::new(form.clone(), kind)
-                            .with_budget(budget())
-                            .with_threads(threads),
+                        &AnalysisRequest::new(form.clone(), kind).with_budget(budget(memory)),
                     );
                     for r in 0..2 {
                         let renamed = form.with_initial(random_renaming(form.initial(), &mut rng));
                         let got = analyze(
-                            &AnalysisRequest::new(renamed, kind)
-                                .with_budget(budget())
-                                .with_threads(threads),
+                            &AnalysisRequest::new(renamed, kind).with_budget(budget(memory)),
                         );
                         if base.stats.limit_hit.is_none() && got.stats.limit_hit.is_none() {
                             assert_eq!(
                                 got.verdict, base.verdict,
                                 "{fragment} case {k}: {kind} verdict changed under \
-                                 renaming {r} (threads {threads})"
+                                 renaming {r} (memory {memory})"
                             );
                         } else {
                             // At a resource boundary the verdict may be
@@ -136,7 +137,7 @@ fn verdicts_are_invariant_under_renaming_all_fragments_both_engines() {
                             assert!(
                                 !contradiction,
                                 "{fragment} case {k}: {kind} decided verdicts contradict \
-                                 under renaming {r} (threads {threads})"
+                                 under renaming {r} (memory {memory})"
                             );
                         }
                     }

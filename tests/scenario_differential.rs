@@ -1,6 +1,6 @@
 //! Workspace-level differential suite for the scenario corpus: verdicts
 //! on scenario forms must be invariant under every engine configuration
-//! the pipeline exposes — sequential vs pooled exploration,
+//! the pipeline exposes — the flat vs the out-of-core state store,
 //! `SymmetryMode::{Reduced, Plain}`, and cold vs cached
 //! `AnalysisRequest` paths — and the six named scenarios carry golden
 //! verdict pins re-checked on every run.
@@ -9,8 +9,8 @@ use idar::gen::constraints::{check_run, constrained_completable};
 use idar::gen::scenario::named_scenarios;
 use idar::gen::ScenarioAxis;
 use idar::solver::{
-    analyze, analyze_with, AnalysisKind, AnalysisRequest, Budget, ExploreLimits, SymmetryMode,
-    Verdict, VerdictCache,
+    analyze, analyze_with, reference, AnalysisKind, AnalysisRequest, Budget, ExploreLimits,
+    Explorer, MemoryBudget, SymmetryMode, Verdict, VerdictCache,
 };
 use idar::workflow::runs::{enumerate_complete_runs, EnumerateOptions};
 
@@ -23,24 +23,52 @@ fn scenario_limits() -> ExploreLimits {
     }
 }
 
-fn budget(symmetry: SymmetryMode) -> Budget {
+fn budget(symmetry: SymmetryMode, memory: MemoryBudget) -> Budget {
     Budget {
         symmetry,
+        memory,
         ..Budget::with_limits(scenario_limits())
+    }
+}
+
+/// The completability goal search on the flat store, on the out-of-core
+/// store under a small spill budget, and in the reference explorer:
+/// bit-identical `SearchStats` and equal goal depth, in both symmetry
+/// modes.
+fn engines_match_oracle(form: &idar::core::GuardedForm, name: &str) {
+    let limits = scenario_limits();
+    let goal = |i: &idar::core::Instance| form.is_complete(i);
+    for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
+        let explorer = Explorer::new(form, limits).with_symmetry(symmetry);
+        let flat = explorer.find(goal);
+        let spilled = explorer
+            .with_memory_budget(MemoryBudget::bytes(4096))
+            .find(goal);
+        let oracle = reference::explore(form, &limits, symmetry, goal);
+        for (engine, out) in [("flat", &flat), ("spill", &spilled)] {
+            assert_eq!(out.stats, oracle.stats, "{name} {symmetry} {engine}: stats");
+            assert_eq!(
+                out.goal_run.as_ref().map(Vec::len),
+                oracle.goal_depth,
+                "{name} {symmetry} {engine}: goal depth"
+            );
+        }
     }
 }
 
 /// Run `kind` on `form` across every engine configuration and assert
 /// all verdicts agree; returns the common verdict.
 fn verdict_invariant(form: &idar::core::GuardedForm, kind: AnalysisKind, name: &str) -> Verdict {
+    if kind == AnalysisKind::Completability {
+        engines_match_oracle(form, name);
+    }
     let mut verdicts = Vec::new();
     for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
-        for threads in [1usize, 4] {
-            let req = AnalysisRequest::new(form.clone(), kind)
-                .with_budget(budget(symmetry))
-                .with_threads(threads);
+        for memory in [MemoryBudget::unbounded(), MemoryBudget::bytes(64 * 1024)] {
+            let req =
+                AnalysisRequest::new(form.clone(), kind).with_budget(budget(symmetry, memory));
             let cold = analyze(&req);
-            verdicts.push((format!("{symmetry:?}/t{threads}/cold"), cold.verdict));
+            verdicts.push((format!("{symmetry:?}/{memory}/cold"), cold.verdict));
 
             let cache = VerdictCache::new();
             let miss = analyze_with(&req, Some(&cache));
@@ -55,8 +83,8 @@ fn verdict_invariant(form: &idar::core::GuardedForm, kind: AnalysisKind, name: &
                 idar::solver::CacheProvenance::Hit,
                 "{name}: second cached run should hit"
             );
-            verdicts.push((format!("{symmetry:?}/t{threads}/miss"), miss.verdict));
-            verdicts.push((format!("{symmetry:?}/t{threads}/hit"), hit.verdict));
+            verdicts.push((format!("{symmetry:?}/{memory}/miss"), miss.verdict));
+            verdicts.push((format!("{symmetry:?}/{memory}/hit"), hit.verdict));
         }
     }
     let (ref first_cfg, first) = verdicts[0];
@@ -178,7 +206,7 @@ fn deep_chains_complete_up_to_depth_twelve() {
     for depth in [4usize, 8, 12] {
         let s = ScenarioSpec::unconstrained(ChainSpec::simple(depth, 2, 3)).build("deep");
         let req = AnalysisRequest::completability(s.form.clone())
-            .with_budget(budget(SymmetryMode::Reduced));
+            .with_budget(budget(SymmetryMode::Reduced, MemoryBudget::unbounded()));
         let report = analyze(&req);
         assert_eq!(report.verdict, Verdict::Holds, "depth {depth}");
         let run = report.run.expect("witness run");
@@ -216,7 +244,7 @@ fn named_scenarios_screen_pins() {
     assert_eq!(r.stats.chase_steps, 0, "refutation must not build states");
     let report = analyze(
         &AnalysisRequest::completability(sod.form.clone())
-            .with_budget(budget(SymmetryMode::Reduced)),
+            .with_budget(budget(SymmetryMode::Reduced, MemoryBudget::unbounded())),
     );
     assert_eq!(report.verdict, Verdict::Fails);
     assert_eq!(report.method, Method::StaticScreen);
@@ -235,7 +263,7 @@ fn named_scenarios_screen_pins() {
     assert!(r.dead_rules.is_empty(), "clean_chain has no dead rules");
     let report = analyze(
         &AnalysisRequest::completability(clean.form.clone())
-            .with_budget(budget(SymmetryMode::Reduced)),
+            .with_budget(budget(SymmetryMode::Reduced, MemoryBudget::unbounded())),
     );
     assert_eq!(report.method, Method::StaticScreen);
     assert_eq!(report.stats.states, 0);
