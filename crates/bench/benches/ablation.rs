@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for two design choices of the solver (see
+//! `docs/ARCHITECTURE.md`).
 //!
 //! * `depth1_compiled_vs_generic` — the depth-1 fast path (Lemma 4.3
 //!   canonical bitset states + compiled guards) against the generic

@@ -1,20 +1,19 @@
 //! # idar-bench
 //!
 //! Benchmark workloads and the experiment harness that regenerates every
-//! table and figure of the paper (see `DESIGN.md` §4 for the experiment
-//! index and `EXPERIMENTS.md` for recorded results).
+//! table and figure of the paper (the `reproduce` binary; the README
+//! lists its sections).
 //!
 //! The paper is a theory paper: its single table (Table 1) is a complexity
 //! matrix and its three figures are worked examples. Reproduction
 //! therefore means (a) *verdict agreement* between the guarded-form
 //! solvers and independent baselines on reduction-generated families, and
 //! (b) *scaling shapes* consistent with each cell's complexity class —
-//! which is exactly what [`workloads`] generates and the Criterion benches
-//! plus the `reproduce` binary measure.
+//! which is exactly what [`workloads`] generates, the `reproduce` binary
+//! asserts and the Criterion benches time.
 
 #![forbid(unsafe_code)]
 
-pub mod json;
 pub mod load;
 pub mod workloads;
 

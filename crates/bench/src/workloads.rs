@@ -1,4 +1,5 @@
-//! Parameterised workload families, one per Table 1 cell (see DESIGN.md §4).
+//! Parameterised workload families, one per Table 1 cell; the
+//! `reproduce` binary asserts their verdicts section by section.
 //!
 //! Every generator is deterministic in its seed so benchmark runs are
 //! reproducible. Form *assembly* lives in [`idar_gen::builders`] — the
@@ -68,22 +69,6 @@ pub fn subset_lattice(n: usize) -> Workload {
     Workload {
         name: format!("subset_lattice/n{n}"),
         form: idar_gen::builders::subset_lattice(n),
-        expected: Some(true),
-    }
-}
-
-/// `F(A−, φ+, 1)` **deletion-free** — the monotone analogue of a
-/// two-counter configuration space: two groups of `bits` at-most-once
-/// labels (each group's popcount is one counter value), never deletable,
-/// completion = all present. Reachable states are all `4^bits` label
-/// subsets, reached by additions alone — the blow-up workload for
-/// **frontier-only** exploration, which is sound exactly because the
-/// form is deletion-free (node counts grow monotonically, so closed BFS
-/// layers can never be revisited).
-pub fn two_counter_monotone(bits: usize) -> Workload {
-    Workload {
-        name: format!("two_counter_monotone/b{bits}"),
-        form: idar_gen::builders::monotone_lattice(2 * bits),
         expected: Some(true),
     }
 }
@@ -297,13 +282,50 @@ mod tests {
 
     #[test]
     fn approval_chain_workload_is_consistent() {
-        for depth in [2usize, 6] {
+        // With the screener bypassed, exploration must find the same
+        // minimal witness the screener's chase does.
+        let explore_only = CompletabilityOptions {
+            skip_screen: true,
+            ..CompletabilityOptions::with_limits(idar_solver::ExploreLimits {
+                max_states: 120_000,
+                max_state_size: 64,
+                max_depth: usize::MAX,
+                multiplicity_cap: Some(1),
+            })
+        };
+        for (depth, opts) in [
+            (2usize, CompletabilityOptions::default()),
+            (6, CompletabilityOptions::default()),
+            (4, explore_only.clone()),
+            (8, explore_only.clone()),
+            (12, explore_only),
+        ] {
             let w = approval_chain(depth, 2, 3);
-            let r = completability(&w.form, &CompletabilityOptions::default());
+            let r = completability(&w.form, &opts);
             assert_eq!(r.verdict, Verdict::Holds, "{}", w.name);
             // Minimal witness: one submission plus one signature per level.
             assert_eq!(r.witness_run.unwrap().len(), depth + 1, "{}", w.name);
         }
+    }
+
+    /// The symmetry quotient on the subset lattice: the reduced space is
+    /// exactly the 2⁸ subsets, strictly fewer than the ordered trees the
+    /// plain mode visits.
+    #[test]
+    fn symmetry_reduction_shrinks_subset_lattice() {
+        use idar_solver::{ExploreLimits, Explorer, SymmetryMode};
+        let w = subset_lattice(8);
+        let limits = ExploreLimits {
+            max_states: 1 << 20,
+            ..ExploreLimits::default()
+        };
+        let reduced = Explorer::new(&w.form, limits).graph();
+        let plain = Explorer::new(&w.form, limits)
+            .with_symmetry(SymmetryMode::Plain)
+            .graph();
+        assert!(reduced.stats.closed && plain.stats.closed);
+        assert_eq!(reduced.state_count(), 256);
+        assert!(plain.state_count() > reduced.state_count());
     }
 
     #[test]

@@ -92,5 +92,13 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
+/// The parse error for input nested deeper than [`crate::MAX_NESTING`].
+pub(crate) fn too_deep(pos: usize) -> CoreError {
+    CoreError::Parse {
+        pos,
+        msg: format!("nesting deeper than {} levels", crate::MAX_NESTING),
+    }
+}
+
 /// Convenient result alias for the core crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

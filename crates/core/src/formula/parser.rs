@@ -18,17 +18,23 @@
 //! parenthesised *path* (the group must then be a pure path expression),
 //! so `(a/b)[c]` and `(a/b)/c` parse as the paper's `P[F]` / `P/P`.
 //!
+//! Nesting (negations, parenthesised groups, filters) is bounded by
+//! [`MAX_NESTING`](crate::MAX_NESTING), so no input can overflow the
+//! stack of the recursive descent.
+//!
 //! Identifiers may contain ASCII alphanumerics and `_ ' - +` (primes and
 //! signs appear in the paper's own labels, e.g. `d'` and `init(q,0,+)`
 //! which we render as `init_q_0_+`).
 
 use super::{Formula, PathExpr};
-use crate::error::{CoreError, Result};
+use crate::error::{too_deep, CoreError, Result};
+use crate::MAX_NESTING;
 
 pub fn parse(text: &str) -> Result<Formula> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let f = p.formula()?;
     p.skip_ws();
@@ -41,6 +47,9 @@ pub fn parse(text: &str) -> Result<Formula> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Current recursion depth of `formula` and `!` — bounded by
+    /// [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -85,13 +94,26 @@ impl<'a> Parser<'a> {
         toks.iter().any(|t| self.eat(t))
     }
 
-    fn formula(&mut self) -> Result<Formula> {
-        let lhs = self.or_expr()?;
-        if self.eat_any(&["<->", "\u{2194}", "iff"]) {
-            let rhs = self.or_expr()?;
-            return Ok(lhs.iff(rhs));
+    /// Run `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(too_deep(self.pos));
         }
-        Ok(lhs)
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    fn formula(&mut self) -> Result<Formula> {
+        self.nested(|p| {
+            let lhs = p.or_expr()?;
+            if p.eat_any(&["<->", "\u{2194}", "iff"]) {
+                let rhs = p.or_expr()?;
+                return Ok(lhs.iff(rhs));
+            }
+            Ok(lhs)
+        })
     }
 
     fn or_expr(&mut self) -> Result<Formula> {
@@ -114,7 +136,7 @@ impl<'a> Parser<'a> {
 
     fn unary(&mut self) -> Result<Formula> {
         if self.eat_any(&["!", "not", "\u{00ac}"]) {
-            return Ok(self.unary()?.not());
+            return Ok(self.nested(Self::unary)?.not());
         }
         self.atom()
     }
@@ -344,6 +366,21 @@ mod tests {
         ] {
             assert!(Formula::parse(s).is_err(), "should fail: {s}");
         }
+    }
+
+    /// Nesting past `MAX_NESTING` is an error, not a stack overflow —
+    /// for negations, groups and filters alike.
+    #[test]
+    fn deep_nesting_is_rejected() {
+        let n = crate::MAX_NESTING;
+        let nots = |k: usize| format!("{}a", "!".repeat(k));
+        assert!(Formula::parse(&nots(n - 1)).is_ok());
+        assert!(Formula::parse(&nots(10_000)).is_err());
+        let groups = |k: usize| format!("{}a{}", "(".repeat(k), ")".repeat(k));
+        assert!(Formula::parse(&groups(n - 1)).is_ok());
+        assert!(Formula::parse(&groups(n)).is_err());
+        let filters = format!("{}b{}", "a[".repeat(10_000), "]".repeat(10_000));
+        assert!(Formula::parse(&filters).is_err());
     }
 
     #[test]

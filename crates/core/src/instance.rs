@@ -286,7 +286,7 @@ impl Instance {
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
         if pos < bytes.len() {
-            parse_children(bytes, &mut pos, InstNodeId::ROOT, &mut inst)?;
+            parse_children(bytes, &mut pos, InstNodeId::ROOT, 0, &mut inst)?;
         }
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
@@ -455,12 +455,19 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
+/// Parse a child list below `parent`, which sits `depth` levels below
+/// the root; lists nested past [`MAX_NESTING`](crate::MAX_NESTING) are an
+/// error.
 fn parse_children(
     bytes: &[u8],
     pos: &mut usize,
     parent: InstNodeId,
+    depth: usize,
     inst: &mut Instance,
 ) -> Result<()> {
+    if depth >= crate::MAX_NESTING {
+        return Err(crate::error::too_deep(*pos));
+    }
     loop {
         skip_ws(bytes, pos);
         let start = *pos;
@@ -480,7 +487,7 @@ fn parse_children(
         skip_ws(bytes, pos);
         if *pos < bytes.len() && bytes[*pos] == b'(' {
             *pos += 1;
-            parse_children(bytes, pos, id, inst)?;
+            parse_children(bytes, pos, id, depth + 1, inst)?;
             skip_ws(bytes, pos);
             if *pos < bytes.len() && bytes[*pos] == b')' {
                 *pos += 1;
@@ -515,6 +522,23 @@ mod tests {
         assert!(i.is_leaf(InstNodeId::ROOT));
         assert_eq!(i.label(InstNodeId::ROOT), "r");
         assert_eq!(i.iso_code(), "");
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected() {
+        // A schema chain deeper than any parseable instance, built
+        // without the text parser.
+        let mut b = crate::schema::SchemaBuilder::new();
+        let mut node = SchemaNodeId::ROOT;
+        for _ in 0..2 * crate::MAX_NESTING {
+            node = b.child(node, "a").unwrap();
+        }
+        let schema = Arc::new(b.build());
+        let text = |k: usize| format!("{}a{}", "a(".repeat(k), ")".repeat(k));
+        let ok = Instance::parse(schema.clone(), &text(crate::MAX_NESTING - 1)).unwrap();
+        assert_eq!(ok.live_count(), crate::MAX_NESTING + 1);
+        let err = Instance::parse(schema, &text(2 * crate::MAX_NESTING - 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]

@@ -55,3 +55,11 @@ pub use schema::{Schema, SchemaBuilder, SchemaNodeId};
 
 /// The reserved label of every schema (and instance) root, Def. 3.1.
 pub const ROOT_LABEL: &str = "r";
+
+/// The deepest nesting [`Formula::parse`], [`Schema::parse`] and
+/// [`Instance::parse`] accept: negations, parenthesised groups and path
+/// filters in a formula, child lists in a schema or instance. Deeper
+/// input is a [`CoreError::Parse`], never a stack overflow in the
+/// recursive descent. Every form the repository generates nests far
+/// less deeply.
+pub const MAX_NESTING: usize = 256;

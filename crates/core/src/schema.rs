@@ -153,7 +153,7 @@ impl Schema {
         let mut b = SchemaBuilder::new();
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        parse_children(bytes, &mut pos, SchemaNodeId::ROOT, &mut b)?;
+        parse_children(bytes, &mut pos, SchemaNodeId::ROOT, 0, &mut b)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(CoreError::Parse {
@@ -241,19 +241,26 @@ pub(crate) fn is_label_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'\'' || b == b'-' || b == b'+'
 }
 
+/// Parse a child list below `parent`, which sits `depth` levels below
+/// the root; lists nested past [`MAX_NESTING`](crate::MAX_NESTING) are an
+/// error.
 fn parse_children(
     bytes: &[u8],
     pos: &mut usize,
     parent: SchemaNodeId,
+    depth: usize,
     b: &mut SchemaBuilder,
 ) -> Result<()> {
+    if depth >= crate::MAX_NESTING {
+        return Err(crate::error::too_deep(*pos));
+    }
     loop {
         let label = parse_label(bytes, pos)?;
         let id = b.child(parent, &label)?;
         skip_ws(bytes, pos);
         if *pos < bytes.len() && bytes[*pos] == b'(' {
             *pos += 1;
-            parse_children(bytes, pos, id, b)?;
+            parse_children(bytes, pos, id, depth + 1, b)?;
             skip_ws(bytes, pos);
             if *pos < bytes.len() && bytes[*pos] == b')' {
                 *pos += 1;
@@ -455,5 +462,18 @@ mod tests {
         assert!(Schema::parse("a)").is_err());
         assert!(Schema::parse("a,,b").is_err());
         assert!(Schema::parse("a, a").is_err());
+    }
+
+    /// A chain `a(a(…))` of `k` nested child lists.
+    fn nested_text(k: usize) -> String {
+        format!("{}a{}", "a(".repeat(k), ")".repeat(k))
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected() {
+        let s = Schema::parse(&nested_text(crate::MAX_NESTING - 1)).unwrap();
+        assert_eq!(s.depth() as usize, crate::MAX_NESTING);
+        let err = Schema::parse(&nested_text(10_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 }

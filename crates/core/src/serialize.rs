@@ -222,6 +222,27 @@ mod tests {
         assert_eq!(g2.completion(), &Formula::True);
     }
 
+    /// A completion of 10,000 nested `!` is a parse error, not a stack
+    /// overflow that aborts the process, on the 2 MiB stack that
+    /// spawned threads (server workers among them) get by default.
+    #[test]
+    fn deeply_nested_formula_is_an_error() {
+        let text = to_ron(&leave::example_3_12());
+        let start = text.find("  completion: ").unwrap();
+        let deep = format!(
+            "{}  completion: \"{}a\",\n)\n",
+            &text[..start],
+            "!".repeat(10_000)
+        );
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || from_ron(&deep).map(|_| ()))
+            .unwrap()
+            .join()
+            .expect("parser thread must not crash");
+        assert!(parsed.is_err());
+    }
+
     #[test]
     fn malformed_records_rejected() {
         assert!(from_ron("nonsense").is_err());

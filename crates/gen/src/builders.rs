@@ -80,26 +80,6 @@ pub fn subset_lattice(n: usize) -> GuardedForm {
     flat_form(&fields, all_present((0..n).map(|i| format!("l{i}"))))
 }
 
-/// `F(A−, φ+, 1)` **deletion-free** — the monotone subset lattice over
-/// `n` labels: every label addable while absent, *never* deletable;
-/// completion = all present. The reachable space is still all 2ⁿ subsets
-/// (reached by additions alone), but node counts grow monotonically
-/// along every run — the precondition for frontier-only exploration,
-/// where closed BFS layers can be dropped because states at different
-/// depths are never isomorphic.
-pub fn monotone_lattice(n: usize) -> GuardedForm {
-    let fields: Vec<_> = (0..n)
-        .map(|i| {
-            (
-                format!("l{i}"),
-                Some(Formula::label(&format!("l{i}")).not()),
-                None,
-            )
-        })
-        .collect();
-    flat_form(&fields, all_present((0..n).map(|i| format!("l{i}"))))
-}
-
 /// The Thm 4.1 two-counter-machine form: compile `machine` into a depth-2
 /// guarded form whose completability is exactly the machine's halting.
 ///

@@ -85,6 +85,33 @@ mod tests {
         }
     }
 
+    /// Verdict pins at sizes past the small-shape tests: the 200k-clause
+    /// chains, PHP(6), and two phase-transition random 3-CNFs. The
+    /// random verdicts are constants (the instances are pure functions
+    /// of their seeds), not answers echoed back from an engine.
+    #[test]
+    fn large_family_verdicts_hold_on_cdcl_and_dpll() {
+        let suite = [
+            ("chain/200k", implication_chain(200_000), true),
+            ("chain-unsat/200k", implication_chain_unsat(200_000), false),
+            ("pigeonhole/6", pigeonhole(6), false),
+            ("random3cnf/v30c126", random_3cnf(11, 30, 126), true),
+        ];
+        for (family, cnf, sat) in &suite {
+            for engine in [Engine::Cdcl, Engine::Dpll] {
+                let model = engine.solve(cnf);
+                if let Some(m) = &model {
+                    assert!(cnf.eval(m), "{engine} {family}: model must satisfy");
+                }
+                assert_eq!(model.is_some(), *sat, "{engine} {family}");
+            }
+        }
+        // DPLL has no clause learning and blows up on this size.
+        let cnf = random_3cnf(7, 80, 336);
+        let model = Engine::Cdcl.solve(&cnf).expect("random3cnf/v80c336 is sat");
+        assert!(cnf.eval(&model));
+    }
+
     #[test]
     fn families_are_deterministic() {
         assert_eq!(implication_chain(10), implication_chain(10));

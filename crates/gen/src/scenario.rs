@@ -816,7 +816,7 @@ pub fn scenario_stream(axis: ScenarioAxis, master_seed: u64, count: usize) -> Ve
 // ---------------------------------------------------------------------
 
 /// Expected analysis outcomes of a named scenario, pinned in the
-/// differential suite and in `reproduce`'s BENCH report.
+/// differential suite (`tests/scenario_differential.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Expected {
     /// Is the form completable from its (empty) initial instance?

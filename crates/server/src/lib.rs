@@ -4,8 +4,7 @@
 //! A long-running, std-only HTTP/1.1 service exposing the
 //! `AnalysisRequest`-shaped operations (stateless analyze plus live
 //! `FormManager` sessions with vet / submit / safe-updates) to multiple
-//! tenants over a bounded worker pool. Three disciplines carry over from
-//! the batch layers:
+//! tenants over a bounded worker pool, under three disciplines:
 //!
 //! * **one thread budget** — the worker pool is sized by
 //!   `split_threads` and every analysis runs single-threaded, so

@@ -290,6 +290,27 @@ fn metrics_report_retained_bytes_and_evictions() {
     handle.shutdown();
 }
 
+/// A form whose completion nests 10,000 negations is a 400, and the
+/// worker that parsed it goes on serving.
+#[test]
+fn deeply_nested_form_is_a_400_and_the_server_keeps_serving() {
+    let handle = Server::start("127.0.0.1:0", pin_config()).expect("server start");
+    let addr = handle.addr();
+    let ron = two_sibling_ron();
+    let start = ron.find("  completion: ").expect("completion field");
+    let deep = format!(
+        "{}  completion: \"{}p\",\n)\n",
+        &ron[..start],
+        "!".repeat(10_000)
+    );
+    let (status, _, body) = exchange(addr, "POST", "/v1/analyze", None, &deep);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+    let (status, _, _) = exchange(addr, "POST", "/v1/analyze", None, &ron);
+    assert_eq!(status, 200, "the next request is answered");
+    handle.shutdown();
+}
+
 /// Protocol error paths: missing tenant, bad form, unknown session,
 /// unknown route, bad update token, closed session.
 #[test]

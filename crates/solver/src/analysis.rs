@@ -20,8 +20,8 @@
 //! ```
 //!
 //! The classic free functions ([`completability`](crate::completability::completability),
-//! [`semisoundness`](crate::semisound::semisoundness), the batch analyzer, the
-//! workflow `FormManager`, and both bench binaries) are thin wrappers
+//! [`semisoundness`](crate::semisound::semisoundness), the
+//! workflow `FormManager`, and the server routes) are thin wrappers
 //! around this pipeline; [`Budget`] is the *one* place exploration limits
 //! live (the former `CompletabilityOptions` / `SemisoundnessOptions` are
 //! aliases of it).
@@ -63,8 +63,8 @@ impl fmt::Display for AnalysisKind {
 /// per-state oracle limits, method override, and the symmetry quotient.
 ///
 /// This replaces the `ExploreLimits` plumbing that used to be copied
-/// across `CompletabilityOptions`, `SemisoundnessOptions`, and
-/// `BatchAnalyzer`; those names are now aliases of `Budget`. Everything
+/// across `CompletabilityOptions` and `SemisoundnessOptions`; those
+/// names are now aliases of `Budget`. Everything
 /// in the budget is verdict-affecting and therefore part of the
 /// [`VerdictCache`] key — except [`Budget::memory`] and
 /// [`Budget::skip_screen`], which are in the struct but excluded from

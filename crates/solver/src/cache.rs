@@ -1,7 +1,7 @@
 //! The cross-analysis **verdict cache**: amortising identical sub-problems
-//! across analyses, batches, and manager sessions.
+//! across analyses, server requests, and manager sessions.
 //!
-//! Both the batch analyzer and the online form manager keep re-posing the
+//! Both the server's analyze route and the online form manager keep re-posing the
 //! same question: *is this guarded form (rules + completion + some
 //! reachable instance) completable / semi-sound / satisfiable under these
 //! limits?* The manager's `safe_updates` is the worst offender — it
@@ -40,7 +40,7 @@
 //! a [`CacheKey`] **once** per request ([`VerdictCache::key_for`]) and
 //! probes/stores through it.
 //!
-//! The table is sharded over mutexes so batch workers and manager threads
+//! The table is sharded over mutexes so server workers and manager threads
 //! share one cache without contending.
 
 use crate::analysis::{AnalysisKind, Budget};
@@ -138,10 +138,8 @@ impl CacheStats {
     }
 }
 
-/// The sharded verdict cache shared by [`BatchAnalyzer`] and the workflow
-/// `FormManager`. Cheap to share behind an `Arc`.
-///
-/// [`BatchAnalyzer`]: crate::batch::BatchAnalyzer
+/// The sharded verdict cache shared by the workflow `FormManager`s and
+/// the server's requests. Cheap to share behind an `Arc`.
 #[derive(Debug, Default)]
 pub struct VerdictCache {
     shards: [Mutex<HashMap<Key, (Check, CachedVerdict)>>; SHARDS],

@@ -195,8 +195,7 @@ mod tests {
         // duplicates capped the space closes, and — every guard being
         // multiplicity-blind and `s` being permanently undeletable — the
         // capped verdict reflects the true one. The library reports
-        // `Fails` only because the capped search closed; the theory-level
-        // caveat is documented in EXPERIMENTS.md.
+        // `Fails` only because the capped search closed.
         let g = leave::example_3_12().with_completion(idar_core::Formula::parse("f & !s").unwrap());
         let limits = ExploreLimits {
             multiplicity_cap: Some(2),

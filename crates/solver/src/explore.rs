@@ -9,7 +9,7 @@
 //! path lives in [`crate::depth1`]; this explorer is the general-purpose
 //! engine. [`SymmetryMode::Plain`] turns the symmetry reduction off
 //! (states are ordered trees) — the ablation baseline the differential
-//! fuzzer and the `reproduce` harness compare against.
+//! fuzzer compares against.
 //!
 //! Because completability is undecidable in general (Thm 4.1), the
 //! exploration is bounded, and the outcome records whether the search
@@ -151,13 +151,21 @@ impl StateGraph {
 }
 
 /// The host's available parallelism (1 if unknown). Explorations are
-/// single-threaded; this sizes the across-request pools — the
-/// [`BatchAnalyzer`](crate::batch::BatchAnalyzer) workers and the
-/// server's HTTP workers.
+/// single-threaded; this sizes the across-request pool of the server's
+/// HTTP workers.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Size a pool for `jobs` concurrent jobs under a budget of `threads`:
+/// `(pool, 1)` with `pool = min(threads, jobs)`, at least 1 — never more
+/// workers than configured, no idle workers. The second component is
+/// the per-job thread grant, always 1 because explorations are
+/// single-threaded. `idar-server` sizes its HTTP worker pool with it.
+pub fn split_threads(threads: usize, jobs: usize) -> (usize, usize) {
+    (threads.min(jobs).max(1), 1)
 }
 
 /// Bounded breadth-first explorer over a guarded form's instances.
@@ -794,5 +802,20 @@ mod tests {
             pf.goal_run.as_ref().map(Vec::len)
         );
         assert!(g.is_complete_run(&pf.goal_run.unwrap()));
+    }
+
+    #[test]
+    fn thread_budget_split_never_oversubscribes() {
+        for threads in 0..=16 {
+            for jobs in 0..=24 {
+                let (pool, inner) = split_threads(threads, jobs);
+                assert!(pool >= 1 && inner == 1);
+                assert!(pool <= jobs.max(1), "threads={threads} jobs={jobs}");
+                assert!(pool <= threads.max(1), "threads={threads} jobs={jobs}");
+            }
+        }
+        assert_eq!(split_threads(4, 100), (4, 1), "saturated pool");
+        assert_eq!(split_threads(8, 2), (2, 1), "few jobs");
+        assert_eq!(split_threads(4, 1), (1, 1), "lone job");
     }
 }

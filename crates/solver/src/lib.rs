@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod batch;
 pub mod cache;
 pub mod completability;
 pub mod depth1;
@@ -49,7 +48,6 @@ pub use analysis::{
     analyze, analyze_keyed, analyze_with, AnalysisKind, AnalysisReport, AnalysisRequest, Budget,
     CacheProvenance,
 };
-pub use batch::{split_threads, AnalysisSelection, BatchAnalyzer, BatchItem, FormReport};
 pub use cache::{
     rules_signature_of, CacheKey, CacheStats, CachedVerdict, RulesSignature, SessionDelta,
     VerdictCache,
@@ -58,7 +56,9 @@ pub use completability::{
     completability, select_method, CompletabilityOptions, CompletabilityResult,
 };
 pub use depth1::Depth1System;
-pub use explore::{default_threads, ExploreLimits, ExploreOutcome, Explorer, StateGraph};
+pub use explore::{
+    default_threads, split_threads, ExploreLimits, ExploreOutcome, Explorer, StateGraph,
+};
 pub use invariants::{check_invariant, check_invariants, InvariantResult};
 pub use screen::{prune, screen, ScreenOutcome, ScreenReport, ScreenStats};
 pub use semisound::{semisoundness, SemisoundnessOptions, SemisoundnessResult};

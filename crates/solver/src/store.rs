@@ -19,8 +19,8 @@
 //!   order-preserving encoding ([`Instance::ordered_key`]), the ablation
 //!   baseline that counts every sibling permutation separately. Verdicts
 //!   are invariant between the two (formulas cannot observe sibling
-//!   order); state counts are not — the `reproduce` harness measures the
-//!   gap.
+//!   order); state counts are not (on `subset_lattice(8)`, 256 reduced
+//!   vs 109 601 plain).
 //! * **BFS provenance** — parent pointers and depths live in the store,
 //!   so [`StateStore::run_to`] reconstructs a replayable update sequence
 //!   for any state.
