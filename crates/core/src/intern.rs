@@ -24,7 +24,11 @@
 //!
 //! The solver's explicit-state engines build the same scheme into their
 //! state stores directly (`idar-solver`'s flat `StateStore` and its
-//! out-of-core `SpillStore`).
+//! out-of-core `SpillStore`). They probe those stores with keys spliced
+//! by a [`KeyLayout`]: laid out once per expanded state, it writes the
+//! key of each one-update successor by rewriting only the spine from the
+//! touched node to the root, so a successor that is already stored is
+//! never built at all.
 //!
 //! # Canonical encoding
 //!
@@ -48,6 +52,7 @@
 //! assert_ne!(i1.canon_key(), i3.canon_key()); // multiplicity differs
 //! ```
 
+use crate::guarded::Update;
 use crate::instance::{InstNodeId, Instance};
 use std::collections::HashMap;
 
@@ -190,6 +195,213 @@ impl Instance {
     }
 }
 
+/// The key encoding of one instance laid out node by node, so that the
+/// key of any one-update successor can be spliced from it without
+/// building the successor.
+///
+/// [`KeyLayout::build_canon`] / [`KeyLayout::build_ordered`] lay out a
+/// state once: every live node's encoding as a slice of one word arena,
+/// plus its children in key order (sorted by encoding for
+/// [`Instance::canon_key`], child order for [`Instance::ordered_key`]).
+/// [`KeyLayout::splice`] then writes a successor's words into a reused
+/// buffer. Only the spine from the touched node to the root is
+/// rewritten: one child is inserted or removed at the touched node, each
+/// changed child moves to its place among its siblings, and every other
+/// sibling slice is copied unchanged. Words and fingerprint are those of
+/// the applied successor's key.
+///
+/// ```
+/// use idar_core::{InstNodeId, Instance, KeyLayout, Schema, Update};
+/// use std::sync::Arc;
+///
+/// let schema = Arc::new(Schema::parse("a(p(b, e)), s").unwrap());
+/// let inst = Instance::parse(schema.clone(), "a(p(e)), s").unwrap();
+/// let p = inst.children(inst.children(InstNodeId::ROOT)[0])[0];
+/// let add = Update::Add { parent: p, edge: schema.resolve("a/p/b").unwrap() };
+///
+/// let mut layout = KeyLayout::default();
+/// layout.build_canon(&inst);
+/// let (fingerprint, words) = layout.splice(&inst, &add);
+///
+/// let mut next = inst.clone();
+/// next.add_child(p, schema.resolve("a/p/b").unwrap()).unwrap();
+/// assert_eq!(words, next.canon_key().words());
+/// assert_eq!(fingerprint, next.canon_key().fingerprint());
+/// ```
+#[derive(Debug, Default)]
+pub struct KeyLayout {
+    /// Siblings in sorted (canonical) or child (ordered) order.
+    sorted: bool,
+    /// Every live node's encoding, back to back: `[schema_node]` for a
+    /// leaf, `[schema_node, OPEN, …children…, CLOSE]` otherwise, and the
+    /// root's children only for the root.
+    arena: Vec<u32>,
+    /// Per instance slot: `(start, len)` of the node's encoding in `arena`.
+    spans: Vec<(u32, u32)>,
+    /// Every live node's children in key order, back to back.
+    kids: Vec<InstNodeId>,
+    /// Per instance slot: `(start, len)` of the node's children in `kids`.
+    kid_spans: Vec<(u32, u32)>,
+    /// Per instance slot: the node's index among its parent's children
+    /// in key order.
+    ranks: Vec<u32>,
+    /// The spine buffers a splice alternates between; the last one
+    /// written holds the successor's words.
+    bufs: [Vec<u32>; 2],
+}
+
+impl KeyLayout {
+    /// Lay out `inst` for splicing [`Instance::canon_key`]s.
+    pub fn build_canon(&mut self, inst: &Instance) {
+        self.build(inst, true);
+    }
+
+    /// Lay out `inst` for splicing [`Instance::ordered_key`]s.
+    pub fn build_ordered(&mut self, inst: &Instance) {
+        self.build(inst, false);
+    }
+
+    fn build(&mut self, inst: &Instance, sorted: bool) {
+        let slots = inst.slot_count();
+        self.sorted = sorted;
+        self.arena.clear();
+        self.kids.clear();
+        self.spans.clear();
+        self.spans.resize(slots, (0, 0));
+        self.kid_spans.clear();
+        self.kid_spans.resize(slots, (0, 0));
+        self.ranks.clear();
+        self.ranks.resize(slots, 0);
+        // A child's slot is always above its parent's (additions append),
+        // so a downward sweep lays out every child before its parent.
+        for slot in (0..slots).rev() {
+            let node = InstNodeId(slot as u32);
+            if !inst.is_live(node) {
+                continue;
+            }
+            let first = self.kids.len();
+            self.kids.extend_from_slice(inst.children(node));
+            let kids = &mut self.kids[first..];
+            if sorted {
+                let (arena, spans) = (&self.arena, &self.spans);
+                kids.sort_unstable_by(|&a, &b| {
+                    slice(arena, spans[a.index()]).cmp(slice(arena, spans[b.index()]))
+                });
+            }
+            for (rank, &c) in kids.iter().enumerate() {
+                self.ranks[c.index()] = rank as u32;
+            }
+            self.kid_spans[slot] = (first as u32, kids.len() as u32);
+
+            let start = self.arena.len();
+            let inner = node != InstNodeId::ROOT && !kids.is_empty();
+            if node != InstNodeId::ROOT {
+                self.arena.push(inst.schema_node(node).index() as u32);
+            }
+            if inner {
+                self.arena.push(OPEN);
+            }
+            for k in first..self.kids.len() {
+                let (s, l) = self.spans[self.kids[k].index()];
+                self.arena
+                    .extend_from_within(s as usize..s as usize + l as usize);
+            }
+            if inner {
+                self.arena.push(CLOSE);
+            }
+            self.spans[slot] = (start as u32, (self.arena.len() - start) as u32);
+        }
+    }
+
+    /// The key of the successor `update` makes of `inst`: its FNV-1a
+    /// fingerprint and its words, equal to the `canon_key()` (after
+    /// [`KeyLayout::build_canon`]) or `ordered_key()` (after
+    /// [`KeyLayout::build_ordered`]) of the applied successor. The layout
+    /// must have been built from `inst`, and `update` must apply to it.
+    pub fn splice(&mut self, inst: &Instance, update: &Update) -> (u64, &[u32]) {
+        let [mut cur, mut next] = std::mem::take(&mut self.bufs);
+        // `cur` is the chunk to insert at `node` after removing its child
+        // of rank `drop`: at the touched node one new leaf or nothing,
+        // above it the spine child's rewritten encoding.
+        cur.clear();
+        let (mut node, mut drop) = match *update {
+            Update::Add { parent, edge } => {
+                cur.push(edge.index() as u32);
+                (parent, None)
+            }
+            Update::Del { node } => (
+                inst.parent(node).expect("deletions remove non-root leaves"),
+                Some(self.ranks[node.index()]),
+            ),
+        };
+        loop {
+            next.clear();
+            self.rewrite(inst, node, drop, &cur, &mut next);
+            std::mem::swap(&mut cur, &mut next);
+            match inst.parent(node) {
+                Some(up) => {
+                    drop = Some(self.ranks[node.index()]);
+                    node = up;
+                }
+                None => break,
+            }
+        }
+        self.bufs = [next, cur];
+        let words = &self.bufs[1];
+        (fnv1a(words), words)
+    }
+
+    /// Write `node`'s encoding with its child of rank `drop` removed and
+    /// `insert` (if non-empty) placed among the remaining children: at
+    /// its sorted place, or — in child order — where the removed child
+    /// was, else last (additions append).
+    fn rewrite(
+        &self,
+        inst: &Instance,
+        node: InstNodeId,
+        drop: Option<u32>,
+        insert: &[u32],
+        out: &mut Vec<u32>,
+    ) {
+        let (first, len) = self.kid_spans[node.index()];
+        let kids = &self.kids[first as usize..(first + len) as usize];
+        let remaining = kids.len() - usize::from(drop.is_some()) + usize::from(!insert.is_empty());
+        let inner = node != InstNodeId::ROOT && remaining > 0;
+        if node != InstNodeId::ROOT {
+            out.push(inst.schema_node(node).index() as u32);
+        }
+        if inner {
+            out.push(OPEN);
+        }
+        let mut pending = !insert.is_empty();
+        for (rank, &c) in kids.iter().enumerate() {
+            let sibling = slice(&self.arena, self.spans[c.index()]);
+            if Some(rank as u32) == drop {
+                if pending && !self.sorted {
+                    out.extend_from_slice(insert);
+                    pending = false;
+                }
+                continue;
+            }
+            if pending && self.sorted && sibling > insert {
+                out.extend_from_slice(insert);
+                pending = false;
+            }
+            out.extend_from_slice(sibling);
+        }
+        if pending {
+            out.extend_from_slice(insert);
+        }
+        if inner {
+            out.push(CLOSE);
+        }
+    }
+}
+
+fn slice(arena: &[u32], (start, len): (u32, u32)) -> &[u32] {
+    &arena[start as usize..(start + len) as usize]
+}
+
 /// One fingerprint bucket: the (rarely >1) distinct encodings sharing a
 /// 64-bit fingerprint, each with its assigned dense code.
 type Bucket = Vec<(Box<[u32]>, IsoCode)>;
@@ -321,6 +533,147 @@ mod tests {
                     texts[j],
                 );
             }
+        }
+    }
+
+    /// The spliced key of `inst` under `update` equals the applied
+    /// successor's key, in both key modes and through one reused layout.
+    fn assert_splices(layout: &mut KeyLayout, inst: &Instance, update: Update) {
+        let mut next = inst.clone();
+        match update {
+            Update::Add { parent, edge } => {
+                next.add_child(parent, edge).unwrap();
+            }
+            Update::Del { node } => next.remove_leaf(node).unwrap(),
+        }
+        let canon = next.canon_key();
+        layout.build_canon(inst);
+        let (fp, words) = layout.splice(inst, &update);
+        assert_eq!(words, canon.words(), "canon {update} on {}", inst.to_text());
+        assert_eq!(fp, canon.fingerprint());
+        let ordered = next.ordered_key();
+        layout.build_ordered(inst);
+        let (fp, words) = layout.splice(inst, &update);
+        assert_eq!(
+            words,
+            ordered.words(),
+            "ordered {update} on {}",
+            inst.to_text()
+        );
+        assert_eq!(fp, ordered.fingerprint());
+    }
+
+    /// Every addition along a schema edge and every leaf deletion.
+    fn all_updates(inst: &Instance) -> Vec<Update> {
+        let mut out = Vec::new();
+        for n in inst.live_nodes() {
+            for &edge in inst.schema().children(inst.schema_node(n)) {
+                out.push(Update::Add { parent: n, edge });
+            }
+            if n != InstNodeId::ROOT && inst.is_leaf(n) {
+                out.push(Update::Del { node: n });
+            }
+        }
+        out
+    }
+
+    fn node(inst: &Instance, path: &[usize]) -> InstNodeId {
+        path.iter()
+            .fold(InstNodeId::ROOT, |n, &i| inst.children(n)[i])
+    }
+
+    #[test]
+    fn splice_add_under_a_leaf() {
+        let s = leave_schema();
+        let inst = Instance::parse(s.clone(), "a(n, p), s").unwrap();
+        let p = node(&inst, &[0, 1]);
+        let edge = s.resolve("a/p/b").unwrap();
+        assert_splices(
+            &mut KeyLayout::default(),
+            &inst,
+            Update::Add { parent: p, edge },
+        );
+    }
+
+    #[test]
+    fn splice_add_to_the_empty_root() {
+        let s = leave_schema();
+        let inst = Instance::empty(s.clone());
+        let mut layout = KeyLayout::default();
+        for label in ["a", "s", "d", "f"] {
+            let edge = s.resolve(label).unwrap();
+            assert_splices(
+                &mut layout,
+                &inst,
+                Update::Add {
+                    parent: InstNodeId::ROOT,
+                    edge,
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn splice_delete_an_only_child() {
+        let s = leave_schema();
+        let mut layout = KeyLayout::default();
+        // `p` becomes a leaf again.
+        let inst = Instance::parse(s.clone(), "a(p(b), n), s").unwrap();
+        assert_splices(
+            &mut layout,
+            &inst,
+            Update::Del {
+                node: node(&inst, &[0, 0, 0]),
+            },
+        );
+        // The root's only child: the successor is the empty instance.
+        let inst = Instance::parse(s, "f").unwrap();
+        assert_splices(
+            &mut layout,
+            &inst,
+            Update::Del {
+                node: node(&inst, &[0]),
+            },
+        );
+    }
+
+    #[test]
+    fn splice_among_identical_siblings() {
+        let s = leave_schema();
+        let inst = Instance::parse(s.clone(), "a(p(b), p(b), p(e), p(b)), a(p(b), p(b))").unwrap();
+        let mut layout = KeyLayout::default();
+        for u in all_updates(&inst) {
+            assert_splices(&mut layout, &inst, u);
+        }
+    }
+
+    #[test]
+    fn splice_a_deep_spine() {
+        let s = Arc::new(Schema::parse("a(b(c(d, e)), x), y").unwrap());
+        let inst = Instance::parse(
+            s.clone(),
+            "a(b(c(d), c(e), c), b(c(d, d)), x), a(b(c(e))), a(b(c(d))), y",
+        )
+        .unwrap();
+        let mut layout = KeyLayout::default();
+        let d = node(&inst, &[0, 1, 0, 0]);
+        assert_eq!(inst.label(d), "d");
+        assert_splices(&mut layout, &inst, Update::Del { node: d });
+        for u in all_updates(&inst) {
+            assert_splices(&mut layout, &inst, u);
+        }
+    }
+
+    /// Splicing stays exact after deletions leave dead slots behind.
+    #[test]
+    fn splice_over_tombstones() {
+        let s = leave_schema();
+        let mut inst = Instance::parse(s, "a(n, p(b, e), d), s, d(a, r(r))").unwrap();
+        inst.remove_leaf(node(&inst, &[0, 1, 0])).unwrap();
+        inst.remove_leaf(node(&inst, &[2, 0])).unwrap();
+        let mut layout = KeyLayout::default();
+        for u in all_updates(&inst) {
+            assert_splices(&mut layout, &inst, u);
         }
     }
 

@@ -41,6 +41,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Stack size of every `idar-worker-*` thread. The recursive walkers
+/// over a parsed form (formula evaluation, simplification, normal forms,
+/// Tseitin, canonical encoding) nest as deep as their input, which the
+/// parsers cap at [`idar_core::MAX_NESTING`]; the workers get an explicit
+/// stack with headroom for that depth instead of the platform's default.
+const WORKER_STACK_BYTES: usize = 8 * 1024 * 1024;
+
 /// Server tuning knobs. The defaults suit the bench container: a small
 /// worker pool, a queue a few bursts deep, and the oracle budget every
 /// PR-4 pipeline consumer uses for interactive vetting.
@@ -150,6 +157,7 @@ impl Server {
             worker_handles.push(
                 std::thread::Builder::new()
                     .name(format!("idar-worker-{i}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || worker_loop(&shared))?,
             );
         }

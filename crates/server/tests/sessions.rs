@@ -311,6 +311,32 @@ fn deeply_nested_form_is_a_400_and_the_server_keeps_serving() {
     handle.shutdown();
 }
 
+/// Completions nested just under `MAX_NESTING` parse and are analyzed
+/// for every kind, on the workers' stacks, and the server keeps serving.
+#[test]
+fn nesting_just_under_the_limit_is_analyzed_for_every_kind() {
+    let handle = Server::start("127.0.0.1:0", pin_config()).expect("server start");
+    let addr = handle.addr();
+    let ron = two_sibling_ron();
+    let start = ron.find("  completion: ").expect("completion field");
+    let completions = [
+        format!("{}p", "!".repeat(254)),
+        format!("{}p{}", "(".repeat(254), ")".repeat(254)),
+        format!("{}p{}", "!(".repeat(127), ")".repeat(127)),
+    ];
+    for completion in &completions {
+        let deep = format!("{}  completion: \"{completion}\",\n)\n", &ron[..start]);
+        for kind in ["completability", "semisoundness", "satisfiability"] {
+            let path = format!("/v1/analyze?kind={kind}");
+            let (status, _, body) = exchange(addr, "POST", &path, None, &deep);
+            assert_eq!(status, 200, "{kind} on {}: {body}", &completion[..8]);
+            let (status, _, _) = exchange(addr, "POST", "/v1/analyze", None, &ron);
+            assert_eq!(status, 200, "the next request is answered");
+        }
+    }
+    handle.shutdown();
+}
+
 /// Protocol error paths: missing tenant, bad form, unknown session,
 /// unknown route, bad update token, closed session.
 #[test]

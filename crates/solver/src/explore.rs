@@ -33,18 +33,32 @@
 //!
 //! The driver owns the FIFO queue, the depth-limit probe and the
 //! goal-before-state-cap sequencing. One expansion step owns
-//! prune → apply → intern for a single state, and
-//! [`SessionGraph`] resumes call the same step. State ids follow
-//! discovery order, so a search is deterministic: both stores report
-//! bit-identical [`SearchStats`] and the same goal state.
+//! prune → probe → materialize for a single state, and
+//! [`SessionGraph`] resumes call the same step.
+//!
+//! State ids follow discovery order, so a search is deterministic: both
+//! stores report bit-identical [`SearchStats`] and the same goal state.
 //! [`crate::reference`] codes the same contract naively, as the oracle the
 //! differential tests and the fuzzer hold both stores to.
+//!
+//! # Probe before you materialize
+//!
+//! Most transitions reach a state that is already stored (94 % on
+//! `subset_lattice(16)`), so the step never builds a successor just to
+//! find that out. It lays the expanded state out once in a
+//! [`KeyLayout`], splices each successor's dedup key from it — only the
+//! spine from the touched node to the root is rewritten — and probes the
+//! store with `(fingerprint, words)`. The store clones the parent and
+//! applies the update only on a miss. The spliced key is identical to
+//! the materialized successor's `canon_key()` / `ordered_key()`, so
+//! state ids and [`SearchStats`] are unchanged. The layout and its word
+//! buffers belong to the driver and are reused across expansions.
 
 use crate::session::{ExpandEvent, ExpansionLog, SessionGraph};
 use crate::spill::{MemoryBudget, SpillReport, SpillStore};
 use crate::store::{StateId, StateStore, SuccessorTable, SymmetryMode};
 use crate::verdict::{LimitKind, SearchStats};
-use idar_core::{GuardedForm, Instance, Update};
+use idar_core::{GuardedForm, Instance, KeyLayout, Update};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
@@ -362,13 +376,18 @@ pub(crate) trait Store {
     fn depth_of(&self, item: &Self::Item) -> usize;
     /// The instance of a queued state.
     fn instance<'s>(&'s self, item: &'s Self::Item) -> &'s Instance;
-    /// Intern `next`, reached from `parent` by `u`: its id, and its queue
-    /// item when it is new.
+    /// The quotient the store dedups by, hence the key it is probed with.
+    fn symmetry(&self) -> SymmetryMode;
+    /// Probe for the successor `u` makes of `parent`, given its dedup key
+    /// `(fingerprint, words)`: its id, and its queue item when it is new.
+    /// Only a new successor is materialized (clone + apply).
     fn successor(
         &mut self,
-        next: Instance,
+        form: &GuardedForm,
         parent: &Self::Item,
         u: Update,
+        fingerprint: u64,
+        words: &[u32],
     ) -> (StateId, Option<Self::Item>);
     /// The driver is about to expand the first state of BFS layer `depth`.
     fn begin_layer(&mut self, _depth: usize) {}
@@ -393,13 +412,21 @@ impl Store for StateStore {
         self.get(*item)
     }
 
+    fn symmetry(&self) -> SymmetryMode {
+        StateStore::symmetry(self)
+    }
+
     fn successor(
         &mut self,
-        next: Instance,
+        form: &GuardedForm,
         parent: &StateId,
         u: Update,
+        fingerprint: u64,
+        words: &[u32],
     ) -> (StateId, Option<StateId>) {
-        let (j, is_new) = self.intern(next, Some((*parent, u)));
+        let (j, is_new) = self.intern_words(fingerprint, words, Some((*parent, u)), |store| {
+            materialize(form, store.get(*parent), u)
+        });
         (j, is_new.then_some(j))
     }
 }
@@ -411,7 +438,7 @@ impl Store for SpillStore {
 
     fn root(&mut self, initial: Instance) -> Self::Item {
         let key = self.key_of(&initial);
-        let (id, _) = self.intern(key, None, 0);
+        let (id, _) = self.intern(key.fingerprint(), key.words(), None, 0);
         (StateId(id), 0, initial)
     }
 
@@ -427,16 +454,25 @@ impl Store for SpillStore {
         &item.2
     }
 
+    fn symmetry(&self) -> SymmetryMode {
+        SpillStore::symmetry(self)
+    }
+
     fn successor(
         &mut self,
-        next: Instance,
+        form: &GuardedForm,
         parent: &Self::Item,
         u: Update,
+        fingerprint: u64,
+        words: &[u32],
     ) -> (StateId, Option<Self::Item>) {
         let depth = parent.1 + 1;
-        let key = self.key_of(&next);
-        let (j, is_new) = self.intern(key, Some((parent.0 .0, u)), depth as u32);
-        (StateId(j), is_new.then_some((StateId(j), depth, next)))
+        let (j, is_new) = self.intern(fingerprint, words, Some((parent.0 .0, u)), depth as u32);
+        let j = StateId(j);
+        (
+            j,
+            is_new.then(|| (j, depth, materialize(form, &parent.2, u))),
+        )
     }
 
     fn begin_layer(&mut self, depth: usize) {
@@ -487,6 +523,7 @@ pub(crate) fn bfs<S: Store>(
         return (stats, Some(S::id(&root)));
     }
     let mut queue = VecDeque::from([root]);
+    let mut layout = KeyLayout::default();
     let mut layer = 0;
     let mut pruned = false;
 
@@ -511,7 +548,7 @@ pub(crate) fn bfs<S: Store>(
         }
         let i = S::id(&item);
         journal.begin(i);
-        let flow = expand(form, limits, store, &item, |store, ev, new| {
+        let flow = expand(form, limits, store, &mut layout, &item, |store, ev, new| {
             stats.transitions += 1;
             journal.push(i, ev);
             if let ExpandEvent::Pruned(k) = ev {
@@ -543,28 +580,48 @@ pub(crate) fn bfs<S: Store>(
 }
 
 /// The one expansion step: enumerate `item`'s allowed updates in order;
-/// prune each addition that breaks a per-expansion limit, else apply it
-/// and intern the successor; hand every outcome — with the successor's
-/// queue item when it is new — to `visit`, which may stop the expansion.
+/// prune each addition that breaks a per-expansion limit, else splice
+/// the successor's key from `item`'s layout and probe the store with it,
+/// which materializes the successor only when it is new; hand every
+/// outcome — with the successor's queue item when it is new — to
+/// `visit`, which may stop the expansion. `layout` is the caller's
+/// scratch, reused across expansions; it is laid out from `item` at the
+/// first update that is not pruned.
 pub(crate) fn expand<S: Store, B>(
     form: &GuardedForm,
     limits: &ExploreLimits,
     store: &mut S,
+    layout: &mut KeyLayout,
     item: &S::Item,
     mut visit: impl FnMut(&mut S, ExpandEvent, Option<S::Item>) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
+    let mut laid_out = false;
     for u in form.allowed_updates(store.instance(item)) {
-        if let Some(k) = pruned_by(limits, store.instance(item), u) {
+        let inst = store.instance(item);
+        if let Some(k) = pruned_by(limits, inst, u) {
             visit(store, ExpandEvent::Pruned(k), None)?;
             continue;
         }
-        let mut next = store.instance(item).clone();
-        form.apply_unchecked(&mut next, &u)
-            .expect("allowed updates apply");
-        let (j, new) = store.successor(next, item, u);
+        if !laid_out {
+            match store.symmetry() {
+                SymmetryMode::Reduced => layout.build_canon(inst),
+                SymmetryMode::Plain => layout.build_ordered(inst),
+            }
+            laid_out = true;
+        }
+        let (fingerprint, words) = layout.splice(inst, &u);
+        let (j, new) = store.successor(form, item, u, fingerprint, words);
         visit(store, ExpandEvent::Edge(u, j), new)?;
     }
     ControlFlow::Continue(())
+}
+
+/// The successor `u` makes of `inst`.
+fn materialize(form: &GuardedForm, inst: &Instance, u: Update) -> Instance {
+    let mut next = inst.clone();
+    form.apply_unchecked(&mut next, &u)
+        .expect("allowed updates apply");
+    next
 }
 
 /// The per-expansion limit, if any, that prunes applying `u` at `inst`:

@@ -49,7 +49,7 @@
 use crate::explore::{expand, has_successor, ExploreLimits, ExploreOutcome, Journal};
 use crate::store::{StateId, StateStore, SuccessorTable};
 use crate::verdict::{LimitKind, SearchStats, Verdict};
-use idar_core::{GuardedForm, Instance, Update};
+use idar_core::{GuardedForm, Instance, KeyLayout, Update};
 use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
 
@@ -362,6 +362,7 @@ impl SessionGraph {
         depth.insert(from, 0);
         let mut queue: VecDeque<StateId> = VecDeque::new();
         queue.push_back(from);
+        let mut layout = KeyLayout::default();
         let mut pruned = false;
 
         while let Some(i) = queue.pop_front() {
@@ -378,7 +379,7 @@ impl SessionGraph {
                 }
                 break;
             }
-            let events = self.expansion_of(form, i, limits, replay_ok);
+            let events = self.expansion_of(form, i, limits, replay_ok, &mut layout);
             for ev in events {
                 stats.transitions += 1;
                 match ev {
@@ -431,6 +432,7 @@ impl SessionGraph {
         i: StateId,
         limits: ExploreLimits,
         replay_ok: bool,
+        layout: &mut KeyLayout,
     ) -> Vec<ExpandEvent> {
         if replay_ok {
             if let Some(span) = self.log.get(i) {
@@ -440,7 +442,7 @@ impl SessionGraph {
             }
         }
         let mut events = Vec::new();
-        let _ = expand::<_, ()>(form, &limits, &mut self.store, &i, |_, ev, _| {
+        let _ = expand::<_, ()>(form, &limits, &mut self.store, layout, &i, |_, ev, _| {
             events.push(ev);
             ControlFlow::Continue(())
         });

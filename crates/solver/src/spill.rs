@@ -454,6 +454,11 @@ impl SpillStore {
         }
     }
 
+    /// The store's symmetry mode.
+    pub fn symmetry(&self) -> SymmetryMode {
+        self.symmetry
+    }
+
     /// The dedup key of an instance under this store's symmetry mode.
     pub fn key_of(&self, inst: &Instance) -> CanonKey {
         match self.symmetry {
@@ -492,18 +497,19 @@ impl SpillStore {
         }
     }
 
-    /// Intern a state by its dedup key: return its dense id and whether
-    /// it was new. `parent` is the discovering BFS tree edge (`None`
-    /// only for the root); `depth` its BFS depth. The parent must still
-    /// be in the hot window (true for every BFS expansion).
+    /// Intern a state by its dedup key `(fingerprint, words)`: return its
+    /// dense id and whether it was new. `parent` is the discovering BFS
+    /// tree edge (`None` only for the root); `depth` its BFS depth. The
+    /// parent must still be in the hot window (true for every BFS
+    /// expansion). The words are copied only when the state is new.
     pub fn intern(
         &mut self,
-        key: CanonKey,
+        fp: u64,
+        words: &[u32],
         parent: Option<(u32, Update)>,
         depth: u32,
     ) -> (u32, bool) {
-        let fp = key.fingerprint();
-        let wlen = key.words().len().min(u16::MAX as usize) as u16;
+        let wlen = words.len().min(u16::MAX as usize) as u16;
         // Fingerprint-first probe: touch words — possibly faulting a
         // spilled page — only on a full 64-bit match that also passes
         // the length prefilter.
@@ -526,7 +532,7 @@ impl SpillStore {
                 if self.wlens[cand as usize] != wlen {
                     continue;
                 }
-                if self.words_equal(cand, key.words()) {
+                if self.words_equal(cand, words) {
                     return (cand, false);
                 }
             }
@@ -541,7 +547,7 @@ impl SpillStore {
             self.layer_start.push(id);
         }
         self.wlens.push(wlen);
-        self.word_bytes += 4 * key.words().len() as u64;
+        self.word_bytes += 4 * words.len() as u64;
 
         if !self.frontier_only {
             let dist = match parent {
@@ -553,12 +559,12 @@ impl SpillStore {
             enc.clear();
             write_header(&mut enc, parent);
             if checkpoint {
-                delta::encode_full(key.words(), &mut enc);
+                delta::encode_full(words, &mut enc);
             } else {
                 let (p, _) = parent.expect("non-checkpoint state has a parent");
                 debug_assert!(p >= self.hot_base, "delta base parent must be hot");
                 let base = &self.hot[(p - self.hot_base) as usize];
-                delta::encode_delta(base, key.words(), &mut enc);
+                delta::encode_delta(base, words, &mut enc);
             }
             assert!(
                 enc.len() <= LEN_MASK as usize,
@@ -582,8 +588,7 @@ impl SpillStore {
             self.arena_peak = self.arena_peak.max(self.arena.hot_bytes() as u64);
         }
 
-        let (_, words) = key.into_parts();
-        self.hot.push_back(words);
+        self.hot.push_back(words.into());
         match self.buckets.entry(fp) {
             std::collections::hash_map::Entry::Occupied(mut e) => match e.get_mut() {
                 SpillBucket::One(a) => {
@@ -692,6 +697,16 @@ mod tests {
     use idar_core::Schema;
     use std::sync::Arc;
 
+    fn intern_inst(
+        store: &mut SpillStore,
+        inst: &Instance,
+        parent: Option<(u32, Update)>,
+        depth: u32,
+    ) -> (u32, bool) {
+        let key = store.key_of(inst);
+        store.intern(key.fingerprint(), key.words(), parent, depth)
+    }
+
     #[test]
     fn arena_append_read_spill_round_trip() {
         let mut arena = PagedArena::default();
@@ -771,7 +786,7 @@ mod tests {
         const CHAIN: usize = 1500;
         let mut store = SpillStore::new(SymmetryMode::Reduced, MemoryBudget::bytes(0), false);
         let mut cur = Instance::empty(schema.clone());
-        let (root_id, _) = store.intern(store.key_of(&cur), None, 0);
+        let (root_id, _) = intern_inst(&mut store, &cur, None, 0);
         let mut updates: Vec<Update> = Vec::new();
         let an = cur.add_child(InstNodeId::ROOT, a).unwrap();
         updates.push(Update::Add {
@@ -787,8 +802,7 @@ mod tests {
                 cur.add_child(parent, edge).unwrap();
                 updates.push(Update::Add { parent, edge });
             }
-            let (id, new) =
-                store.intern(store.key_of(&cur), Some((prev, updates[k])), k as u32 + 1);
+            let (id, new) = intern_inst(&mut store, &cur, Some((prev, updates[k])), k as u32 + 1);
             assert!(new, "chain states are distinct");
             assert_eq!(id, k as u32 + 1);
             prev = id;
@@ -810,7 +824,7 @@ mod tests {
         }
         assert_eq!(store.hot_base, store.count);
         let probe = probe.expect("state 3 captured");
-        let (id, new) = store.intern(store.key_of(&probe), Some((0, updates[0])), 3);
+        let (id, new) = intern_inst(&mut store, &probe, Some((0, updates[0])), 3);
         assert!(!new, "old state is found through the cold path");
         assert_eq!(id, 3);
         assert!(store.report().faults > 0, "cold confirm faulted pages in");
@@ -844,15 +858,15 @@ mod tests {
             parent: InstNodeId::ROOT,
             edge: b,
         };
-        let (r, _) = store.intern(store.key_of(&root), None, 0);
-        let (x, _) = store.intern(store.key_of(&ia), Some((r, ua)), 1);
-        let (y, _) = store.intern(store.key_of(&ib), Some((r, ub)), 1);
+        let (r, _) = intern_inst(&mut store, &root, None, 0);
+        let (x, _) = intern_inst(&mut store, &ia, Some((r, ua)), 1);
+        let (y, _) = intern_inst(&mut store, &ib, Some((r, ub)), 1);
         assert_ne!(x, y);
         store.begin_layer(1);
-        let (z, new_z) = store.intern(store.key_of(&iab), Some((x, ub)), 2);
+        let (z, new_z) = intern_inst(&mut store, &iab, Some((x, ub)), 2);
         assert!(new_z);
         // {a,b} discovered again via the other parent: within-layer dedup.
-        let (z2, new_z2) = store.intern(store.key_of(&iba), Some((y, ua)), 2);
+        let (z2, new_z2) = intern_inst(&mut store, &iba, Some((y, ua)), 2);
         assert_eq!((z2, new_z2), (z, false));
         let report = store.report();
         assert_eq!(report.encoded_bytes, 0);

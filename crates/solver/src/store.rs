@@ -21,6 +21,12 @@
 //!   are invariant between the two (formulas cannot observe sibling
 //!   order); state counts are not (on `subset_lattice(8)`, 256 reduced
 //!   vs 109 601 plain).
+//! * **Probe before materialize** — the explorer hands the store each
+//!   successor's key spliced from the parent's
+//!   [`KeyLayout`](idar_core::KeyLayout), not the successor itself. The
+//!   store probes with it and builds the instance (clone + apply) and
+//!   boxes the words only for a new state; a duplicate costs one hash
+//!   probe and one word compare.
 //! * **BFS provenance** — parent pointers and depths live in the store,
 //!   so [`StateStore::run_to`] reconstructs a replayable update sequence
 //!   for any state.
@@ -168,11 +174,30 @@ impl StateStore {
         inst: Instance,
         parent: Option<(StateId, Update)>,
     ) -> (StateId, bool) {
+        let (fingerprint, words) = key.into_parts();
+        self.intern_words(fingerprint, words, parent, |_| inst)
+    }
+
+    /// Intern the state with dedup key `(fingerprint, words)`, probing
+    /// before anything is built: only when the state is new does `make`
+    /// produce its instance, from the store as it stands, and are the
+    /// words boxed (a no-op when they already are). The explorers' one
+    /// successor path hands in the key spliced from the parent's layout.
+    pub(crate) fn intern_words<W>(
+        &mut self,
+        fingerprint: u64,
+        words: W,
+        parent: Option<(StateId, Update)>,
+        make: impl FnOnce(&StateStore) -> Instance,
+    ) -> (StateId, bool)
+    where
+        W: AsRef<[u32]> + Into<Box<[u32]>>,
+    {
         let id = StateId(self.states.len() as u32);
-        match self.buckets.entry(key.fingerprint()) {
+        match self.buckets.entry(fingerprint) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 for &cand in e.get().ids() {
-                    if *self.keys[cand.index()] == *key.words() {
+                    if *self.keys[cand.index()] == *words.as_ref() {
                         return (cand, false);
                     }
                 }
@@ -187,9 +212,9 @@ impl StateStore {
             Some((p, _)) => self.depths[p.index()] + 1,
             None => 0,
         };
-        let (fingerprint, words) = key.into_parts();
+        let inst = make(self);
         self.fingerprints.push(fingerprint);
-        self.keys.push(words);
+        self.keys.push(words.into());
         self.states.push(inst);
         self.parents.push(parent);
         self.depths.push(depth);
