@@ -24,10 +24,12 @@
 mod eval;
 mod normal;
 mod parser;
+mod program;
 mod simplify;
 
 pub use eval::{holds, holds_at_root, path_targets};
 pub use normal::StepFormula;
+pub(crate) use program::{Compiler, Evaluator, Program};
 
 use std::fmt;
 

@@ -8,11 +8,11 @@
 //! current instance.
 
 use crate::error::{CoreError, Result};
-use crate::formula::{holds, Formula};
+use crate::formula::{Compiler, Evaluator, Formula, Program};
 use crate::instance::{InstNodeId, Instance};
 use crate::schema::{Schema, SchemaNodeId};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The access rights `R = {add, del}` of Sec. 3.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -174,12 +174,81 @@ impl fmt::Display for Update {
 }
 
 /// A guarded form `(M, A, I₀, φ)` (Def. 3.11).
-#[derive(Debug, Clone)]
+///
+/// Every guard evaluation made through the form runs a *guard program*:
+/// the guard compiled once against the schema node it is evaluated at.
+/// The programs are built on first use and shared by clones.
+#[derive(Clone)]
 pub struct GuardedForm {
     schema: Arc<Schema>,
     rules: AccessRules,
     initial: Instance,
     completion: Formula,
+    programs: OnceLock<Arc<GuardPrograms>>,
+}
+
+impl fmt::Debug for GuardedForm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GuardedForm")
+            .field("schema", &self.schema)
+            .field("rules", &self.rules)
+            .field("initial", &self.initial)
+            .field("completion", &self.completion)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Every guard of a form and its completion formula, each compiled at
+/// the schema node it is evaluated at: `parent(e)` for the guards on edge
+/// `e`, the root for the completion formula.
+#[derive(Debug)]
+struct GuardPrograms {
+    /// Indexed by edge; the root's slot is an unused `false`.
+    add: Vec<Program>,
+    /// Indexed by edge: is its `add` program the same as the one of the
+    /// sibling edge just before it? Sibling edges often share a guard
+    /// (every approver of one approval level, say), and a node evaluates
+    /// such a run of guards once.
+    add_repeats: Vec<bool>,
+    /// Indexed by edge; the root's slot is an unused `false`.
+    del: Vec<Program>,
+    completion: Program,
+}
+
+impl GuardPrograms {
+    fn compile(schema: &Schema, rules: &AccessRules, completion: &Formula) -> GuardPrograms {
+        let mut compiler = Compiler::new(schema);
+        let mut table = |right| {
+            schema
+                .node_ids()
+                .map(|e| match schema.parent(e) {
+                    Some(at) => compiler.compile(at, rules.get(right, e)),
+                    None => Program::Const(false),
+                })
+                .collect::<Vec<_>>()
+        };
+        let add = table(Right::Add);
+        let del = table(Right::Del);
+        let mut add_repeats = vec![false; schema.node_count()];
+        for p in schema.node_ids() {
+            for pair in schema.children(p).windows(2) {
+                add_repeats[pair[1].index()] = add[pair[0].index()] == add[pair[1].index()];
+            }
+        }
+        GuardPrograms {
+            add,
+            add_repeats,
+            del,
+            completion: compiler.compile(SchemaNodeId::ROOT, completion),
+        }
+    }
+
+    fn guard(&self, right: Right, edge: SchemaNodeId) -> &Program {
+        match right {
+            Right::Add => &self.add[edge.index()],
+            Right::Del => &self.del[edge.index()],
+        }
+    }
 }
 
 /// A run of a guarded form: the sequence of instances visited, paired with
@@ -229,7 +298,19 @@ impl GuardedForm {
             rules,
             initial,
             completion,
+            programs: OnceLock::new(),
         }
+    }
+
+    /// The guard programs, compiled on first use.
+    fn programs(&self) -> &Arc<GuardPrograms> {
+        self.programs.get_or_init(|| {
+            Arc::new(GuardPrograms::compile(
+                &self.schema,
+                &self.rules,
+                &self.completion,
+            ))
+        })
     }
 
     /// The schema `M`.
@@ -253,13 +334,15 @@ impl GuardedForm {
     }
 
     /// Replace the initial instance (Def. 3.14 considers `(M, A, Iₙ, φ)`
-    /// for every reachable `Iₙ`).
+    /// for every reachable `Iₙ`). The new form shares this form's guard
+    /// programs, which are built first if they are not yet.
     pub fn with_initial(&self, initial: Instance) -> GuardedForm {
         GuardedForm {
             schema: self.schema.clone(),
             rules: self.rules.clone(),
             initial,
             completion: self.completion.clone(),
+            programs: OnceLock::from(self.programs().clone()),
         }
     }
 
@@ -271,12 +354,13 @@ impl GuardedForm {
             rules: self.rules.clone(),
             initial: self.initial.clone(),
             completion,
+            programs: OnceLock::new(),
         }
     }
 
     /// Does the completion formula hold for `inst` (at the root)?
     pub fn is_complete(&self, inst: &Instance) -> bool {
-        crate::formula::holds_at_root(inst, &self.completion)
+        Evaluator::new(inst).holds(&self.programs().completion, InstNodeId::ROOT)
     }
 
     /// Is this form deletion-free ([`AccessRules::deletion_free`])?
@@ -289,6 +373,8 @@ impl GuardedForm {
     /// Is `update` allowed on `inst` by the access rules (and the Sec. 3.4
     /// structural constraints)?
     pub fn is_allowed(&self, inst: &Instance, update: &Update) -> bool {
+        let programs = self.programs();
+        let mut ev = Evaluator::new(inst);
         match update {
             Update::Add { parent, edge } => {
                 if !inst.is_live(*parent) {
@@ -297,7 +383,7 @@ impl GuardedForm {
                 if self.schema.parent(*edge) != Some(inst.schema_node(*parent)) {
                     return false;
                 }
-                holds(inst, *parent, self.rules.get(Right::Add, *edge))
+                ev.holds(programs.guard(Right::Add, *edge), *parent)
             }
             Update::Del { node } => {
                 if !inst.is_live(*node) || *node == InstNodeId::ROOT {
@@ -308,7 +394,7 @@ impl GuardedForm {
                 }
                 let parent = inst.parent(*node).expect("non-root");
                 let edge = inst.schema_node(*node);
-                holds(inst, parent, self.rules.get(Right::Del, edge))
+                ev.holds(programs.guard(Right::Del, edge), parent)
             }
         }
     }
@@ -316,25 +402,40 @@ impl GuardedForm {
     /// Enumerate every allowed update on `inst`.
     ///
     /// For additions, one update per `(instance parent, schema edge)` pair
-    /// whose guard holds; for deletions, one per deletable leaf.
+    /// whose guard holds; for deletions, one per deletable leaf. Nodes come
+    /// in [`Instance::live_nodes`] order, each with its additions in schema
+    /// child order followed by its own deletion.
+    ///
+    /// Every guard at a node is evaluated with that node's child-presence
+    /// table loaded, deletion guards included: a leaf's verdict is taken
+    /// at its parent, which `live_nodes` visits first.
     pub fn allowed_updates(&self, inst: &Instance) -> Vec<Update> {
+        let programs = self.programs();
+        let mut ev = Evaluator::new(inst);
+        let mut deletable = vec![false; inst.slot_count()];
         let mut out = Vec::new();
         for n in inst.live_nodes() {
-            let sn = inst.schema_node(n);
-            for &edge in self.schema.children(sn) {
-                if holds(inst, n, self.rules.get(Right::Add, edge)) {
-                    out.push(Update::Add { parent: n, edge });
+            let edges = self.schema.children(inst.schema_node(n));
+            if !edges.is_empty() {
+                ev.load(n);
+                let mut allowed = false;
+                for &edge in edges {
+                    if !programs.add_repeats[edge.index()] {
+                        allowed = ev.holds(programs.guard(Right::Add, edge), n);
+                    }
+                    if allowed {
+                        out.push(Update::Add { parent: n, edge });
+                    }
+                }
+                for &c in inst.children(n) {
+                    if inst.is_leaf(c) {
+                        let guard = programs.guard(Right::Del, inst.schema_node(c));
+                        deletable[c.index()] = ev.holds(guard, n);
+                    }
                 }
             }
-            if n != InstNodeId::ROOT && inst.is_leaf(n) {
-                let parent = inst.parent(n).expect("non-root");
-                if holds(
-                    inst,
-                    parent,
-                    self.rules.get(Right::Del, inst.schema_node(n)),
-                ) {
-                    out.push(Update::Del { node: n });
-                }
+            if deletable[n.index()] {
+                out.push(Update::Del { node: n });
             }
         }
         out
@@ -550,6 +651,74 @@ mod tests {
         assert_eq!(rules.get(Right::Add, a).to_string(), "x");
         rules.add_disjunct(Right::Add, a, Formula::label("y"));
         assert_eq!(rules.get(Right::Add, a).to_string(), "x | y");
+    }
+
+    /// Guard programs walk `∧`/`∨` chains with loops: guards and a
+    /// completion formula of 20,000 operands compile and evaluate through
+    /// `allowed_updates` and `is_complete` on a 256 KiB stack.
+    #[test]
+    fn long_operator_chains_evaluate_on_a_small_stack() {
+        const OPERANDS: usize = 20_000;
+        // The chains are built and dropped on a roomy thread: dropping a
+        // `Formula` still recurses once per operator.
+        let roomy = std::thread::Builder::new().stack_size(64 << 20);
+        roomy
+            .spawn(|| {
+                let schema = Arc::new(Schema::parse("a, b").unwrap());
+                let a = schema.resolve("a").unwrap();
+                let b = schema.resolve("b").unwrap();
+                let not_b = Formula::label("b").not();
+                let mut rules = AccessRules::new(&schema);
+                // `!b & … & !b`, and `b | … | b | a`.
+                rules.set(Right::Add, a, Formula::conj(vec![not_b; OPERANDS]));
+                let ors = std::iter::repeat_n(Formula::label("b"), OPERANDS - 1);
+                rules.set(
+                    Right::Add,
+                    b,
+                    Formula::disj(ors.chain([Formula::label("a")])),
+                );
+                let done = Formula::disj(std::iter::repeat_n(Formula::label("b"), OPERANDS));
+                let g = GuardedForm::new(schema.clone(), rules, Instance::empty(schema), done);
+                let mut with_a = g.initial().clone();
+                let an = with_a.add_child(InstNodeId::ROOT, a).unwrap();
+                std::thread::scope(|s| {
+                    let small = std::thread::Builder::new().stack_size(256 << 10);
+                    let (initial, after_a) = small
+                        .spawn_scoped(s, || {
+                            let initial = g.allowed_updates(g.initial());
+                            assert!(!g.is_complete(g.initial()));
+                            (initial, g.allowed_updates(&with_a))
+                        })
+                        .unwrap()
+                        .join()
+                        .unwrap();
+                    let root = InstNodeId::ROOT;
+                    assert_eq!(
+                        initial,
+                        vec![Update::Add {
+                            parent: root,
+                            edge: a
+                        }]
+                    );
+                    assert_eq!(
+                        after_a,
+                        vec![
+                            Update::Add {
+                                parent: root,
+                                edge: a
+                            },
+                            Update::Add {
+                                parent: root,
+                                edge: b
+                            },
+                        ]
+                    );
+                    assert!(!g.is_allowed(&with_a, &Update::Del { node: an }));
+                });
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Interned isomorphism codes: integer-compare state deduplication.
+//! Canonical instance keys: word-compare state deduplication.
 //!
 //! The explicit-state explorers deduplicate instances *up to isomorphism*.
 //! The original representation of an isomorphism class was the
@@ -8,27 +8,22 @@
 //! search) the code strings dominate both the allocation profile and the
 //! hash-map probe cost.
 //!
-//! This module replaces strings with a three-level scheme:
+//! This module replaces strings with [`CanonKey`]: a compact canonical
+//! encoding of the instance as a `u32` word sequence (schema-node ids plus
+//! tree delimiters, children sorted), with a 64-bit FNV-1a fingerprint
+//! over the words. Building it never allocates label strings and never
+//! formats.
 //!
-//! 1. [`CanonKey`] — a compact canonical encoding of the instance as a
-//!    `u32` word sequence (schema-node ids plus tree delimiters, children
-//!    sorted), with a 64-bit FNV-1a fingerprint over the words. Building
-//!    it never allocates label strings and never formats.
-//! 2. An intern table ([`Interner`]) keyed by the fingerprint. Lookups
-//!    compare the fingerprint first and fall back to a word-slice
-//!    `memcmp` only within a fingerprint bucket — so a true 64-bit
-//!    collision is *detected*, never silently merged.
-//! 3. [`IsoCode`] — the dense `u32` id the table assigns to each distinct
-//!    class. After interning, state dedup is a single integer compare, and
-//!    `IsoCode` indexes straight into flat side tables (no re-hashing).
-//!
-//! The solver's explicit-state engines build the same scheme into their
-//! state stores directly (`idar-solver`'s flat `StateStore` and its
-//! out-of-core `SpillStore`). They probe those stores with keys spliced
-//! by a [`KeyLayout`]: laid out once per expanded state, it writes the
-//! key of each one-update successor by rewriting only the spine from the
-//! touched node to the root, so a successor that is already stored is
-//! never built at all.
+//! The solver's explicit-state engines intern these keys in their state
+//! stores (`idar-solver`'s flat `StateStore` and its out-of-core
+//! `SpillStore`). A lookup compares the fingerprint first and the words
+//! only within a fingerprint bucket, so a true 64-bit collision is
+//! detected, never silently merged; each distinct class gets a dense
+//! state id. The engines probe their stores with keys spliced by a
+//! [`KeyLayout`]: laid out once per expanded state, it writes the key of
+//! each one-update successor by rewriting only the spine from the touched
+//! node to the root, so a successor that is already stored is never built
+//! at all.
 //!
 //! # Canonical encoding
 //!
@@ -54,28 +49,11 @@
 
 use crate::guarded::Update;
 use crate::instance::{InstNodeId, Instance};
-use std::collections::HashMap;
 
 /// Tree-shape delimiters in the canonical word encoding. Schema node ids
 /// are `u32` indices far below these sentinels.
 const OPEN: u32 = u32::MAX;
 const CLOSE: u32 = u32::MAX - 1;
-
-/// A dense identifier for an isomorphism class of instances, assigned by
-/// an intern table. Equal ids ⇔ isomorphic instances (same table).
-///
-/// Ids are assigned contiguously from 0, so they can index flat `Vec`
-/// side tables (`code.index()`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IsoCode(pub u32);
-
-impl IsoCode {
-    /// This code as a `Vec` index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// The canonical encoding of an instance: a word sequence plus its 64-bit
 /// fingerprint. See the module docs for the encoding scheme.
@@ -402,95 +380,6 @@ fn slice(arena: &[u32], (start, len): (u32, u32)) -> &[u32] {
     &arena[start as usize..(start + len) as usize]
 }
 
-/// One fingerprint bucket: the (rarely >1) distinct encodings sharing a
-/// 64-bit fingerprint, each with its assigned dense code.
-type Bucket = Vec<(Box<[u32]>, IsoCode)>;
-
-fn bucket_intern(
-    bucket: &mut Bucket,
-    key: CanonKey,
-    next: impl FnOnce() -> u32,
-) -> (IsoCode, bool) {
-    for (words, code) in bucket.iter() {
-        if **words == *key.words {
-            return (*code, false);
-        }
-    }
-    let code = IsoCode(next());
-    bucket.push((key.words, code));
-    (code, true)
-}
-
-/// A single-threaded intern table mapping canonical keys to dense
-/// [`IsoCode`]s.
-///
-/// ```
-/// use idar_core::{Instance, Interner, Schema};
-/// use std::sync::Arc;
-///
-/// let schema = Arc::new(Schema::parse("a(b), c").unwrap());
-/// let mut interner = Interner::new();
-/// let i1 = Instance::parse(schema.clone(), "a(b), c").unwrap();
-/// let i2 = Instance::parse(schema.clone(), "c, a(b)").unwrap();
-/// let i3 = Instance::parse(schema, "a, c").unwrap();
-///
-/// let (c1, new1) = interner.intern(i1.canon_key());
-/// let (c2, new2) = interner.intern(i2.canon_key());
-/// let (c3, _) = interner.intern(i3.canon_key());
-/// assert!(new1 && !new2);
-/// assert_eq!(c1, c2);      // dedup is an integer compare
-/// assert_ne!(c1, c3);
-/// assert_eq!(interner.len(), 2);
-/// ```
-#[derive(Debug, Default)]
-pub struct Interner {
-    buckets: HashMap<u64, Bucket>,
-    count: u32,
-    collisions: u64,
-}
-
-impl Interner {
-    /// An empty table.
-    pub fn new() -> Interner {
-        Interner::default()
-    }
-
-    /// Intern a key: returns its dense code and whether it was new.
-    pub fn intern(&mut self, key: CanonKey) -> (IsoCode, bool) {
-        let bucket = self.buckets.entry(key.hash).or_default();
-        if !bucket.is_empty() {
-            // A fingerprint hit that is not a word-for-word match is a
-            // genuine 64-bit collision; count it (it is collision-*checked*,
-            // not collision-blind).
-            if bucket.iter().all(|(w, _)| **w != *key.words) {
-                self.collisions += 1;
-            }
-        }
-        let count = &mut self.count;
-        bucket_intern(bucket, key, || {
-            let c = *count;
-            *count += 1;
-            c
-        })
-    }
-
-    /// Number of distinct classes interned so far.
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Number of 64-bit fingerprint collisions detected (distinct
-    /// encodings sharing a fingerprint). Expected to stay 0 in practice.
-    pub fn collisions(&self) -> u64 {
-        self.collisions
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,23 +564,5 @@ mod tests {
         for u in all_updates(&inst) {
             assert_splices(&mut layout, &inst, u);
         }
-    }
-
-    #[test]
-    fn interner_assigns_dense_ids() {
-        let s = leave_schema();
-        let mut int = Interner::new();
-        let mut codes = Vec::new();
-        for t in ["", "a", "a(n)", "a", "s"] {
-            let i = Instance::parse(s.clone(), t).unwrap();
-            codes.push(int.intern(i.canon_key()).0);
-        }
-        assert_eq!(codes[1], codes[3]); // "a" twice
-        assert_eq!(int.len(), 4);
-        let mut distinct: Vec<u32> = codes.iter().map(|c| c.0).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(distinct, vec![0, 1, 2, 3]);
-        assert_eq!(int.collisions(), 0);
     }
 }

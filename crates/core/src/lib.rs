@@ -50,7 +50,7 @@ pub use formula::{Formula, PathExpr};
 pub use fragment::{DepthClass, Fragment, Polarity};
 pub use guarded::{AccessRules, GuardedForm, Right, Run, Update};
 pub use instance::{InstNodeId, Instance};
-pub use intern::{CanonKey, Interner, IsoCode, KeyLayout};
+pub use intern::{CanonKey, KeyLayout};
 pub use schema::{Schema, SchemaBuilder, SchemaNodeId};
 
 /// The reserved label of every schema (and instance) root, Def. 3.1.

@@ -7,11 +7,15 @@
 //! out-of-core store must report bit-identical [`SearchStats`] and the
 //! same goal depth as this oracle on every form and every
 //! [`ExploreLimits`], in both [`SymmetryMode`]s.
+//!
+//! The oracle enumerates allowed updates itself, interpreting each guard
+//! with [`formula::holds`] (Def. 3.5), so the engine's guard programs are
+//! held to the interpreted semantics too.
 
 use crate::explore::ExploreLimits;
 use crate::store::SymmetryMode;
 use crate::verdict::{LimitKind, SearchStats};
-use idar_core::{GuardedForm, Instance, Update};
+use idar_core::{formula, GuardedForm, Instance, Right, Update};
 use std::collections::{HashSet, VecDeque};
 
 /// What one reference search observed.
@@ -63,13 +67,13 @@ pub fn explore(
             // The unexpanded frontier: the search closed iff no state on
             // it has a successor.
             let mut frontier = std::iter::once(&inst).chain(queue.iter().map(|(s, _)| s));
-            if frontier.any(|s| !form.allowed_updates(s).is_empty()) {
+            if frontier.any(|s| !allowed_updates(form, s).is_empty()) {
                 pruned = true;
                 out.stats.limit_hit = Some(LimitKind::Depth);
             }
             break;
         }
-        for u in form.allowed_updates(&inst) {
+        for u in allowed_updates(form, &inst) {
             out.stats.transitions += 1;
             if let Update::Add { parent, edge } = u {
                 let limit = if inst.live_count() >= limits.max_state_size {
@@ -108,5 +112,25 @@ pub fn explore(
         }
     }
     out.stats.closed = !pruned;
+    out
+}
+
+/// Every update the access rules allow on `inst`, each guard interpreted
+/// by [`formula::holds`], in [`GuardedForm::allowed_updates`]' order.
+pub fn allowed_updates(form: &GuardedForm, inst: &Instance) -> Vec<Update> {
+    let (schema, rules) = (form.schema(), form.rules());
+    let mut out = Vec::new();
+    for n in inst.live_nodes() {
+        for &edge in schema.children(inst.schema_node(n)) {
+            if formula::holds(inst, n, rules.get(Right::Add, edge)) {
+                out.push(Update::Add { parent: n, edge });
+            }
+        }
+        if let Some(parent) = inst.parent(n).filter(|_| inst.is_leaf(n)) {
+            if formula::holds(inst, parent, rules.get(Right::Del, inst.schema_node(n))) {
+                out.push(Update::Del { node: n });
+            }
+        }
+    }
     out
 }

@@ -502,10 +502,10 @@ fn chase(form: &GuardedForm, stats: &mut ScreenStats) -> Option<Vec<Update>> {
                 if inst.children_at(node, edge).next().is_some() {
                     continue;
                 }
-                if !idar_core::formula::holds(&inst, node, form.rules().get(Right::Add, edge)) {
+                let u = Update::Add { parent: node, edge };
+                if !form.is_allowed(&inst, &u) {
                     continue;
                 }
-                let u = Update::Add { parent: node, edge };
                 form.apply_unchecked(&mut inst, &u)
                     .expect("guard checked, schema edge valid");
                 run.push(u);

@@ -47,11 +47,13 @@ fn build_form() -> GuardedForm {
     rules.set_both(e("decl/ded/kind"), f("!../../sub & !kind"), f("!../../sub"));
     rules.set_both(e("decl/ded/amt"), f("!../../sub & !amt"), f("!../../sub"));
     // Submission needs an identified declaration with at least one income
-    // entry, every entry fully specified; retractable until review starts.
+    // entry, every entry fully specified. It is retractable while the
+    // review holds no verdict: once a requested fix has been withdrawn.
+    // (The guard is evaluated at the root, where `sub` is still present.)
     rules.set_both(
         e("sub"),
         f("!sub & decl[id & income] & !decl/income[!src | !amt] & !decl/ded[!kind | !amt]"),
-        f("!rev & !sub"),
+        f("!rev/ok & !rev/fix"),
     );
     // The assessor opens a review once submitted; the review stays.
     rules.set_both(e("rev"), f("sub & !rev"), f("false"));
