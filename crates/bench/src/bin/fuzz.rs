@@ -65,6 +65,18 @@
 //!   divergent step is the shortest reproducing prefix for that seed).
 //!   Failing cases additionally shrink at the spec level.
 //!
+//! A third case stream, selected only by `--scenario surface`, feeds
+//! **surface** cases through the service's request path:
+//!
+//! * **(j) surface** — formula text as a client could send it (operator
+//!   chains, filter chains, `!`/group nests and `<->` nests of random
+//!   sizes up to the 1 MiB body limit, and byte mutations of valid
+//!   formulas) is put into a RON form as its completion and one guard,
+//!   parsed with `from_ron` and analyzed for every kind under the
+//!   server's default budget, on a thread with the server workers' 8 MiB
+//!   stack. The only property: every call returns, `Ok` or `Err`, and
+//!   none panics or overflows its stack.
+//!
 //! Failures are **shrunk** (size-monotone, verdict-preserving) and written
 //! as self-contained `.ron` repro cases with a provenance header; re-run
 //! one with `--replay <file>`. Scenario-differential failures shrink at
@@ -78,6 +90,7 @@
 //! cargo run --release -p idar-bench --bin fuzz -- --seed 0xC0FFEE --cases 200
 //! cargo run --release -p idar-bench --bin fuzz -- --seed 0xC0FFEE --engine dpll
 //! cargo run --release -p idar-bench --bin fuzz -- --fragment none --scenario sod --cases 200
+//! cargo run --release -p idar-bench --bin fuzz -- --fragment none --scenario surface --cases 200
 //! cargo run --release -p idar-bench --bin fuzz -- --replay fuzz-failures/guarded-case17-engines-....ron
 //! ```
 
@@ -91,7 +104,8 @@ use idar_logic::gen::{random_3cnf_with, split_mix, Rng, XorShift};
 use idar_logic::Engine;
 use idar_solver::semisound::{semisoundness, SemisoundnessOptions};
 use idar_solver::{
-    completability, CompletabilityOptions, ExploreLimits, Explorer, Method, Verdict, VerdictCache,
+    analyze_with, completability, AnalysisKind, AnalysisRequest, CompletabilityOptions,
+    ExploreLimits, Explorer, Method, Verdict, VerdictCache,
 };
 use idar_workflow::manager::{FormManager, UnknownPolicy};
 use idar_workflow::runs::{enumerate_complete_runs, EnumerateOptions};
@@ -117,6 +131,9 @@ struct Options {
     cases: usize,
     fragments: Vec<FragmentSpec>,
     scenarios: Vec<ScenarioAxis>,
+    /// Run the surface case stream (only when named: `all` keeps meaning
+    /// the scenario axes).
+    surface: bool,
     out: PathBuf,
     replay: Option<PathBuf>,
     verbose: bool,
@@ -128,7 +145,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: fuzz [--seed N] [--cases N] [--fragment positive|guarded|depth1|deletion-free|all|none]\n\
-         \x20           [--scenario approval|sod|bod|recipe|all|none]\n\
+         \x20           [--scenario approval|sod|bod|recipe|surface|all|none]\n\
          \x20           [--engine cdcl|dpll|brute_force] [--out DIR] [--verbose]\n\
          \x20      fuzz --replay FILE.ron"
     );
@@ -149,6 +166,7 @@ fn parse_args() -> Options {
         cases: 200,
         fragments: FragmentSpec::ALL.to_vec(),
         scenarios: ScenarioAxis::ALL.to_vec(),
+        surface: false,
         out: PathBuf::from("fuzz-failures"),
         replay: None,
         verbose: false,
@@ -177,6 +195,10 @@ fn parse_args() -> Options {
                 opts.scenarios = match v.as_str() {
                     "all" => ScenarioAxis::ALL.to_vec(),
                     "none" => Vec::new(),
+                    "surface" => {
+                        opts.surface = true;
+                        Vec::new()
+                    }
                     _ => vec![ScenarioAxis::from_name(&v).unwrap_or_else(|| usage())],
                 };
             }
@@ -417,6 +439,41 @@ fn main() -> ExitCode {
             axis_failures
         );
         failures += axis_failures;
+    }
+
+    // (j) surface case stream: hostile formula text through the service's
+    // parse-and-analyze path.
+    if opts.surface {
+        let mut surface_failures = 0usize;
+        for k in 0..opts.cases {
+            total += 1;
+            // "SRFACE" separates this stream from the fragment and scenario ones.
+            let case_seed = split_mix(opts.seed ^ split_mix(0x5352_4641_4345 + k as u64));
+            let text = surface_text(&mut XorShift::new(case_seed));
+            if opts.verbose {
+                println!(
+                    "[surface case {k}] seed 0x{case_seed:016x}: {} bytes",
+                    text.len()
+                );
+            }
+            if let Err(e) = check_surface(&text) {
+                surface_failures += 1;
+                let head: String = text.chars().take(120).collect();
+                println!(
+                    "FAIL surface case {k} (seed 0x{case_seed:016x}, {} bytes `{head}`): {e}\n  \
+                     reproduce with: cargo run --release -p idar-bench --bin fuzz -- \
+                     --seed 0x{:x} --fragment none --scenario surface --cases {}",
+                    text.len(),
+                    opts.seed,
+                    k + 1
+                );
+            }
+        }
+        println!(
+            "surface       {} cases, {} failure(s)",
+            opts.cases, surface_failures
+        );
+        failures += surface_failures;
     }
 
     println!(
@@ -1350,4 +1407,118 @@ fn verdict_of(b: bool) -> Verdict {
     } else {
         Verdict::Fails
     }
+}
+
+// ---------------------------------------------------------------------------
+// (j) surface: formula text through the service's request path
+// ---------------------------------------------------------------------------
+
+/// Valid formulas the byte mutations start from: Ex. 3.6 and Ex. 3.12
+/// guards, a parenthesised path, parent steps and a `<->`.
+const SURFACE_SEEDS: [&str; 6] = [
+    "!a/p[!b | !e]",
+    "!f | d[a | r]",
+    "!s & a[n & d & p] & !a/p[!b | !e]",
+    "(a/p)[b]/.. & !(d[!(a & r)] | f)",
+    "a[..[s]]/p/../n",
+    "(s <-> d/a) | !(a & ..)",
+];
+
+/// Formula text of a random shape whose length is log-uniform up to the
+/// body limit.
+fn surface_text(rng: &mut XorShift) -> String {
+    // Up to the largest body the service accepts, less the rest of the
+    // form; the text appears twice in it.
+    let body_limit = idar_server::HttpLimits::default().max_body_bytes;
+    let scale = 1 << rng.below(21);
+    let len = rng.range(1, scale).min((body_limit - 512) / 2);
+    let atoms = ["p", "a/p", "..", "s", "!b", "d[a | r]", "true", "(f)"];
+    match rng.below(6) {
+        // A chain of one operator.
+        0 => {
+            let op = [" & ", " | ", "/", " <-> ", " and ", "||"][rng.below(6)];
+            let k = (len / (op.len() + 2)).max(1);
+            let parts: Vec<&str> = (0..k)
+                .map(|_| match op {
+                    "/" => ["p", "..", "a"][rng.below(3)],
+                    _ => atoms[rng.below(atoms.len())],
+                })
+                .collect();
+            parts.join(op)
+        }
+        // A filter chain.
+        1 => format!("a{}", "[p]".repeat(len / 3)),
+        // A negation or group nest, up to past the nesting limit.
+        2 => {
+            let d = len.min(2 * idar_core::MAX_NESTING);
+            if rng.bool() {
+                format!("{}p", "!".repeat(d))
+            } else {
+                format!("{}p{}", "(".repeat(d), ")".repeat(d))
+            }
+        }
+        // A `<->` nest: `((p <-> q) <-> q)…`.
+        3 => {
+            let mut f = "p".to_string();
+            for _ in 0..rng.below(48) {
+                f = format!("({f} <-> s)");
+            }
+            f
+        }
+        // Byte mutations of a valid formula.
+        _ => {
+            let mut bytes = SURFACE_SEEDS[rng.below(SURFACE_SEEDS.len())]
+                .as_bytes()
+                .to_vec();
+            let alphabet = b"()[]!&|/.<->apbs ";
+            for _ in 0..rng.range(1, 8) {
+                let b = alphabet[rng.below(alphabet.len())];
+                let i = rng.below(bytes.len() + 1);
+                match rng.below(3) {
+                    0 => bytes.insert(i, b),
+                    _ if i == bytes.len() => bytes.push(b),
+                    1 => bytes[i] = b,
+                    _ => {
+                        bytes.remove(i);
+                    }
+                }
+            }
+            String::from_utf8(bytes).expect("ASCII mutations")
+        }
+    }
+}
+
+/// Put `text` into a form as its completion and the `a/p` add guard,
+/// then parse and analyze it for every kind as the service would, on a
+/// thread with the server workers' stack. `Err` only if a call panics
+/// (a stack overflow aborts the whole run instead).
+fn check_surface(text: &str) -> Result<(), String> {
+    let body = format!(
+        "(\n  schema: \"a(n, d, p(b, e)), s, d(a, r(r)), f\",\n  default: \"false\",\n  \
+         rules: [\n    (add, \"a\", \"true\"),\n    (add, \"a/p\", \"{text}\"),\n  ],\n  \
+         initial: \"\",\n  completion: \"{text}\",\n)\n"
+    );
+    let budget = idar_server::ServerConfig::default().budget;
+    let worker = std::thread::Builder::new().stack_size(8 << 20);
+    let run = move || {
+        let Ok(form) = serialize::from_ron(&body) else {
+            return;
+        };
+        for kind in [
+            AnalysisKind::Completability,
+            AnalysisKind::Semisoundness,
+            AnalysisKind::Satisfiability,
+        ] {
+            let request = AnalysisRequest::new(form.clone(), kind).with_budget(budget.clone());
+            analyze_with(&request, None);
+        }
+    };
+    let joined = worker.spawn(run).map_err(|e| e.to_string())?.join();
+    joined.map_err(|panic| {
+        let msg = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
+        format!("panicked: {}", msg.unwrap_or_default())
+    })
 }

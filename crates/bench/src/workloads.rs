@@ -235,13 +235,8 @@ fn gen_formula(rng: &mut XorShift, labels: usize, size: usize, depth_budget: usi
                 return Formula::label(&format!("g{}", rng.below(labels)));
             }
             let inner = gen_formula(rng, labels, size - 1, depth_budget - 1);
-            Formula::Path(idar_core::PathExpr::Filter(
-                Box::new(idar_core::PathExpr::Label(format!(
-                    "g{}",
-                    rng.below(labels)
-                ))),
-                Box::new(inner),
-            ))
+            let label = format!("g{}", rng.below(labels));
+            Formula::Path(idar_core::PathExpr::label(&label).filtered(inner))
         }
     }
 }

@@ -24,7 +24,7 @@
 //! forms only. At depth ≥ 2 sibling multiplicity is semantically relevant
 //! (Thm 4.1 counts with it!), so explorers there must use `iso_code`.
 
-use crate::formula::Formula;
+use crate::formula::{Formula, PathExpr};
 use crate::instance::{InstNodeId, Instance};
 use std::collections::HashMap;
 
@@ -185,21 +185,12 @@ fn char_at(can: &Instance, n: InstNodeId) -> Formula {
         let kid_formulas: Vec<Formula> = kids.iter().map(|&k| char_at(can, k)).collect();
         // (1) every class is inhabited: l[χ_k] for each child class k;
         for kf in &kid_formulas {
-            conjuncts.push(Formula::Path(crate::formula::PathExpr::Filter(
-                Box::new(crate::formula::PathExpr::Label(label.clone())),
-                Box::new(kf.clone()),
-            )));
+            conjuncts.push(Formula::Path(PathExpr::label(&label).filtered(kf.clone())));
         }
         // (2) every l-child belongs to one of the classes:
         //     ¬ l[¬χ_1 ∧ … ∧ ¬χ_m].
         let none_of = Formula::conj(kid_formulas.iter().map(|kf| kf.clone().not()));
-        conjuncts.push(
-            Formula::Path(crate::formula::PathExpr::Filter(
-                Box::new(crate::formula::PathExpr::Label(label.clone())),
-                Box::new(none_of),
-            ))
-            .not(),
-        );
+        conjuncts.push(Formula::Path(PathExpr::label(&label).filtered(none_of)).not());
     }
     Formula::conj(conjuncts)
 }

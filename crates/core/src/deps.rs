@@ -103,9 +103,8 @@ fn collect(schema: &Schema, at: SchemaNodeId, f: &StepFormula, neg: bool, out: &
             }
         }
         StepFormula::Not(g) => collect(schema, at, g, !neg, out),
-        StepFormula::And(a, b) | StepFormula::Or(a, b) => {
-            collect(schema, at, a, neg, out);
-            collect(schema, at, b, neg, out);
+        StepFormula::And(fs) | StepFormula::Or(fs) => {
+            fs.iter().for_each(|g| collect(schema, at, g, neg, out))
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Evaluation of formulas on instances — the semantics of Def. 3.5.
 //!
 //! `n ⊨ p` holds iff there exists an end node `n'` with `n —p→ n'`; the
-//! evaluator therefore works with an existential continuation and
-//! short-circuits as soon as a witness is found.
+//! evaluator short-circuits as soon as a witness is found.
 
-use super::{Formula, PathExpr};
+use super::{Formula, PathStep};
 use crate::instance::{InstNodeId, Instance};
 
 /// Does `φ` hold at node `n` of `inst` (Def. 3.5, `n ⊨ φ`)?
@@ -12,10 +11,10 @@ pub fn holds(inst: &Instance, n: InstNodeId, f: &Formula) -> bool {
     match f {
         Formula::True => true,
         Formula::False => false,
-        Formula::Path(p) => exists(inst, n, p, &mut |_| true),
+        Formula::Path(p) => exists(inst, n, p.steps()),
         Formula::Not(g) => !holds(inst, n, g),
-        Formula::And(a, b) => holds(inst, n, a) && holds(inst, n, b),
-        Formula::Or(a, b) => holds(inst, n, a) || holds(inst, n, b),
+        Formula::And(fs) => fs.iter().all(|g| holds(inst, n, g)),
+        Formula::Or(fs) => fs.iter().any(|g| holds(inst, n, g)),
     }
 }
 
@@ -26,48 +25,30 @@ pub fn holds_at_root(inst: &Instance, f: &Formula) -> bool {
     holds(inst, InstNodeId::ROOT, f)
 }
 
-/// All end nodes reachable from `n` along `p` (`n —p→ n'`), materialised.
-///
-/// Evaluation itself never materialises target sets (it short-circuits);
-/// this helper exists for witness extraction and debugging. Targets may
-/// repeat if reachable along several derivations.
-pub fn path_targets(inst: &Instance, n: InstNodeId, p: &PathExpr) -> Vec<InstNodeId> {
-    let mut out = Vec::new();
-    exists(inst, n, p, &mut |m| {
-        out.push(m);
-        false // keep enumerating
-    });
-    out
-}
-
-/// Existential traversal: returns `true` iff some node `m` with
-/// `n —p→ m` makes `pred(m)` return `true`.
-///
-/// `pred` returning `false` keeps the search going, so passing a constant
-/// `false` visits every target (used by [`path_targets`]).
-fn exists(
-    inst: &Instance,
-    n: InstNodeId,
-    p: &PathExpr,
-    pred: &mut dyn FnMut(InstNodeId) -> bool,
-) -> bool {
-    match p {
-        PathExpr::Parent => match inst.parent(n) {
-            Some(m) => pred(m),
-            None => false,
-        },
-        PathExpr::Label(l) => {
-            // `n —l→ n'` iff `(n, n') ∈ E` and `λ(n') = l`.
-            for c in inst.children_with_label(n, l) {
-                if pred(c) {
-                    return true;
+/// Is some node reachable from `n` along `steps` (`n —p→ n'`)? Filters
+/// and parent steps advance in place; a label step tries each matching
+/// child in turn, recursing once per label step of the path.
+fn exists(inst: &Instance, mut n: InstNodeId, steps: &[PathStep]) -> bool {
+    for (i, step) in steps.iter().enumerate() {
+        match step {
+            PathStep::Parent => match inst.parent(n) {
+                Some(m) => n = m,
+                None => return false,
+            },
+            PathStep::Filter(f) => {
+                if !holds(inst, n, f) {
+                    return false;
                 }
             }
-            false
+            // `n —l→ n'` iff `(n, n') ∈ E` and `λ(n') = l`.
+            PathStep::Label(l) => {
+                return inst
+                    .children_with_label(n, l)
+                    .any(|c| exists(inst, c, &steps[i + 1..]))
+            }
         }
-        PathExpr::Seq(p1, p2) => exists(inst, n, p1, &mut |m| exists(inst, m, p2, pred)),
-        PathExpr::Filter(p1, f) => exists(inst, n, p1, &mut |m| holds(inst, m, f) && pred(m)),
     }
+    true
 }
 
 #[cfg(test)]
@@ -166,17 +147,6 @@ mod tests {
         assert!(root_holds(&i, "true"));
         assert!(!root_holds(&i, "false"));
         assert!(root_holds(&i, "false | true"));
-    }
-
-    #[test]
-    fn path_targets_materialises() {
-        let i = inst("a(p(b), p(b), p(e))");
-        let a = i.children_with_label(InstNodeId::ROOT, "a").next().unwrap();
-        let targets = path_targets(&i, a, &PathExpr::Label("p".into()));
-        assert_eq!(targets.len(), 3);
-        let f = Formula::parse("p[b]").unwrap();
-        let Formula::Path(p) = &f else { unreachable!() };
-        assert_eq!(path_targets(&i, a, p).len(), 2);
     }
 
     #[test]

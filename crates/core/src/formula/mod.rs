@@ -10,6 +10,14 @@
 //! `p`; `..` steps to the parent, `l` to a child labelled `l`, `p/q`
 //! composes, and `p[F]` filters the end node by `F`.
 //!
+//! The grammar and the printed syntax are the paper's, but the AST uses
+//! that `∧`, `∨` and `/` are associative: a chain of `∧` (or `∨`) is one
+//! n-ary node, and a path is one flat list of steps ([`PathStep`]: `..`,
+//! a label, or a filter on the node reached so far). So a walker recurses
+//! only through `¬`, groups, filters and path steps, all of which the
+//! parser caps at [`MAX_NESTING`](crate::MAX_NESTING), never once per
+//! operator of a chain.
+//!
 //! Two pragmatic extensions, both documented deviations from the paper's
 //! grammar:
 //!
@@ -27,13 +35,17 @@ mod parser;
 mod program;
 mod simplify;
 
-pub use eval::{holds, holds_at_root, path_targets};
+pub use eval::{holds, holds_at_root};
 pub use normal::StepFormula;
-pub(crate) use program::{Compiler, Evaluator, Program};
+pub(crate) use program::{compile, Evaluator, Program};
 
 use std::fmt;
 
 /// A node formula `F` of Def. 3.4 (plus the two documented extensions).
+///
+/// `∧` and `∨` chains are stored n-ary. The builders and the parser keep
+/// them flat: no `And` has an `And` operand, no `Or` an `Or` operand, and
+/// each has at least two operands.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Formula {
     /// Always true (extension; see module docs).
@@ -44,23 +56,37 @@ pub enum Formula {
     Path(PathExpr),
     /// Negation `¬F`.
     Not(Box<Formula>),
-    /// Conjunction `F ∧ F`.
-    And(Box<Formula>, Box<Formula>),
-    /// Disjunction `F ∨ F`.
-    Or(Box<Formula>, Box<Formula>),
+    /// Conjunction `F ∧ … ∧ F`.
+    And(Vec<Formula>),
+    /// Disjunction `F ∨ … ∨ F`.
+    Or(Vec<Formula>),
 }
 
-/// A path expression `P` of Def. 3.4.
+/// A path expression `P` of Def. 3.4, stored as its list of steps. `p/q`
+/// concatenates the lists, so `(p/q)/r` and `p/(q/r)` are one value, and
+/// so are `(p/q)[f]` and `p/q[f]`. The list is never empty and starts
+/// with a move (`..` or a label).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum PathExpr {
+pub struct PathExpr(Steps);
+
+/// The steps of a [`PathExpr`]. A single step, the common bare label, is
+/// kept inline, without a heap list; `One` is used exactly when there is
+/// one step, so equal paths have equal representations.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Steps {
+    One(PathStep),
+    Many(Vec<PathStep>),
+}
+
+/// One step of a [`PathExpr`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum PathStep {
     /// `..` — step to the parent node.
     Parent,
     /// `l` — step to a child labelled `l`.
     Label(String),
-    /// `p/q` — composition.
-    Seq(Box<PathExpr>, Box<PathExpr>),
-    /// `p[F]` — filter the end node of `p` by `F`.
-    Filter(Box<PathExpr>, Box<Formula>),
+    /// `[F]` — keep the node reached so far only if it satisfies `F`.
+    Filter(Box<Formula>),
 }
 
 impl Formula {
@@ -78,19 +104,17 @@ impl Formula {
 
     /// The atomic path formula `l` for a single label.
     pub fn label(l: &str) -> Formula {
-        Formula::Path(PathExpr::Label(l.to_string()))
+        Formula::Path(PathExpr::label(l))
     }
 
     /// The path formula for a `/`-separated label path, e.g. `"a/p/b"`.
     /// Leading `..` steps are supported: `"../../s"`.
     pub fn path(path: &str) -> Formula {
-        let mut steps = path.split('/');
-        let first = steps.next().expect("non-empty path");
-        let mut p = PathExpr::step(first);
-        for s in steps {
-            p = PathExpr::Seq(Box::new(p), Box::new(PathExpr::step(s)));
-        }
-        Formula::Path(p)
+        let step = |s: &str| match s {
+            ".." => PathStep::Parent,
+            l => PathStep::Label(l.to_string()),
+        };
+        Formula::Path(PathExpr::from_steps(path.split('/').map(step).collect()))
     }
 
     /// `¬self`.
@@ -101,12 +125,12 @@ impl Formula {
 
     /// `self ∧ rhs`.
     pub fn and(self, rhs: Formula) -> Formula {
-        Formula::And(Box::new(self), Box::new(rhs))
+        Formula::conj([self, rhs])
     }
 
     /// `self ∨ rhs`.
     pub fn or(self, rhs: Formula) -> Formula {
-        Formula::Or(Box::new(self), Box::new(rhs))
+        Formula::disj([self, rhs])
     }
 
     /// `self ↔ rhs`, expanded to `(self ∧ rhs) ∨ (¬self ∧ ¬rhs)`.
@@ -118,20 +142,12 @@ impl Formula {
 
     /// Conjunction of an iterator (`True` if empty).
     pub fn conj<I: IntoIterator<Item = Formula>>(items: I) -> Formula {
-        let mut it = items.into_iter();
-        match it.next() {
-            None => Formula::True,
-            Some(first) => it.fold(first, Formula::and),
-        }
+        junction(items, true)
     }
 
     /// Disjunction of an iterator (`False` if empty).
     pub fn disj<I: IntoIterator<Item = Formula>>(items: I) -> Formula {
-        let mut it = items.into_iter();
-        match it.next() {
-            None => Formula::False,
-            Some(first) => it.fold(first, Formula::or),
-        }
+        junction(items, false)
     }
 
     /// Is this formula *positive* (negation-free)? The `A+` / `φ+`
@@ -144,18 +160,22 @@ impl Formula {
             Formula::True | Formula::False => true,
             Formula::Path(p) => p.is_positive(),
             Formula::Not(_) => false,
-            Formula::And(a, b) | Formula::Or(a, b) => a.is_positive() && b.is_positive(),
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().all(Formula::is_positive),
         }
     }
 
-    /// Number of AST nodes (formula and path constructors both count).
-    /// Used for the witness bounds of Lemma 4.4 / Thm 5.2.
+    /// Number of AST nodes of the binary grammar of Def. 3.4 (formula and
+    /// path constructors both count): a chain of `k` operands counts its
+    /// `k − 1` connectives, a path its `/` joins. Used for the witness
+    /// bounds of Lemma 4.4 / Thm 5.2.
     pub fn size(&self) -> usize {
         match self {
             Formula::True | Formula::False => 1,
             Formula::Path(p) => 1 + p.size(),
             Formula::Not(f) => 1 + f.size(),
-            Formula::And(a, b) | Formula::Or(a, b) => 1 + a.size() + b.size(),
+            Formula::And(fs) | Formula::Or(fs) => {
+                fs.len().saturating_sub(1) + fs.iter().map(Formula::size).sum::<usize>()
+            }
         }
     }
 
@@ -179,12 +199,17 @@ impl Formula {
     fn collect_labels<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             Formula::True | Formula::False => {}
-            Formula::Path(p) => p.collect_labels(out),
-            Formula::Not(f) => f.collect_labels(out),
-            Formula::And(a, b) | Formula::Or(a, b) => {
-                a.collect_labels(out);
-                b.collect_labels(out);
+            Formula::Path(p) => {
+                for step in p.steps() {
+                    match step {
+                        PathStep::Parent => {}
+                        PathStep::Label(l) => out.push(l),
+                        PathStep::Filter(f) => f.collect_labels(out),
+                    }
+                }
             }
+            Formula::Not(f) => f.collect_labels(out),
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|f| f.collect_labels(out)),
         }
     }
 
@@ -196,111 +221,161 @@ impl Formula {
     /// `A(del, e)` is evaluated at the edge's parent, but the replacing
     /// `deleted`-marker addition is evaluated at the edge's end node).
     pub fn at_parent(self) -> Formula {
-        Formula::Path(PathExpr::Filter(Box::new(PathExpr::Parent), Box::new(self)))
+        Formula::Path(PathExpr::parent().filtered(self))
     }
 
     /// Substitute every occurrence of label `from` (as a path step) with the
     /// path expression `to`. Used by reduction constructions that re-home a
     /// propositional variable to a path (e.g. Thm 5.3's ψ′).
     pub fn substitute_label(&self, from: &str, to: &PathExpr) -> Formula {
+        self.map_paths(&mut |step, out| match step {
+            PathStep::Label(l) if l == from => out.extend(to.steps().iter().cloned()),
+            step => out.push(step.clone()),
+        })
+    }
+
+    /// Rebuild `self` with every path step (filters' formulas mapped
+    /// first) replaced by the steps `step` emits for it.
+    pub fn map_paths(&self, step: &mut dyn FnMut(&PathStep, &mut Vec<PathStep>)) -> Formula {
         match self {
             Formula::True => Formula::True,
             Formula::False => Formula::False,
-            Formula::Path(p) => Formula::Path(p.substitute_label(from, to)),
-            Formula::Not(f) => Formula::Not(Box::new(f.substitute_label(from, to))),
-            Formula::And(a, b) => Formula::And(
-                Box::new(a.substitute_label(from, to)),
-                Box::new(b.substitute_label(from, to)),
-            ),
-            Formula::Or(a, b) => Formula::Or(
-                Box::new(a.substitute_label(from, to)),
-                Box::new(b.substitute_label(from, to)),
-            ),
+            Formula::Path(p) => {
+                let mut steps = Vec::with_capacity(p.steps().len());
+                for s in p.steps() {
+                    match s {
+                        PathStep::Filter(f) => {
+                            let f = f.map_paths(step);
+                            step(&PathStep::Filter(Box::new(f)), &mut steps)
+                        }
+                        s => step(s, &mut steps),
+                    }
+                }
+                Formula::Path(PathExpr::from_steps(steps))
+            }
+            Formula::Not(f) => f.map_paths(step).not(),
+            Formula::And(fs) => Formula::conj(fs.iter().map(|f| f.map_paths(step))),
+            Formula::Or(fs) => Formula::disj(fs.iter().map(|f| f.map_paths(step))),
         }
     }
 }
 
+/// The flattened `∧` (`and`) or `∨` of `items`; the identity when empty.
+fn junction<I: IntoIterator<Item = Formula>>(items: I, and: bool) -> Formula {
+    let mut ops: Vec<Formula> = Vec::new();
+    for f in items {
+        push_operand(&mut ops, f, and);
+    }
+    match ops.len() {
+        0 if and => Formula::True,
+        0 => Formula::False,
+        1 => ops.pop().expect("one operand"),
+        _ if and => Formula::And(ops),
+        _ => Formula::Or(ops),
+    }
+}
+
+/// Append `f` to the operands of an `∧` (`and`) or `∨` chain; a chain of
+/// the same kind contributes its operands.
+fn push_operand(ops: &mut Vec<Formula>, f: Formula, and: bool) {
+    match (f, and) {
+        (Formula::And(fs), true) | (Formula::Or(fs), false) if ops.is_empty() => *ops = fs,
+        (Formula::And(fs), true) | (Formula::Or(fs), false) => ops.extend(fs),
+        (f, _) => ops.push(f),
+    }
+}
+
+impl PathStep {
+    /// Is this step `..` or a label (not a filter)?
+    pub fn is_move(&self) -> bool {
+        !matches!(self, PathStep::Filter(_))
+    }
+}
+
 impl PathExpr {
-    /// A single step: `".."` or a label.
-    pub fn step(s: &str) -> PathExpr {
-        if s == ".." {
-            PathExpr::Parent
-        } else {
-            PathExpr::Label(s.to_string())
+    /// `l` — one child step.
+    pub fn label(l: &str) -> PathExpr {
+        PathExpr(Steps::One(PathStep::Label(l.to_string())))
+    }
+
+    /// `..` — one parent step.
+    pub fn parent() -> PathExpr {
+        PathExpr(Steps::One(PathStep::Parent))
+    }
+
+    /// The path with these steps.
+    ///
+    /// # Panics
+    /// If `steps` does not start with a move.
+    pub fn from_steps(mut steps: Vec<PathStep>) -> PathExpr {
+        assert!(
+            steps.first().is_some_and(PathStep::is_move),
+            "a path starts with `..` or a label"
+        );
+        match steps.len() {
+            1 => PathExpr(Steps::One(steps.pop().expect("one step"))),
+            _ => PathExpr(Steps::Many(steps)),
+        }
+    }
+
+    /// The steps, in order; the first is a move.
+    pub fn steps(&self) -> &[PathStep] {
+        match &self.0 {
+            Steps::One(step) => std::slice::from_ref(step),
+            Steps::Many(steps) => steps,
+        }
+    }
+
+    /// The steps, as a list.
+    fn into_steps(self) -> Vec<PathStep> {
+        match self.0 {
+            Steps::One(step) => vec![step],
+            Steps::Many(steps) => steps,
         }
     }
 
     /// `self/rhs`.
     pub fn then(self, rhs: PathExpr) -> PathExpr {
-        PathExpr::Seq(Box::new(self), Box::new(rhs))
+        let mut steps = self.into_steps();
+        steps.extend(rhs.into_steps());
+        PathExpr(Steps::Many(steps))
     }
 
     /// `self[f]`.
     pub fn filtered(self, f: Formula) -> PathExpr {
-        PathExpr::Filter(Box::new(self), Box::new(f))
+        let mut steps = self.into_steps();
+        steps.push(PathStep::Filter(Box::new(f)));
+        PathExpr(Steps::Many(steps))
     }
 
     /// A chain of `k` parent steps followed by a label step — the
     /// `../…/../l` shape used throughout Thm 5.3.
     pub fn ancestors_then(k: usize, label: &str) -> PathExpr {
-        let mut p = None;
-        for _ in 0..k {
-            p = Some(match p {
-                None => PathExpr::Parent,
-                Some(q) => PathExpr::Seq(Box::new(q), Box::new(PathExpr::Parent)),
-            });
-        }
-        match p {
-            None => PathExpr::Label(label.to_string()),
-            Some(q) => PathExpr::Seq(Box::new(q), Box::new(PathExpr::Label(label.to_string()))),
-        }
+        let mut steps = vec![PathStep::Parent; k];
+        steps.push(PathStep::Label(label.to_string()));
+        PathExpr::from_steps(steps)
     }
 
     fn is_positive(&self) -> bool {
-        match self {
-            PathExpr::Parent | PathExpr::Label(_) => true,
-            PathExpr::Seq(p, q) => p.is_positive() && q.is_positive(),
-            PathExpr::Filter(p, f) => p.is_positive() && f.is_positive(),
-        }
+        self.steps().iter().all(|s| match s {
+            PathStep::Filter(f) => f.is_positive(),
+            _ => true,
+        })
     }
 
+    /// Size in the binary grammar: one per move and per `/` joining two
+    /// moves, one per filter plus its formula's size.
     fn size(&self) -> usize {
-        match self {
-            PathExpr::Parent | PathExpr::Label(_) => 1,
-            PathExpr::Seq(p, q) => 1 + p.size() + q.size(),
-            PathExpr::Filter(p, f) => 1 + p.size() + f.size(),
-        }
-    }
-
-    fn collect_labels<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            PathExpr::Parent => {}
-            PathExpr::Label(l) => out.push(l),
-            PathExpr::Seq(p, q) => {
-                p.collect_labels(out);
-                q.collect_labels(out);
-            }
-            PathExpr::Filter(p, f) => {
-                p.collect_labels(out);
-                f.collect_labels(out);
-            }
-        }
-    }
-
-    fn substitute_label(&self, from: &str, to: &PathExpr) -> PathExpr {
-        match self {
-            PathExpr::Parent => PathExpr::Parent,
-            PathExpr::Label(l) if l == from => to.clone(),
-            PathExpr::Label(l) => PathExpr::Label(l.clone()),
-            PathExpr::Seq(p, q) => PathExpr::Seq(
-                Box::new(p.substitute_label(from, to)),
-                Box::new(q.substitute_label(from, to)),
-            ),
-            PathExpr::Filter(p, f) => PathExpr::Filter(
-                Box::new(p.substitute_label(from, to)),
-                Box::new(f.substitute_label(from, to)),
-            ),
-        }
+        let moves = self.steps().iter().filter(|s| s.is_move()).count();
+        let filters: usize = self
+            .steps()
+            .iter()
+            .map(|s| match s {
+                PathStep::Filter(f) => 1 + f.size(),
+                _ => 0,
+            })
+            .sum();
+        2 * moves - 1 + filters
     }
 }
 
@@ -317,61 +392,50 @@ impl fmt::Display for Formula {
 
 impl Formula {
     fn fmt_prec(&self, f: &mut fmt::Formatter<'_>, prec: u8) -> fmt::Result {
-        match self {
-            Formula::True => write!(f, "true"),
-            Formula::False => write!(f, "false"),
-            Formula::Path(p) => write!(f, "{p}"),
+        let (ops, sep, own) = match self {
+            Formula::True => return write!(f, "true"),
+            Formula::False => return write!(f, "false"),
+            Formula::Path(p) => return write!(f, "{p}"),
             Formula::Not(inner) => {
                 write!(f, "!")?;
-                inner.fmt_prec(f, 3)
+                return inner.fmt_prec(f, 3);
             }
-            Formula::And(a, b) => {
-                let need = prec > 2;
-                if need {
-                    write!(f, "(")?;
-                }
-                // The parser is left-associative, so right-nested `And`
-                // needs parentheses to round-trip structurally.
-                a.fmt_prec(f, 2)?;
-                write!(f, " & ")?;
-                b.fmt_prec(f, 3)?;
-                if need {
-                    write!(f, ")")?;
-                }
-                Ok(())
-            }
-            Formula::Or(a, b) => {
-                let need = prec > 1;
-                if need {
-                    write!(f, "(")?;
-                }
-                a.fmt_prec(f, 1)?;
-                write!(f, " | ")?;
-                b.fmt_prec(f, 2)?;
-                if need {
-                    write!(f, ")")?;
-                }
-                Ok(())
-            }
+            Formula::And(ops) => (ops, " & ", 2),
+            Formula::Or(ops) => (ops, " | ", 1),
+        };
+        let need = prec > own;
+        if need {
+            write!(f, "(")?;
         }
+        for (i, op) in ops.iter().enumerate() {
+            if i > 0 {
+                write!(f, "{sep}")?;
+            }
+            // An operand of its own kind (never built by the builders)
+            // keeps its parentheses, so printing round-trips.
+            op.fmt_prec(f, own + 1)?;
+        }
+        if need {
+            write!(f, ")")?;
+        }
+        Ok(())
     }
 }
 
 impl fmt::Display for PathExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PathExpr::Parent => write!(f, ".."),
-            PathExpr::Label(l) => write!(f, "{l}"),
-            PathExpr::Seq(p, q) => write!(f, "{p}/{q}"),
-            PathExpr::Filter(p, inner) => match **p {
-                // Filters on non-atomic paths need parentheses to reparse:
-                // `(a/b)[f]` vs `a/b[f]`.
-                PathExpr::Parent | PathExpr::Label(_) | PathExpr::Filter(..) => {
-                    write!(f, "{p}[{inner}]")
-                }
-                PathExpr::Seq(..) => write!(f, "({p})[{inner}]"),
-            },
+        for (i, step) in self.steps().iter().enumerate() {
+            match step {
+                PathStep::Parent | PathStep::Label(_) if i > 0 => write!(f, "/")?,
+                _ => {}
+            }
+            match step {
+                PathStep::Parent => write!(f, "..")?,
+                PathStep::Label(l) => write!(f, "{l}")?,
+                PathStep::Filter(inner) => write!(f, "[{inner}]")?,
+            }
         }
+        Ok(())
     }
 }
 
@@ -466,5 +530,51 @@ mod tests {
             let g = Formula::parse(&f.to_string()).unwrap();
             assert_eq!(f, g, "roundtrip failed for {s}");
         }
+    }
+
+    /// Chains of 20,000 operands and a path with 20,000 filters are
+    /// printed, parsed, cloned, compared, hashed, evaluated, simplified,
+    /// normalised and dropped on a 256 KiB stack: no walker recurses once
+    /// per operator.
+    #[test]
+    fn long_chains_are_walked_on_a_small_stack() {
+        use crate::formula::holds_at_root;
+        use crate::{InstNodeId, Instance, Schema};
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        use std::sync::Arc;
+        const OPERANDS: usize = 20_000;
+        let small = std::thread::Builder::new().stack_size(256 << 10);
+        small
+            .spawn(|| {
+                let schema = Arc::new(Schema::parse("a(b), c").unwrap());
+                let inst = Instance::parse(schema, "a(b), a, c").unwrap();
+                let atoms = ["a", "c", "!zz", "a[b]"].map(|t| Formula::parse(t).unwrap());
+                let atom = |i: usize| atoms[i % atoms.len()].clone();
+                let hash = |f: &Formula| {
+                    let mut h = DefaultHasher::new();
+                    f.hash(&mut h);
+                    h.finish()
+                };
+                let filters = format!("a{}", "[b | c]".repeat(OPERANDS));
+                let chains = [
+                    Formula::conj((0..OPERANDS).map(atom)),
+                    Formula::disj((0..OPERANDS).map(atom)),
+                    Formula::parse(&filters).unwrap(),
+                ];
+                for f in &chains {
+                    let g = Formula::parse(&f.to_string()).unwrap();
+                    assert_eq!(&g, f);
+                    assert_eq!(hash(&g.clone()), hash(f));
+                    assert!(f.size() > OPERANDS);
+                    assert_eq!(f.is_positive(), *f == chains[2]);
+                    let holds = holds_at_root(&inst, f);
+                    assert_eq!(holds_at_root(&inst, &f.simplified()), holds);
+                    let step = StepFormula::from_formula(f).nnf();
+                    assert_eq!(step.holds(&inst, InstNodeId::ROOT), holds);
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -21,10 +21,11 @@
 //! construction of Lemma 4.4 (and the tableau of Cor. 4.5) possible: each
 //! obligation speaks about the current node, one child, or the parent.
 
-use super::{Formula, PathExpr};
+use super::{Formula, PathExpr, PathStep};
 use crate::instance::{InstNodeId, Instance};
 
-/// A formula in the Lemma 4.4 step normal form.
+/// A formula in the Lemma 4.4 step normal form. Like [`Formula`], it
+/// stores `∧`/`∨` chains n-ary and flat.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StepFormula {
     /// `true` (extension constant, carried through normalisation).
@@ -41,10 +42,10 @@ pub enum StepFormula {
     ParentSat(Box<StepFormula>),
     /// `¬ψ`.
     Not(Box<StepFormula>),
-    /// `ψ ∧ ψ`.
-    And(Box<StepFormula>, Box<StepFormula>),
-    /// `ψ ∨ ψ`.
-    Or(Box<StepFormula>, Box<StepFormula>),
+    /// `ψ ∧ … ∧ ψ`.
+    And(Vec<StepFormula>),
+    /// `ψ ∨ … ∨ ψ`.
+    Or(Vec<StepFormula>),
 }
 
 impl StepFormula {
@@ -56,14 +57,27 @@ impl StepFormula {
             Formula::False => StepFormula::False,
             Formula::Path(p) => norm_path(p),
             Formula::Not(g) => StepFormula::Not(Box::new(Self::from_formula(g))),
-            Formula::And(a, b) => StepFormula::And(
-                Box::new(Self::from_formula(a)),
-                Box::new(Self::from_formula(b)),
-            ),
-            Formula::Or(a, b) => StepFormula::Or(
-                Box::new(Self::from_formula(a)),
-                Box::new(Self::from_formula(b)),
-            ),
+            Formula::And(fs) => StepFormula::junction(fs.iter().map(Self::from_formula), true),
+            Formula::Or(fs) => StepFormula::junction(fs.iter().map(Self::from_formula), false),
+        }
+    }
+
+    /// The flattened `∧` (`and`) or `∨` of `items`; the identity when
+    /// empty.
+    fn junction(items: impl IntoIterator<Item = StepFormula>, and: bool) -> StepFormula {
+        let mut ops: Vec<StepFormula> = Vec::new();
+        for f in items {
+            match (f, and) {
+                (StepFormula::And(fs), true) | (StepFormula::Or(fs), false) => ops.extend(fs),
+                (f, _) => ops.push(f),
+            }
+        }
+        match ops.len() {
+            0 if and => StepFormula::True,
+            0 => StepFormula::False,
+            1 => ops.pop().expect("one operand"),
+            _ if and => StepFormula::And(ops),
+            _ => StepFormula::Or(ops),
         }
     }
 
@@ -72,23 +86,15 @@ impl StepFormula {
         match self {
             StepFormula::True => Formula::True,
             StepFormula::False => Formula::False,
-            StepFormula::Child(l) => Formula::Path(PathExpr::Label(l.clone())),
-            StepFormula::Parent => Formula::Path(PathExpr::Parent),
-            StepFormula::ChildSat(l, f) => Formula::Path(PathExpr::Filter(
-                Box::new(PathExpr::Label(l.clone())),
-                Box::new(f.to_formula()),
-            )),
-            StepFormula::ParentSat(f) => Formula::Path(PathExpr::Filter(
-                Box::new(PathExpr::Parent),
-                Box::new(f.to_formula()),
-            )),
-            StepFormula::Not(f) => Formula::Not(Box::new(f.to_formula())),
-            StepFormula::And(a, b) => {
-                Formula::And(Box::new(a.to_formula()), Box::new(b.to_formula()))
+            StepFormula::Child(l) => Formula::label(l),
+            StepFormula::Parent => Formula::Path(PathExpr::parent()),
+            StepFormula::ChildSat(l, f) => {
+                Formula::Path(PathExpr::label(l).filtered(f.to_formula()))
             }
-            StepFormula::Or(a, b) => {
-                Formula::Or(Box::new(a.to_formula()), Box::new(b.to_formula()))
-            }
+            StepFormula::ParentSat(f) => f.to_formula().at_parent(),
+            StepFormula::Not(f) => f.to_formula().not(),
+            StepFormula::And(fs) => Formula::conj(fs.iter().map(StepFormula::to_formula)),
+            StepFormula::Or(fs) => Formula::disj(fs.iter().map(StepFormula::to_formula)),
         }
     }
 
@@ -101,50 +107,23 @@ impl StepFormula {
 
     fn nnf_inner(&self, neg: bool) -> StepFormula {
         match self {
-            StepFormula::True => {
-                if neg {
-                    StepFormula::False
-                } else {
-                    StepFormula::True
-                }
-            }
-            StepFormula::False => {
-                if neg {
-                    StepFormula::True
-                } else {
-                    StepFormula::False
-                }
-            }
+            StepFormula::True if neg => StepFormula::False,
+            StepFormula::False if neg => StepFormula::True,
             StepFormula::Not(f) => f.nnf_inner(!neg),
-            StepFormula::And(a, b) => {
-                let (x, y) = (a.nnf_inner(neg), b.nnf_inner(neg));
-                if neg {
-                    StepFormula::Or(Box::new(x), Box::new(y))
-                } else {
-                    StepFormula::And(Box::new(x), Box::new(y))
-                }
+            // De Morgan: under a negation `∧` becomes `∨` and back.
+            StepFormula::And(fs) => {
+                StepFormula::junction(fs.iter().map(|f| f.nnf_inner(neg)), !neg)
             }
-            StepFormula::Or(a, b) => {
-                let (x, y) = (a.nnf_inner(neg), b.nnf_inner(neg));
-                if neg {
-                    StepFormula::And(Box::new(x), Box::new(y))
-                } else {
-                    StepFormula::Or(Box::new(x), Box::new(y))
-                }
-            }
-            atom => {
-                // Path atoms keep their *inner* formulas un-negated: `¬l[ψ]`
-                // means "no l-child satisfies ψ", not "some child fails ψ".
-                if neg {
-                    StepFormula::Not(Box::new(atom.clone()))
-                } else {
-                    atom.clone()
-                }
-            }
+            StepFormula::Or(fs) => StepFormula::junction(fs.iter().map(|f| f.nnf_inner(neg)), neg),
+            // Path atoms keep their *inner* formulas un-negated: `¬l[ψ]`
+            // means "no l-child satisfies ψ", not "some child fails ψ".
+            atom if neg => StepFormula::Not(Box::new(atom.clone())),
+            atom => atom.clone(),
         }
     }
 
-    /// Number of AST nodes.
+    /// Number of AST nodes; a chain of `k` operands counts `k − 1`
+    /// connectives.
     pub fn size(&self) -> usize {
         match self {
             StepFormula::True
@@ -154,7 +133,9 @@ impl StepFormula {
             StepFormula::ChildSat(_, f) | StepFormula::ParentSat(f) | StepFormula::Not(f) => {
                 1 + f.size()
             }
-            StepFormula::And(a, b) | StepFormula::Or(a, b) => 1 + a.size() + b.size(),
+            StepFormula::And(fs) | StepFormula::Or(fs) => {
+                fs.len().saturating_sub(1) + fs.iter().map(StepFormula::size).sum::<usize>()
+            }
         }
     }
 
@@ -171,71 +152,42 @@ impl StepFormula {
                 None => false,
             },
             StepFormula::Not(f) => !f.holds(inst, n),
-            StepFormula::And(a, b) => a.holds(inst, n) && b.holds(inst, n),
-            StepFormula::Or(a, b) => a.holds(inst, n) || b.holds(inst, n),
-        }
-    }
-
-    /// The distinct labels appearing as child steps at the *top level* of
-    /// this formula (not inside nested `ChildSat` bodies). Used to bound
-    /// witness branching per label (Lemma 4.4).
-    pub fn top_level_child_labels(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_top_labels(&mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    fn collect_top_labels<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            StepFormula::Child(l) | StepFormula::ChildSat(l, _) => out.push(l),
-            StepFormula::Not(f) => f.collect_top_labels(out),
-            StepFormula::And(a, b) | StepFormula::Or(a, b) => {
-                a.collect_top_labels(out);
-                b.collect_top_labels(out);
-            }
-            _ => {}
+            StepFormula::And(fs) => fs.iter().all(|f| f.holds(inst, n)),
+            StepFormula::Or(fs) => fs.iter().any(|f| f.holds(inst, n)),
         }
     }
 }
 
-/// Normalise a path expression to one of the four `P'` atoms.
-///
-/// Implemented in continuation-passing style: `norm_with(p, rest)` produces
-/// the normal form of "`p`, whose end node must additionally satisfy
-/// `rest`". This realises all six rewrite rules at once — in particular
-/// `(p1/p2)/p3 ≡ p1/(p2/p3)` falls out of passing the tail as the
-/// continuation rather than conjoining it onto the head's filter.
+/// Normalise a path expression to one of the four `P'` atoms: a right
+/// fold over its steps. Each move takes the normal form of the rest of
+/// the path as its filter (`l/p ≡ l[p]`, `../p ≡ ..[p]`), conjoined after
+/// the filters written on that move (`(p1[ψ])/p2 ≡ p1[ψ ∧ p2]`,
+/// `(p1[ψ1])[ψ2] ≡ p1[ψ1 ∧ ψ2]`).
 fn norm_path(p: &PathExpr) -> StepFormula {
-    norm_with(p, None)
-}
-
-fn norm_with(p: &PathExpr, rest: Option<StepFormula>) -> StepFormula {
-    match p {
-        PathExpr::Parent => match rest {
-            None => StepFormula::Parent,
-            Some(r) => StepFormula::ParentSat(Box::new(r)),
-        },
-        PathExpr::Label(l) => match rest {
-            None => StepFormula::Child(l.clone()),
-            Some(r) => StepFormula::ChildSat(l.clone(), Box::new(r)),
-        },
-        // p1/p2 with continuation rest ≡ p1 with continuation (p2 with rest)
-        PathExpr::Seq(p1, p2) => {
-            let tail = norm_with(p2, rest);
-            norm_with(p1, Some(tail))
-        }
-        // p1[f] with continuation rest ≡ p1 with continuation (f ∧ rest)
-        PathExpr::Filter(p1, f) => {
-            let cond = StepFormula::from_formula(f);
-            let cond = match rest {
-                None => cond,
-                Some(r) => StepFormula::And(Box::new(cond), Box::new(r)),
-            };
-            norm_with(p1, Some(cond))
-        }
+    let mut rest: Option<StepFormula> = None;
+    // The filters after the move being folded, last first.
+    let mut filters: Vec<StepFormula> = Vec::new();
+    for step in p.steps().iter().rev() {
+        let cond = match step {
+            PathStep::Filter(f) => {
+                filters.push(StepFormula::from_formula(f));
+                continue;
+            }
+            _ if filters.is_empty() && rest.is_none() => None,
+            _ => {
+                let ops = filters.drain(..).rev().chain(rest.take());
+                Some(StepFormula::junction(ops, true))
+            }
+        };
+        rest = Some(match (step, cond) {
+            (PathStep::Parent, None) => StepFormula::Parent,
+            (PathStep::Parent, Some(c)) => StepFormula::ParentSat(Box::new(c)),
+            (PathStep::Label(l), None) => StepFormula::Child(l.clone()),
+            (PathStep::Label(l), Some(c)) => StepFormula::ChildSat(l.clone(), Box::new(c)),
+            (PathStep::Filter(_), _) => unreachable!("filters are collected above"),
+        });
     }
+    rest.expect("a path starts with a move")
 }
 
 #[cfg(test)]
@@ -329,11 +281,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn top_level_child_labels() {
-        let f = norm("a[b] & !c | ..[d]");
-        assert_eq!(f.top_level_child_labels(), vec!["a", "c"]);
     }
 }

@@ -18,23 +18,35 @@
 //! parenthesised *path* (the group must then be a pure path expression),
 //! so `(a/b)[c]` and `(a/b)/c` parse as the paper's `P[F]` / `P/P`.
 //!
-//! Nesting (negations, parenthesised groups, filters) is bounded by
-//! [`MAX_NESTING`](crate::MAX_NESTING), so no input can overflow the
-//! stack of the recursive descent.
+//! Chains come out flat: `a & b & c`, `(a & b) & c` and `a & (b & c)`
+//! are one n-ary [`Formula::And`], and `(a/b)/c`, `a/(b/c)` and `a/b/c`
+//! one step list, as are `(a/b)[c]` and `a/b[c]`.
+//!
+//! Two bounds keep every walker of the result cheap:
+//!
+//! * Nesting is bounded by [`MAX_NESTING`](crate::MAX_NESTING). It counts
+//!   negations, parenthesised groups and filters, and each move of a path
+//!   after its first, as the step normal form nests one level per move
+//!   (`l/p ≡ l[p]`, Lemma 4.4). So no input can overflow the stack of the
+//!   recursive descent or of any walker of the AST.
+//! * `↔` is sugar that copies both operands, so nested `↔` grow the AST
+//!   exponentially. The copies may total at most
+//!   [`MAX_EXPANSION`](crate::MAX_EXPANSION) AST nodes per input byte.
 //!
 //! Identifiers may contain ASCII alphanumerics and `_ ' - +` (primes and
 //! signs appear in the paper's own labels, e.g. `d'` and `init(q,0,+)`
 //! which we render as `init_q_0_+`).
 
-use super::{Formula, PathExpr};
+use super::{push_operand, Formula, PathExpr, PathStep, Steps};
 use crate::error::{too_deep, CoreError, Result};
-use crate::MAX_NESTING;
+use crate::{MAX_EXPANSION, MAX_NESTING};
 
 pub fn parse(text: &str) -> Result<Formula> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
+        copied: 0,
     };
     let f = p.formula()?;
     p.skip_ws();
@@ -47,9 +59,13 @@ pub fn parse(text: &str) -> Result<Formula> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Current recursion depth of `formula` and `!` — bounded by
+    /// Current nesting depth: `formula` and `!` add one level each, and
+    /// so does each move of a path after its first. Bounded by
     /// [`MAX_NESTING`].
     depth: usize,
+    /// AST nodes copied by `↔` expansions so far. Bounded by
+    /// [`MAX_EXPANSION`] per input byte.
+    copied: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -96,7 +112,7 @@ impl<'a> Parser<'a> {
 
     /// Run `f` one nesting level deeper, failing past [`MAX_NESTING`].
     fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        if self.depth == MAX_NESTING {
+        if self.depth >= MAX_NESTING {
             return Err(too_deep(self.pos));
         }
         self.depth += 1;
@@ -110,6 +126,13 @@ impl<'a> Parser<'a> {
             let lhs = p.or_expr()?;
             if p.eat_any(&["<->", "\u{2194}", "iff"]) {
                 let rhs = p.or_expr()?;
+                // The expansion copies both operands.
+                p.copied += lhs.size() + rhs.size();
+                if p.copied > MAX_EXPANSION * p.bytes.len() {
+                    return Err(p.err(&format!(
+                        "`<->` expands to more than {MAX_EXPANSION} nodes per input byte"
+                    )));
+                }
                 return Ok(lhs.iff(rhs));
             }
             Ok(lhs)
@@ -117,21 +140,37 @@ impl<'a> Parser<'a> {
     }
 
     fn or_expr(&mut self) -> Result<Formula> {
-        let mut f = self.and_expr()?;
-        while self.eat_any(&["||", "|", "or", "\u{2228}"]) {
-            let rhs = self.and_expr()?;
-            f = f.or(rhs);
-        }
-        Ok(f)
+        self.chain(&["||", "|", "or", "\u{2228}"], false, Self::and_expr)
     }
 
     fn and_expr(&mut self) -> Result<Formula> {
-        let mut f = self.unary()?;
-        while self.eat_any(&["&&", "&", "and", "\u{2227}"]) {
-            let rhs = self.unary()?;
-            f = f.and(rhs);
+        self.chain(&["&&", "&", "and", "\u{2227}"], true, Self::unary)
+    }
+
+    /// One operand, or a flat `∧` (`and`) or `∨` chain of operands
+    /// separated by one of `ops`.
+    fn chain(
+        &mut self,
+        ops: &[&str],
+        and: bool,
+        operand: impl Fn(&mut Self) -> Result<Formula>,
+    ) -> Result<Formula> {
+        let first = operand(self)?;
+        if !self.eat_any(ops) {
+            return Ok(first);
         }
-        Ok(f)
+        let mut fs = Vec::with_capacity(2);
+        push_operand(&mut fs, first, and);
+        loop {
+            push_operand(&mut fs, operand(self)?, and);
+            if !self.eat_any(ops) {
+                return Ok(if and {
+                    Formula::And(fs)
+                } else {
+                    Formula::Or(fs)
+                });
+            }
+        }
     }
 
     fn unary(&mut self) -> Result<Formula> {
@@ -157,8 +196,8 @@ impl<'a> Parser<'a> {
                              but it is not a path expression",
                         ));
                     };
-                    let p = self.path_tail(p)?;
-                    return Ok(Formula::Path(p));
+                    let moves = p.steps().iter().filter(|s| s.is_move()).count();
+                    return Ok(Formula::Path(self.path_tail(p.into_steps(), moves)?));
                 }
                 Ok(inner)
             }
@@ -169,45 +208,68 @@ impl<'a> Parser<'a> {
                 if self.eat("false") {
                     return Ok(Formula::False);
                 }
-                let p = self.path()?;
-                Ok(Formula::Path(p))
+                let first = if self.eat("..") {
+                    PathStep::Parent
+                } else {
+                    PathStep::Label(self.ident()?)
+                };
+                // Most paths are one step, which needs no list.
+                if !matches!(self.peek(), Some(b'[') | Some(b'/')) {
+                    return Ok(Formula::Path(PathExpr(Steps::One(first))));
+                }
+                Ok(Formula::Path(self.path_tail(vec![first], 1)?))
             }
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn path(&mut self) -> Result<PathExpr> {
-        let first = self.step()?;
-        self.path_tail(first)
+    /// Continue a path of `moves` moves with any number of filters and
+    /// `/step` extensions. In the step normal form each move after the
+    /// first nests one level deeper (`l/p ≡ l[p]`, Lemma 4.4), so until
+    /// the path ends each one counts toward [`MAX_NESTING`].
+    fn path_tail(&mut self, steps: Vec<PathStep>, moves: usize) -> Result<PathExpr> {
+        let base = self.depth;
+        let out = self.path_steps(steps, moves, base);
+        self.depth = base;
+        out
     }
 
-    /// Continue a path: apply any number of `/step` extensions.
-    fn path_tail(&mut self, mut p: PathExpr) -> Result<PathExpr> {
+    fn path_steps(
+        &mut self,
+        mut steps: Vec<PathStep>,
+        mut moves: usize,
+        base: usize,
+    ) -> Result<PathExpr> {
         loop {
-            // Filters directly on a parenthesised path land here too.
+            self.depth = base + moves - 1;
+            if self.depth > MAX_NESTING {
+                return Err(too_deep(self.pos));
+            }
             while self.peek() == Some(b'[') {
                 self.pos += 1;
                 let f = self.formula()?;
                 if !self.eat("]") {
                     return Err(self.err("expected `]`"));
                 }
-                p = PathExpr::Filter(Box::new(p), Box::new(f));
+                steps.push(PathStep::Filter(Box::new(f)));
             }
-            if self.peek() == Some(b'/') {
-                self.pos += 1;
-                let s = self.step()?;
-                p = PathExpr::Seq(Box::new(p), Box::new(s));
-            } else {
-                return Ok(p);
+            if self.peek() != Some(b'/') {
+                return Ok(PathExpr::from_steps(steps));
             }
+            self.pos += 1;
+            moves += self.step(&mut steps)?;
         }
     }
 
-    fn step(&mut self) -> Result<PathExpr> {
+    /// Append one move, or a parenthesised path's steps, to `steps`;
+    /// returns the number of moves appended.
+    fn step(&mut self, steps: &mut Vec<PathStep>) -> Result<usize> {
         self.skip_ws();
-        let mut base = if self.eat("..") {
-            PathExpr::Parent
-        } else if self.peek() == Some(b'(') {
+        if self.eat("..") {
+            steps.push(PathStep::Parent);
+            return Ok(1);
+        }
+        if self.peek() == Some(b'(') {
             self.pos += 1;
             let inner = self.formula()?;
             if !self.eat(")") {
@@ -216,20 +278,12 @@ impl<'a> Parser<'a> {
             let Formula::Path(p) = inner else {
                 return Err(self.err("expected a path expression inside `(…)` step"));
             };
-            p
-        } else {
-            let label = self.ident()?;
-            PathExpr::Label(label)
-        };
-        while self.peek() == Some(b'[') {
-            self.pos += 1;
-            let f = self.formula()?;
-            if !self.eat("]") {
-                return Err(self.err("expected `]`"));
-            }
-            base = PathExpr::Filter(Box::new(base), Box::new(f));
+            let moves = p.steps().iter().filter(|s| s.is_move()).count();
+            steps.append(&mut p.into_steps());
+            return Ok(moves);
         }
-        Ok(base)
+        steps.push(PathStep::Label(self.ident()?));
+        Ok(1)
     }
 
     fn ident(&mut self) -> Result<String> {
@@ -265,7 +319,7 @@ mod tests {
         assert_eq!(p("a"), Formula::label("a"));
         assert_eq!(p("true"), Formula::True);
         assert_eq!(p("false"), Formula::False);
-        assert_eq!(p(".."), Formula::Path(PathExpr::Parent));
+        assert_eq!(p(".."), Formula::Path(PathExpr::parent()));
     }
 
     #[test]
@@ -315,10 +369,14 @@ mod tests {
 
     #[test]
     fn parenthesised_paths() {
+        // A filter applies to the node reached so far: `(a/b)[c]` is
+        // `a/b[c]`.
         let f = p("(a/b)[c]");
-        assert_eq!(f.to_string(), "(a/b)[c]");
+        assert_eq!(f, p("a/b[c]"));
+        assert_eq!(f.to_string(), "a/b[c]");
         let g = p("(a/b)/c");
         assert_eq!(g, p("a/b/c"));
+        assert_eq!(g, p("a/(b/c)"));
         // A parenthesised non-path cannot continue as a path.
         assert!(Formula::parse("(a & b)/c").is_err());
     }
@@ -381,6 +439,67 @@ mod tests {
         assert!(Formula::parse(&groups(n)).is_err());
         let filters = format!("{}b{}", "a[".repeat(10_000), "]".repeat(10_000));
         assert!(Formula::parse(&filters).is_err());
+    }
+
+    #[test]
+    fn chains_parse_flat() {
+        let f = p("a & (b & c) & (d & (e & f))");
+        assert_eq!(f, p("((a & b) & c) & d & e & f"));
+        let Formula::And(ops) = &f else {
+            panic!("expected one conjunction")
+        };
+        assert_eq!(ops.len(), 6);
+        let Formula::Or(ops) = p("a | (b | c & d) | (e | f)") else {
+            panic!("expected one disjunction")
+        };
+        assert_eq!(ops.len(), 5);
+        let Formula::Path(path) = p("a/(p/b)/../(e/(f/g))") else {
+            panic!("expected a path")
+        };
+        assert_eq!(path.steps().len(), 7);
+        // Flattening keeps the size of the binary grammar.
+        assert_eq!(p("a & b & c").size(), 2 + 3 * 2);
+        assert_eq!(p("a/b/c").size(), 1 + 3 + 2);
+    }
+
+    /// Each move of a path after its first counts one nesting level, also
+    /// when it comes from a parenthesised path, and the count ends with
+    /// the path.
+    #[test]
+    fn long_paths_count_toward_the_nesting_limit() {
+        let n = crate::MAX_NESTING;
+        let path = |k: usize| vec!["a"; k].join("/");
+        assert!(Formula::parse(&path(n)).is_ok());
+        assert!(Formula::parse(&path(n + 1)).is_err());
+        assert!(Formula::parse(&path(200_000)).is_err());
+        let groups = |k: usize| vec!["(a/a)"; k].join("/");
+        assert!(Formula::parse(&groups(n / 2)).is_ok());
+        assert!(Formula::parse(&groups(n / 2 + 1)).is_err());
+        // Sequenced paths each get the whole budget.
+        let many = vec![path(n); 8].join(" & ");
+        assert!(Formula::parse(&many).is_ok());
+        // Stacked filters on one move do not nest.
+        let filters = format!("a{}", "[b]".repeat(10_000));
+        assert!(Formula::parse(&filters).is_ok());
+    }
+
+    /// `↔` nested `d` deep copies `2ᵈ` operands; past `MAX_EXPANSION`
+    /// nodes per byte that is a parse error, before the AST is built.
+    #[test]
+    fn iff_expansion_is_bounded() {
+        let nest = |d: usize| {
+            let mut f = "a".to_string();
+            for _ in 0..d {
+                f = format!("({f} <-> b)");
+            }
+            f
+        };
+        assert!(Formula::parse(&nest(3)).is_ok());
+        let err = Formula::parse(&nest(40)).unwrap_err().to_string();
+        assert!(err.contains("expands"), "{err}");
+        // Many small `↔` side by side copy little per byte.
+        let wide = vec!["(x <-> ../y)"; 5_000].join(" & ");
+        assert!(Formula::parse(&wide).is_ok());
     }
 
     #[test]

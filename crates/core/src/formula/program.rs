@@ -12,11 +12,11 @@
 //!   and `false` at the root;
 //! * a filter is compiled at its step's end node.
 //!
-//! Constants that result are folded. `∧`/`∨` chains become n-ary nodes
-//! and `/` chains step lists; both are walked with loops, so neither
-//! compiling nor evaluating recurses once per operator. Recursion follows
-//! only `¬`, filters and alternations of `∧` with `∨`, which need the
-//! nesting the parser caps at [`MAX_NESTING`](crate::MAX_NESTING).
+//! Constants that result are folded. The n-ary `∧`/`∨` nodes and step
+//! lists of [`Formula`] map one to one onto programs. Recursion follows
+//! only `¬`, groups and filters, which the parser caps at
+//! [`MAX_NESTING`](crate::MAX_NESTING); path evaluation keeps its own
+//! stack.
 //!
 //! A bare child step at the evaluation node is a presence test
 //! ([`Program::HasChild`]). An [`Evaluator`] answers it from a
@@ -24,7 +24,7 @@
 //! the node's children otherwise. Every program gives exactly the answer
 //! of [`holds`](super::holds) at every node of its schema node.
 
-use super::{Formula, PathExpr};
+use super::{Formula, PathExpr, PathStep};
 use crate::instance::{InstNodeId, Instance};
 use crate::schema::{Schema, SchemaNodeId};
 
@@ -57,142 +57,87 @@ pub(crate) enum Step {
     Filter(Program),
 }
 
-/// A path expression still to be flattened, or a filter to emit after
-/// its path.
-enum Pending<'f> {
-    Path(&'f PathExpr),
-    Filter(&'f Formula),
+/// Compile `f` for evaluation at instance nodes mapped to `at`.
+pub(crate) fn compile(schema: &Schema, at: SchemaNodeId, f: &Formula) -> Program {
+    formula(schema, at, f, true)
 }
 
-/// Compiles formulas against one schema. Its two work stacks are shared
-/// by the nested compilations of one formula and by every formula it
-/// compiles: each compilation pops only above the height it started at.
-pub(crate) struct Compiler<'s, 'f> {
-    schema: &'s Schema,
-    /// Operands of the `∧`/`∨` chains being flattened.
-    operands: Vec<&'f Formula>,
-    /// Parts of the paths being flattened.
-    paths: Vec<Pending<'f>>,
+/// `top` is true while `f` is evaluated at the program's evaluation node
+/// itself, i.e. outside every filter: only there is a bare child step a
+/// [`Program::HasChild`].
+fn formula(schema: &Schema, at: SchemaNodeId, f: &Formula, top: bool) -> Program {
+    match f {
+        Formula::True => Program::Const(true),
+        Formula::False => Program::Const(false),
+        Formula::Not(g) => match formula(schema, at, g, top) {
+            Program::Const(b) => Program::Const(!b),
+            Program::Not(p) => *p,
+            p => Program::Not(Box::new(p)),
+        },
+        Formula::And(fs) => junction(schema, at, fs, top, true),
+        Formula::Or(fs) => junction(schema, at, fs, top, false),
+        Formula::Path(p) => path(schema, at, p, top),
+    }
 }
 
-impl<'s, 'f> Compiler<'s, 'f> {
-    pub(crate) fn new(schema: &'s Schema) -> Compiler<'s, 'f> {
-        Compiler {
-            schema,
-            operands: Vec::new(),
-            paths: Vec::new(),
+/// Compile an `∧` (`and`) or `∨` chain into one n-ary node, folding
+/// constant operands.
+fn junction(schema: &Schema, at: SchemaNodeId, fs: &[Formula], top: bool, and: bool) -> Program {
+    let mut ops = Vec::new();
+    for g in fs {
+        match formula(schema, at, g, top) {
+            // The identity drops out; the absorbing constant decides.
+            Program::Const(b) if b == and => {}
+            Program::Const(b) => return Program::Const(b),
+            // `¬¬` removed around a chain of the same kind.
+            Program::And(inner) if and => ops.extend(inner),
+            Program::Or(inner) if !and => ops.extend(inner),
+            p => ops.push(p),
         }
     }
-
-    /// Compile `f` for evaluation at instance nodes mapped to `at`.
-    pub(crate) fn compile(&mut self, at: SchemaNodeId, f: &'f Formula) -> Program {
-        self.formula(at, f, true)
+    match ops.len() {
+        0 => Program::Const(and),
+        1 => ops.pop().expect("one operand"),
+        _ if and => Program::And(ops),
+        _ => Program::Or(ops),
     }
+}
 
-    /// `top` is true while `f` is evaluated at the program's evaluation
-    /// node itself, i.e. outside every filter: only there is a bare child
-    /// step a [`Program::HasChild`].
-    fn formula(&mut self, at: SchemaNodeId, f: &'f Formula, top: bool) -> Program {
-        match f {
-            Formula::True => Program::Const(true),
-            Formula::False => Program::Const(false),
-            Formula::Not(g) => match self.formula(at, g, top) {
-                Program::Const(b) => Program::Const(!b),
-                Program::Not(p) => *p,
-                p => Program::Not(Box::new(p)),
+/// Compile `p`'s steps, resolving each from `at`.
+fn path(schema: &Schema, at: SchemaNodeId, p: &PathExpr, top: bool) -> Program {
+    // The common bare label, without building a step list.
+    if let ([PathStep::Label(l)], true) = (p.steps(), top) {
+        let child = schema.child_by_label(at, l);
+        return child.map_or(Program::Const(false), Program::HasChild);
+    }
+    let mut steps = Vec::new();
+    let mut cur = at;
+    for step in p.steps() {
+        let resolved = match step {
+            PathStep::Parent => schema.parent(cur).map(|up| {
+                cur = up;
+                Step::Up
+            }),
+            PathStep::Label(l) => schema.child_by_label(cur, l).map(|down| {
+                cur = down;
+                Step::Down(down)
+            }),
+            PathStep::Filter(f) => match formula(schema, cur, f, false) {
+                Program::Const(true) => continue,
+                Program::Const(false) => None,
+                g => Some(Step::Filter(g)),
             },
-            Formula::And(..) => self.junction(at, f, top, true),
-            Formula::Or(..) => self.junction(at, f, top, false),
-            Formula::Path(PathExpr::Label(l)) if top => self
-                .schema
-                .child_by_label(at, l)
-                .map_or(Program::Const(false), Program::HasChild),
-            Formula::Path(p) => self.path(at, p, top),
+        };
+        match resolved {
+            Some(step) => steps.push(step),
+            None => return Program::Const(false),
         }
     }
-
-    /// Compile an `∧` (`and`) or `∨` chain into one n-ary node, folding
-    /// constant operands.
-    fn junction(&mut self, at: SchemaNodeId, f: &'f Formula, top: bool, and: bool) -> Program {
-        let base = self.operands.len();
-        self.operands.push(f);
-        let mut ops = Vec::new();
-        while self.operands.len() > base {
-            let g = self.operands.pop().expect("above base");
-            match (g, and) {
-                (Formula::And(a, b), true) | (Formula::Or(a, b), false) => {
-                    self.operands.push(b);
-                    self.operands.push(a);
-                }
-                _ => match self.formula(at, g, top) {
-                    // The identity drops out; the absorbing constant decides.
-                    Program::Const(b) if b == and => {}
-                    Program::Const(b) => {
-                        self.operands.truncate(base);
-                        return Program::Const(b);
-                    }
-                    Program::And(inner) if and => ops.extend(inner),
-                    Program::Or(inner) if !and => ops.extend(inner),
-                    p => ops.push(p),
-                },
-            }
-        }
-        match ops.len() {
-            0 => Program::Const(and),
-            1 => ops.pop().expect("one operand"),
-            _ if and => Program::And(ops),
-            _ => Program::Or(ops),
-        }
-    }
-
-    /// Flatten `p` into a step list, resolving each step from `at`.
-    fn path(&mut self, at: SchemaNodeId, p: &'f PathExpr, top: bool) -> Program {
-        let base = self.paths.len();
-        self.paths.push(Pending::Path(p));
-        let mut steps = Vec::new();
-        let mut cur = at;
-        while self.paths.len() > base {
-            let resolved = match self.paths.pop().expect("above base") {
-                Pending::Path(PathExpr::Seq(a, b)) => {
-                    self.paths.push(Pending::Path(b));
-                    self.paths.push(Pending::Path(a));
-                    continue;
-                }
-                Pending::Path(PathExpr::Filter(a, f)) => {
-                    self.paths.push(Pending::Filter(f));
-                    self.paths.push(Pending::Path(a));
-                    continue;
-                }
-                Pending::Path(PathExpr::Parent) => self.schema.parent(cur).map(|up| {
-                    cur = up;
-                    Step::Up
-                }),
-                Pending::Path(PathExpr::Label(l)) => {
-                    self.schema.child_by_label(cur, l).map(|down| {
-                        cur = down;
-                        Step::Down(down)
-                    })
-                }
-                Pending::Filter(f) => match self.formula(cur, f, false) {
-                    Program::Const(true) => continue,
-                    Program::Const(false) => None,
-                    g => Some(Step::Filter(g)),
-                },
-            };
-            match resolved {
-                Some(step) => steps.push(step),
-                None => {
-                    self.paths.truncate(base);
-                    return Program::Const(false);
-                }
-            }
-        }
-        match steps.as_slice() {
-            [Step::Down(s)] if top => Program::HasChild(*s),
-            // Parent steps below the root always succeed.
-            s if s.iter().all(|s| *s == Step::Up) => Program::Const(true),
-            _ => Program::Path(steps),
-        }
+    match steps.as_slice() {
+        [Step::Down(s)] if top => Program::HasChild(*s),
+        // Parent steps below the root always succeed.
+        s if s.iter().all(|s| *s == Step::Up) => Program::Const(true),
+        _ => Program::Path(steps),
     }
 }
 
@@ -329,7 +274,7 @@ mod tests {
 
     fn at(schema: &Schema, path: &str, f: &str) -> Program {
         let f = Formula::parse(f).unwrap();
-        Compiler::new(schema).compile(schema.resolve(path).unwrap(), &f)
+        compile(schema, schema.resolve(path).unwrap(), &f)
     }
 
     /// `f` compiled at each node's schema node agrees with `holds` at
@@ -338,9 +283,8 @@ mod tests {
     fn agrees(inst: &Instance, f: &str) {
         let f = Formula::parse(f).unwrap();
         let mut ev = Evaluator::new(inst);
-        let mut compiler = Compiler::new(inst.schema());
         for n in inst.live_nodes() {
-            let p = compiler.compile(inst.schema_node(n), &f);
+            let p = compile(inst.schema(), inst.schema_node(n), &f);
             let want = holds(inst, n, &f);
             assert_eq!(ev.holds(&p, n), want, "`{f}` at {n} of {}", inst.to_text());
             ev.load(n);
@@ -502,11 +446,9 @@ mod tests {
         ];
         for text in runs {
             let inst = Instance::parse(g.schema().clone(), text).unwrap();
-            assert_eq!(
-                g.is_complete(&inst),
-                crate::formula::holds_at_root(&inst, g.completion()),
-                "{text}"
-            );
+            let want = crate::formula::holds_at_root(&inst, g.completion());
+            assert_eq!(g.is_complete(&inst), want, "{text}");
+            assert_eq!(g.is_complete_indexed(&inst), want, "{text}");
         }
     }
 }

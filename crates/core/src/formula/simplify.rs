@@ -13,14 +13,15 @@
 //! * constant folding: `¬true → false`, `true ∧ f → f`, `false ∧ f →
 //!   false`, `true ∨ f → true`, `false ∨ f → f`;
 //! * double negation: `¬¬f → f`;
-//! * idempotence: `f ∧ f → f`, `f ∨ f → f` (adjacent in the flattened
-//!   chain, by structural equality);
+//! * idempotence: `f ∧ f → f`, `f ∨ f → f` (anywhere in the chain, by
+//!   structural equality);
 //! * complement: `f ∧ ¬f → false`, `f ∨ ¬f → true` (anywhere in the
-//!   flattened chain);
+//!   chain);
 //! * filter folding: `p[true] → p`, `p[false] → false` (as a path the
 //!   latter has no targets — the enclosing formula collapses).
 
-use super::{Formula, PathExpr};
+use super::{Formula, PathExpr, PathStep};
+use std::collections::HashSet;
 
 impl Formula {
     /// Return a semantics-equivalent, usually smaller formula. Idempotent.
@@ -39,96 +40,68 @@ impl Formula {
                 Formula::Not(inner) => *inner, // ¬¬f
                 other => Formula::Not(Box::new(other)),
             },
-            Formula::And(..) => {
-                let mut conjuncts = Vec::new();
-                flatten_and(self, &mut conjuncts);
-                rebuild(conjuncts, /*is_and=*/ true)
-            }
-            Formula::Or(..) => {
-                let mut disjuncts = Vec::new();
-                flatten_or(self, &mut disjuncts);
-                rebuild(disjuncts, /*is_and=*/ false)
-            }
+            Formula::And(fs) => rebuild(fs, /*is_and=*/ true),
+            Formula::Or(fs) => rebuild(fs, /*is_and=*/ false),
         }
     }
 }
 
-fn flatten_and(f: &Formula, out: &mut Vec<Formula>) {
-    match f {
-        Formula::And(a, b) => {
-            flatten_and(a, out);
-            flatten_and(b, out);
-        }
-        other => out.push(other.simplified()),
-    }
-}
-
-fn flatten_or(f: &Formula, out: &mut Vec<Formula>) {
-    match f {
-        Formula::Or(a, b) => {
-            flatten_or(a, out);
-            flatten_or(b, out);
-        }
-        other => out.push(other.simplified()),
-    }
-}
-
-/// Rebuild a flattened conjunction/disjunction with constant folding,
-/// deduplication and complement detection.
-fn rebuild(items: Vec<Formula>, is_and: bool) -> Formula {
+/// Rebuild a conjunction/disjunction from its simplified operands with
+/// constant folding, deduplication and complement detection.
+fn rebuild(items: &[Formula], is_and: bool) -> Formula {
     let (absorb, neutral) = if is_and {
         (Formula::False, Formula::True)
     } else {
         (Formula::True, Formula::False)
     };
     let mut kept: Vec<Formula> = Vec::with_capacity(items.len());
-    for item in items {
+    let mut seen: HashSet<Formula> = HashSet::with_capacity(items.len());
+    // A simplified operand may itself be a chain of the same kind (`¬¬`
+    // removed around it); its operands join this chain.
+    let simplified = items.iter().flat_map(|f| match (f.simplified(), is_and) {
+        (Formula::And(fs), true) | (Formula::Or(fs), false) => fs,
+        (g, _) => vec![g],
+    });
+    for item in simplified {
         if item == absorb {
             return absorb;
         }
-        if item == neutral {
-            continue;
-        }
-        if kept.contains(&item) {
-            continue; // idempotence
+        if item == neutral || seen.contains(&item) {
+            continue; // the identity, or idempotence
         }
         // Complement: f together with ¬f.
         let complement = match &item {
             Formula::Not(inner) => (**inner).clone(),
             other => Formula::Not(Box::new(other.clone())),
         };
-        if kept.contains(&complement) {
+        if seen.contains(&complement) {
             return absorb; // f ∧ ¬f = false / f ∨ ¬f = true
         }
+        seen.insert(item.clone());
         kept.push(item);
     }
-    let mut it = kept.into_iter();
-    match it.next() {
-        None => neutral,
-        Some(first) => it.fold(first, |acc, x| if is_and { acc.and(x) } else { acc.or(x) }),
+    if is_and {
+        Formula::conj(kept)
+    } else {
+        Formula::disj(kept)
     }
 }
 
 /// Simplify a path expression; `None` means the path provably has no
 /// targets (a `[false]` filter somewhere).
 fn simplify_path(p: &PathExpr) -> Option<PathExpr> {
-    match p {
-        PathExpr::Parent => Some(PathExpr::Parent),
-        PathExpr::Label(l) => Some(PathExpr::Label(l.clone())),
-        PathExpr::Seq(a, b) => {
-            let a = simplify_path(a)?;
-            let b = simplify_path(b)?;
-            Some(PathExpr::Seq(Box::new(a), Box::new(b)))
-        }
-        PathExpr::Filter(base, f) => {
-            let base = simplify_path(base)?;
-            match f.simplified() {
-                Formula::True => Some(base),
-                Formula::False => None,
-                other => Some(PathExpr::Filter(Box::new(base), Box::new(other))),
-            }
+    let mut steps = Vec::with_capacity(p.steps().len());
+    for step in p.steps() {
+        match step {
+            PathStep::Filter(f) => match f.simplified() {
+                Formula::True => {}
+                Formula::False => return None,
+                other => steps.push(PathStep::Filter(Box::new(other))),
+            },
+            step => steps.push(step.clone()),
         }
     }
+    Some(PathExpr::from_steps(steps))
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ pub mod serialize;
 pub use canon::Canonicalized;
 pub use deps::{EnablementGraph, GuardDeps, RuleId};
 pub use error::CoreError;
-pub use formula::{Formula, PathExpr};
+pub use formula::{Formula, PathExpr, PathStep};
 pub use fragment::{DepthClass, Fragment, Polarity};
 pub use guarded::{AccessRules, GuardedForm, Right, Run, Update};
 pub use instance::{InstNodeId, Instance};
@@ -57,9 +57,18 @@ pub use schema::{Schema, SchemaBuilder, SchemaNodeId};
 pub const ROOT_LABEL: &str = "r";
 
 /// The deepest nesting [`Formula::parse`], [`Schema::parse`] and
-/// [`Instance::parse`] accept: negations, parenthesised groups and path
-/// filters in a formula, child lists in a schema or instance. Deeper
+/// [`Instance::parse`] accept: negations, parenthesised groups, path
+/// filters and the moves of a path after its first in a formula, child
+/// lists in a schema or instance. Deeper
 /// input is a [`CoreError::Parse`], never a stack overflow in the
 /// recursive descent. Every form the repository generates nests far
 /// less deeply.
 pub const MAX_NESTING: usize = 256;
+
+/// How many AST nodes [`Formula::parse`] lets `↔` expansions copy per
+/// input byte. `a ↔ b` is sugar for `(a ∧ b) ∨ (¬a ∧ ¬b)`, which copies
+/// both operands, so `↔` nested `d` deep grows the AST like `2ᵈ`. An
+/// input that copies more is a [`CoreError::Parse`]; without the bound a
+/// few hundred bytes could expand to billions of nodes. Every formula
+/// text in the repository copies less than one node per byte.
+pub const MAX_EXPANSION: usize = 16;

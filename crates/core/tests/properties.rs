@@ -188,24 +188,17 @@ fn arb_formula() -> impl Strategy<Value = Formula> {
         "[a-e]{1,3}".prop_map(|l| Formula::label(&l)),
         Just(Formula::True),
         Just(Formula::False),
-        Just(Formula::Path(idar_core::PathExpr::Parent)),
+        Just(Formula::Path(idar_core::PathExpr::parent())),
     ];
     leaf.prop_recursive(4, 32, 3, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
             inner.clone().prop_map(|a| a.not()),
-            (inner.clone(), "[a-e]{1,2}").prop_map(|(f, l)| {
-                Formula::Path(idar_core::PathExpr::Filter(
-                    Box::new(idar_core::PathExpr::Label(l)),
-                    Box::new(f),
-                ))
-            }),
+            (inner.clone(), "[a-e]{1,2}")
+                .prop_map(|(f, l)| { Formula::Path(idar_core::PathExpr::label(&l).filtered(f)) }),
             ("[a-e]{1,2}", "[a-e]{1,2}").prop_map(|(a, b)| {
-                Formula::Path(idar_core::PathExpr::Seq(
-                    Box::new(idar_core::PathExpr::Label(a)),
-                    Box::new(idar_core::PathExpr::Label(b)),
-                ))
+                Formula::Path(idar_core::PathExpr::label(&a).then(idar_core::PathExpr::label(&b)))
             }),
         ]
     })

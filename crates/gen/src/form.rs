@@ -109,20 +109,14 @@ pub fn generate_stream(config: &GenConfig, master_seed: u64, count: usize) -> Ve
 fn atoms_at(schema: &Schema, ctx: SchemaNodeId) -> Vec<PathExpr> {
     let mut out = Vec::new();
     for &c in schema.children(ctx) {
-        out.push(PathExpr::Label(schema.label(c).to_string()));
+        out.push(PathExpr::label(schema.label(c)));
         for &g in schema.children(c) {
-            out.push(PathExpr::Seq(
-                Box::new(PathExpr::Label(schema.label(c).to_string())),
-                Box::new(PathExpr::Label(schema.label(g).to_string())),
-            ));
+            out.push(PathExpr::label(schema.label(c)).then(PathExpr::label(schema.label(g))));
         }
     }
     if let Some(p) = schema.parent(ctx) {
         for &sib in schema.children(p) {
-            out.push(PathExpr::Seq(
-                Box::new(PathExpr::Parent),
-                Box::new(PathExpr::Label(schema.label(sib).to_string())),
-            ));
+            out.push(PathExpr::parent().then(PathExpr::label(schema.label(sib))));
         }
     }
     out
@@ -167,7 +161,7 @@ fn gen_formula(rng: &mut impl Rng, atoms: &[PathExpr], budget: usize, positive: 
             // A filtered path: `atom[inner]`, evaluated at the atom's end.
             let atom = atoms[rng.below(atoms.len())].clone();
             let inner = gen_formula(rng, atoms, budget.saturating_sub(2).max(1), positive);
-            Formula::Path(PathExpr::Filter(Box::new(atom), Box::new(inner)))
+            Formula::Path(atom.filtered(inner))
         }
         _ => gen_formula(rng, atoms, budget - 1, positive).not(),
     }

@@ -16,8 +16,8 @@
 
 use crate::scenario::ScenarioSpec;
 use idar_core::{
-    AccessRules, Formula, GuardedForm, InstNodeId, Instance, PathExpr, Right, SchemaBuilder,
-    SchemaNodeId,
+    AccessRules, Formula, GuardedForm, InstNodeId, Instance, PathExpr, PathStep, Right,
+    SchemaBuilder, SchemaNodeId,
 };
 use std::sync::Arc;
 
@@ -124,15 +124,23 @@ fn formula_shrinks(f: &Formula) -> Vec<Formula> {
         out.push(Formula::True);
         out.push(Formula::False);
     }
+    // Chains and paths split as the left-nested binary trees of Def. 3.4
+    // would: all but the last operand or step, and the last.
     match f {
         Formula::Not(a) => out.push((**a).clone()),
-        Formula::And(a, b) | Formula::Or(a, b) => {
-            out.push((**a).clone());
-            out.push((**b).clone());
+        Formula::And(fs) | Formula::Or(fs) => {
+            let (last, init) = fs.split_last().expect("chains have operands");
+            out.push(match f {
+                Formula::And(_) => Formula::conj(init.iter().cloned()),
+                _ => Formula::disj(init.iter().cloned()),
+            });
+            out.push(last.clone());
         }
-        Formula::Path(PathExpr::Filter(p, inner)) => {
-            out.push(Formula::Path((**p).clone()));
-            out.push((**inner).clone());
+        Formula::Path(p) => {
+            if let Some((PathStep::Filter(inner), init)) = p.steps().split_last() {
+                out.push(Formula::Path(PathExpr::from_steps(init.to_vec())));
+                out.push((**inner).clone());
+            }
         }
         _ => {}
     }

@@ -205,14 +205,16 @@ impl fmt::Display for Cnf {
 }
 
 /// A general propositional formula (used as QBF matrix; the guarded-form
-/// reductions need non-CNF shapes too).
+/// reductions need non-CNF shapes too). The builders keep `∧`/`∨` chains
+/// n-ary and flat: no `And` has an `And` operand, no `Or` an `Or`
+/// operand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PropFormula {
     Const(bool),
     Var(Var),
     Not(Box<PropFormula>),
-    And(Box<PropFormula>, Box<PropFormula>),
-    Or(Box<PropFormula>, Box<PropFormula>),
+    And(Vec<PropFormula>),
+    Or(Vec<PropFormula>),
 }
 
 impl PropFormula {
@@ -226,29 +228,21 @@ impl PropFormula {
     }
 
     pub fn and(self, rhs: PropFormula) -> PropFormula {
-        PropFormula::And(Box::new(self), Box::new(rhs))
+        PropFormula::conj([self, rhs])
     }
 
     pub fn or(self, rhs: PropFormula) -> PropFormula {
-        PropFormula::Or(Box::new(self), Box::new(rhs))
+        PropFormula::disj([self, rhs])
     }
 
     /// Conjunction of an iterator (`true` if empty).
     pub fn conj<I: IntoIterator<Item = PropFormula>>(items: I) -> PropFormula {
-        let mut it = items.into_iter();
-        match it.next() {
-            None => PropFormula::Const(true),
-            Some(first) => it.fold(first, PropFormula::and),
-        }
+        junction(items, true)
     }
 
     /// Disjunction of an iterator (`false` if empty).
     pub fn disj<I: IntoIterator<Item = PropFormula>>(items: I) -> PropFormula {
-        let mut it = items.into_iter();
-        match it.next() {
-            None => PropFormula::Const(false),
-            Some(first) => it.fold(first, PropFormula::or),
-        }
+        junction(items, false)
     }
 
     pub fn eval(&self, a: &Assignment) -> bool {
@@ -256,8 +250,8 @@ impl PropFormula {
             PropFormula::Const(c) => *c,
             PropFormula::Var(v) => a.get(*v),
             PropFormula::Not(f) => !f.eval(a),
-            PropFormula::And(x, y) => x.eval(a) && y.eval(a),
-            PropFormula::Or(x, y) => x.eval(a) || y.eval(a),
+            PropFormula::And(fs) => fs.iter().all(|f| f.eval(a)),
+            PropFormula::Or(fs) => fs.iter().any(|f| f.eval(a)),
         }
     }
 
@@ -275,9 +269,8 @@ impl PropFormula {
                 out.insert(*v);
             }
             PropFormula::Not(f) => f.collect_vars(out),
-            PropFormula::And(x, y) | PropFormula::Or(x, y) => {
-                x.collect_vars(out);
-                y.collect_vars(out);
+            PropFormula::And(fs) | PropFormula::Or(fs) => {
+                fs.iter().for_each(|f| f.collect_vars(out))
             }
         }
     }
@@ -286,55 +279,39 @@ impl PropFormula {
     /// result is rebuilt (the workhorse of quantifier expansion in
     /// [`crate::qbf`]).
     pub fn substitute(&self, v: Var, value: bool) -> PropFormula {
-        match self {
-            PropFormula::Const(c) => PropFormula::Const(*c),
-            PropFormula::Var(w) if *w == v => PropFormula::Const(value),
-            PropFormula::Var(w) => PropFormula::Var(*w),
-            PropFormula::Not(f) => match f.substitute(v, value) {
-                PropFormula::Const(c) => PropFormula::Const(!c),
-                g => g.not(),
-            },
-            PropFormula::And(x, y) => match (x.substitute(v, value), y.substitute(v, value)) {
-                (PropFormula::Const(false), _) | (_, PropFormula::Const(false)) => {
-                    PropFormula::Const(false)
-                }
-                (PropFormula::Const(true), g) | (g, PropFormula::Const(true)) => g,
-                (a, b) => a.and(b),
-            },
-            PropFormula::Or(x, y) => match (x.substitute(v, value), y.substitute(v, value)) {
-                (PropFormula::Const(true), _) | (_, PropFormula::Const(true)) => {
-                    PropFormula::Const(true)
-                }
-                (PropFormula::Const(false), g) | (g, PropFormula::Const(false)) => g,
-                (a, b) => a.or(b),
-            },
-        }
+        self.fold(&mut |w| (w == v).then_some(value))
     }
 
     /// Eliminate every `Const` node (unless the whole formula is constant,
     /// in which case that constant is returned).
     pub fn const_fold(&self) -> PropFormula {
+        self.fold(&mut |_| None)
+    }
+
+    /// Rebuild with the variables `value` maps to a constant replaced by
+    /// it, and every constant folded away.
+    fn fold(&self, value: &mut dyn FnMut(Var) -> Option<bool>) -> PropFormula {
         match self {
             PropFormula::Const(c) => PropFormula::Const(*c),
-            PropFormula::Var(v) => PropFormula::Var(*v),
-            PropFormula::Not(f) => match f.const_fold() {
+            PropFormula::Var(w) => value(*w).map_or(PropFormula::Var(*w), PropFormula::Const),
+            PropFormula::Not(f) => match f.fold(value) {
                 PropFormula::Const(c) => PropFormula::Const(!c),
                 g => g.not(),
             },
-            PropFormula::And(x, y) => match (x.const_fold(), y.const_fold()) {
-                (PropFormula::Const(false), _) | (_, PropFormula::Const(false)) => {
-                    PropFormula::Const(false)
+            PropFormula::And(fs) | PropFormula::Or(fs) => {
+                let and = matches!(self, PropFormula::And(_));
+                let mut ops = Vec::with_capacity(fs.len());
+                for f in fs {
+                    match f.fold(value) {
+                        // The identity drops out; the absorbing constant
+                        // decides.
+                        PropFormula::Const(c) if c == and => {}
+                        PropFormula::Const(c) => return PropFormula::Const(c),
+                        g => ops.push(g),
+                    }
                 }
-                (PropFormula::Const(true), g) | (g, PropFormula::Const(true)) => g,
-                (a, b) => a.and(b),
-            },
-            PropFormula::Or(x, y) => match (x.const_fold(), y.const_fold()) {
-                (PropFormula::Const(true), _) | (_, PropFormula::Const(true)) => {
-                    PropFormula::Const(true)
-                }
-                (PropFormula::Const(false), g) | (g, PropFormula::Const(false)) => g,
-                (a, b) => a.or(b),
-            },
+                junction(ops, and)
+            }
         }
     }
 
@@ -343,7 +320,8 @@ impl PropFormula {
     /// while gate variables are allocated above them. Any model of the
     /// result, restricted to the original variables, satisfies `self`, and
     /// every model of `self` extends to a model of the result — the
-    /// encoding uses full (two-sided) gate clauses.
+    /// encoding uses full (two-sided) gate clauses, one k-ary gate per
+    /// `∧`/`∨` node.
     pub fn to_cnf_tseitin(&self, min_vars: usize) -> Cnf {
         let folded = self.const_fold();
         let base = self
@@ -383,6 +361,26 @@ impl PropFormula {
     }
 }
 
+/// The flattened `∧` (`and`) or `∨` of `items`; the identity when empty.
+fn junction<I: IntoIterator<Item = PropFormula>>(items: I, and: bool) -> PropFormula {
+    let mut ops: Vec<PropFormula> = Vec::new();
+    for f in items {
+        match (f, and) {
+            (PropFormula::And(fs), true) | (PropFormula::Or(fs), false) if ops.is_empty() => {
+                ops = fs
+            }
+            (PropFormula::And(fs), true) | (PropFormula::Or(fs), false) => ops.extend(fs),
+            (f, _) => ops.push(f),
+        }
+    }
+    match ops.len() {
+        0 => PropFormula::Const(and),
+        1 => ops.pop().expect("one operand"),
+        _ if and => PropFormula::And(ops),
+        _ => PropFormula::Or(ops),
+    }
+}
+
 /// Recursive Tseitin encoder over a constant-free formula.
 struct Tseitin {
     next: u32,
@@ -396,24 +394,28 @@ impl Tseitin {
             PropFormula::Const(_) => unreachable!("const_fold ran first"),
             PropFormula::Var(v) => Lit::pos(v.0),
             PropFormula::Not(g) => self.lit(g).negated(),
-            PropFormula::And(x, y) => {
-                let a = self.lit(x);
-                let b = self.lit(y);
+            PropFormula::And(fs) => {
+                let ops: Vec<Lit> = fs.iter().map(|g| self.lit(g)).collect();
                 let g = self.fresh();
-                // g ↔ a ∧ b
-                self.clauses.push(vec![g.negated(), a]);
-                self.clauses.push(vec![g.negated(), b]);
-                self.clauses.push(vec![g, a.negated(), b.negated()]);
+                // g ↔ a₁ ∧ … ∧ aₖ
+                for &a in &ops {
+                    self.clauses.push(vec![g.negated(), a]);
+                }
+                let mut all = vec![g];
+                all.extend(ops.iter().map(|a| a.negated()));
+                self.clauses.push(all);
                 g
             }
-            PropFormula::Or(x, y) => {
-                let a = self.lit(x);
-                let b = self.lit(y);
+            PropFormula::Or(fs) => {
+                let ops: Vec<Lit> = fs.iter().map(|g| self.lit(g)).collect();
                 let g = self.fresh();
-                // g ↔ a ∨ b
-                self.clauses.push(vec![g.negated(), a, b]);
-                self.clauses.push(vec![g, a.negated()]);
-                self.clauses.push(vec![g, b.negated()]);
+                // g ↔ a₁ ∨ … ∨ aₖ
+                let mut any = vec![g.negated()];
+                any.extend(&ops);
+                self.clauses.push(any);
+                for &a in &ops {
+                    self.clauses.push(vec![g, a.negated()]);
+                }
                 g
             }
         }
@@ -428,13 +430,21 @@ impl Tseitin {
 
 impl fmt::Display for PropFormula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PropFormula::Const(c) => write!(f, "{c}"),
-            PropFormula::Var(v) => write!(f, "{v}"),
-            PropFormula::Not(g) => write!(f, "!({g})"),
-            PropFormula::And(x, y) => write!(f, "({x} & {y})"),
-            PropFormula::Or(x, y) => write!(f, "({x} | {y})"),
+        let (fs, sep) = match self {
+            PropFormula::Const(c) => return write!(f, "{c}"),
+            PropFormula::Var(v) => return write!(f, "{v}"),
+            PropFormula::Not(g) => return write!(f, "!({g})"),
+            PropFormula::And(fs) => (fs, " & "),
+            PropFormula::Or(fs) => (fs, " | "),
+        };
+        write!(f, "(")?;
+        for (i, g) in fs.iter().enumerate() {
+            if i > 0 {
+                write!(f, "{sep}")?;
+            }
+            write!(f, "{g}")?;
         }
+        write!(f, ")")
     }
 }
 

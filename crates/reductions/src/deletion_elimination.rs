@@ -24,8 +24,8 @@
 //! preserved.
 
 use idar_core::{
-    AccessRules, Formula, GuardedForm, InstNodeId, Instance, PathExpr, Right, SchemaBuilder,
-    SchemaNodeId,
+    AccessRules, Formula, GuardedForm, InstNodeId, Instance, PathExpr, PathStep, Right,
+    SchemaBuilder, SchemaNodeId,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,32 +47,12 @@ impl std::error::Error for ReservedDeleted {}
 /// Rewrite a formula: every label step `l` becomes `l[¬deleted]`.
 /// (`..` is untouched: ancestors of live nodes are always live.)
 pub fn rewrite_formula(f: &Formula) -> Formula {
-    match f {
-        Formula::True => Formula::True,
-        Formula::False => Formula::False,
-        Formula::Path(p) => Formula::Path(rewrite_path(p)),
-        Formula::Not(g) => Formula::Not(Box::new(rewrite_formula(g))),
-        Formula::And(a, b) => {
-            Formula::And(Box::new(rewrite_formula(a)), Box::new(rewrite_formula(b)))
+    f.map_paths(&mut |step, out| {
+        out.push(step.clone());
+        if let PathStep::Label(_) = step {
+            out.push(PathStep::Filter(Box::new(Formula::label(DELETED).not())));
         }
-        Formula::Or(a, b) => {
-            Formula::Or(Box::new(rewrite_formula(a)), Box::new(rewrite_formula(b)))
-        }
-    }
-}
-
-fn rewrite_path(p: &PathExpr) -> PathExpr {
-    match p {
-        PathExpr::Parent => PathExpr::Parent,
-        PathExpr::Label(l) => PathExpr::Filter(
-            Box::new(PathExpr::Label(l.clone())),
-            Box::new(Formula::label(DELETED).not()),
-        ),
-        PathExpr::Seq(a, b) => PathExpr::Seq(Box::new(rewrite_path(a)), Box::new(rewrite_path(b))),
-        PathExpr::Filter(a, f) => {
-            PathExpr::Filter(Box::new(rewrite_path(a)), Box::new(rewrite_formula(f)))
-        }
-    }
+    })
 }
 
 /// Compile `G` into an addition-only guarded form of depth `depth(G) + 1`
@@ -111,11 +91,7 @@ pub fn reduce(g: &GuardedForm) -> Result<GuardedForm, ReservedDeleted> {
         // end node of `old`, so the original guard is re-homed one level
         // up. Live-leaf check: every child label without an unmarked node.
         let live_leaf = Formula::conj(schema.children(old).iter().map(|&c| {
-            Formula::Path(PathExpr::Filter(
-                Box::new(PathExpr::Label(schema.label(c).to_string())),
-                Box::new(not_deleted.clone()),
-            ))
-            .not()
+            Formula::Path(PathExpr::label(schema.label(c)).filtered(not_deleted.clone())).not()
         }));
         let guard = rewrite_formula(g.rules().get(Right::Del, old))
             .at_parent()

@@ -62,26 +62,22 @@ pub fn reduce(qbf: &Qbf) -> Formula {
         let constraint = match q {
             Quantifier::Exists => {
                 // a_d/v_d ↔ ¬(a_d[¬v_d])
-                let picked = Formula::Path(PathExpr::Seq(
-                    Box::new(PathExpr::Label(level_label(d))),
-                    Box::new(PathExpr::Label(value_label(d))),
-                ));
-                let some_unpicked = Formula::Path(PathExpr::Filter(
-                    Box::new(PathExpr::Label(level_label(d))),
-                    Box::new(Formula::label(&value_label(d)).not()),
-                ));
+                let picked = Formula::path(&format!("{}/{}", level_label(d), value_label(d)));
+                let some_unpicked = Formula::Path(
+                    PathExpr::label(&level_label(d))
+                        .filtered(Formula::label(&value_label(d)).not()),
+                );
                 picked.iff(some_unpicked.not())
             }
             Quantifier::ForAll => {
                 // a_d[v_d] ∧ a_d[¬v_d]
-                let with = Formula::Path(PathExpr::Filter(
-                    Box::new(PathExpr::Label(level_label(d))),
-                    Box::new(Formula::label(&value_label(d))),
-                ));
-                let without = Formula::Path(PathExpr::Filter(
-                    Box::new(PathExpr::Label(level_label(d))),
-                    Box::new(Formula::label(&value_label(d)).not()),
-                ));
+                let with = Formula::Path(
+                    PathExpr::label(&level_label(d)).filtered(Formula::label(&value_label(d))),
+                );
+                let without = Formula::Path(
+                    PathExpr::label(&level_label(d))
+                        .filtered(Formula::label(&value_label(d)).not()),
+                );
                 with.and(without)
             }
         };
@@ -101,14 +97,9 @@ fn at_every_chain_node(depth: usize, body: Formula) -> Formula {
     if depth == 0 {
         return body;
     }
-    let mut path = PathExpr::Filter(
-        Box::new(PathExpr::Label(level_label(depth - 1))),
-        Box::new(body.not()),
-    );
-    for d in (0..depth - 1).rev() {
-        path = PathExpr::Seq(Box::new(PathExpr::Label(level_label(d))), Box::new(path));
-    }
-    Formula::Path(path).not()
+    let chain = (0..depth).map(|d| PathExpr::label(&level_label(d)));
+    let chain = chain.reduce(PathExpr::then).expect("depth > 0");
+    Formula::Path(chain.filtered(body.not())).not()
 }
 
 /// ψ′: variables become `../…/v` climbs from a depth-`n` chain node.
@@ -123,8 +114,8 @@ fn substitute(matrix: &PropFormula, level_of: &HashMap<Var, usize>, n: usize) ->
             Formula::Path(PathExpr::ancestors_then(n - d - 1, &value_label(d)))
         }
         PropFormula::Not(g) => substitute(g, level_of, n).not(),
-        PropFormula::And(a, b) => substitute(a, level_of, n).and(substitute(b, level_of, n)),
-        PropFormula::Or(a, b) => substitute(a, level_of, n).or(substitute(b, level_of, n)),
+        PropFormula::And(fs) => Formula::conj(fs.iter().map(|g| substitute(g, level_of, n))),
+        PropFormula::Or(fs) => Formula::disj(fs.iter().map(|g| substitute(g, level_of, n))),
     }
 }
 

@@ -132,11 +132,7 @@ pub fn reduce(qbf: &Qbf) -> Result<Qsat2kForm, NotQsat2k> {
             let root_yk = Formula::Path(PathExpr::ancestors_then(c + 1, &y_label(k - 1, j)));
             yij.iff(root_yk)
         }));
-        let body = Formula::Path(PathExpr::Filter(
-            Box::new(PathExpr::Label(forall_label(c))),
-            Box::new(eta.not()),
-        ))
-        .not();
+        let body = Formula::Path(PathExpr::label(&forall_label(c)).filtered(eta.not())).not();
         disjuncts.push(at_chain_depth(c, body));
     }
     // ∀1/…/∀k−1[¬ψ′]
@@ -163,12 +159,9 @@ fn at_chain_depth(depth: usize, body: Formula) -> Formula {
     if depth == 0 {
         return body;
     }
-    let mut path = PathExpr::Label(forall_label(depth - 1));
-    path = PathExpr::Filter(Box::new(path), Box::new(body));
-    for c in (0..depth - 1).rev() {
-        path = PathExpr::Seq(Box::new(PathExpr::Label(forall_label(c))), Box::new(path));
-    }
-    Formula::Path(path)
+    let chain = (0..depth).map(|c| PathExpr::label(&forall_label(c)));
+    let chain = chain.reduce(PathExpr::then).expect("depth > 0");
+    Formula::Path(chain.filtered(body))
 }
 
 /// ψ′: the matrix with each variable replaced by its `../…/label` path,
@@ -180,8 +173,8 @@ fn substitute_matrix(matrix: &idar_logic::PropFormula, k: usize, n: usize) -> Fo
         P::Const(false) => Formula::False,
         P::Var(v) => var_path(*v, k, n),
         P::Not(g) => substitute_matrix(g, k, n).not(),
-        P::And(a, b) => substitute_matrix(a, k, n).and(substitute_matrix(b, k, n)),
-        P::Or(a, b) => substitute_matrix(a, k, n).or(substitute_matrix(b, k, n)),
+        P::And(fs) => Formula::conj(fs.iter().map(|g| substitute_matrix(g, k, n))),
+        P::Or(fs) => Formula::disj(fs.iter().map(|g| substitute_matrix(g, k, n))),
     }
 }
 

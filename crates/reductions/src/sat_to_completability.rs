@@ -24,8 +24,8 @@ pub fn prop_to_formula(f: &PropFormula) -> Formula {
         PropFormula::Const(false) => Formula::False,
         PropFormula::Var(v) => Formula::label(&var_label(*v)),
         PropFormula::Not(g) => prop_to_formula(g).not(),
-        PropFormula::And(a, b) => prop_to_formula(a).and(prop_to_formula(b)),
-        PropFormula::Or(a, b) => prop_to_formula(a).or(prop_to_formula(b)),
+        PropFormula::And(fs) => Formula::conj(fs.iter().map(prop_to_formula)),
+        PropFormula::Or(fs) => Formula::disj(fs.iter().map(prop_to_formula)),
     }
 }
 

@@ -109,10 +109,7 @@ pub fn reduce(machine: &TwoCounterMachine) -> TcmForm {
     let lbl = |s: &str| Formula::label(s);
     // `ci[f]` at the root.
     let counter_with = |i: usize, f: Formula| {
-        Formula::Path(idar_core::PathExpr::Filter(
-            Box::new(idar_core::PathExpr::Label(counter_label(i as u8 + 1))),
-            Box::new(f),
-        ))
+        Formula::Path(idar_core::PathExpr::label(&counter_label(i as u8 + 1)).filtered(f))
     };
     // `..[f]` — for rules evaluated at a counter node.
     let at_root = |f: Formula| f.at_parent();

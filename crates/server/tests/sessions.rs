@@ -6,6 +6,7 @@ mod common;
 use common::{exchange, safe_tokens, session_id, trap_form_ron, two_sibling_ron};
 use idar_server::{Server, ServerConfig};
 use idar_solver::{Budget, ExploreLimits};
+use std::time::{Duration, Instant};
 
 /// The manager-test budget: multiplicity cap 2 so the two-sibling form's
 /// sweep makes exactly 2 oracle runs and 1 hit cold.
@@ -311,6 +312,72 @@ fn deeply_nested_form_is_a_400_and_the_server_keeps_serving() {
     handle.shutdown();
 }
 
+/// Hostile completion formulas, each sent for every kind: chains of every
+/// operator far longer than `MAX_NESTING`, a path past it, a long filter
+/// chain, an exponential `<->` nest, and wide chains and a CNF whose
+/// labels all resolve in the schema. Each gets a 4xx, or a 200 within 2 s
+/// (release build), and the server answers the next request.
+#[test]
+fn hostile_formulas_are_answered_and_the_server_keeps_serving() {
+    let handle = Server::start("127.0.0.1:0", ServerConfig::default()).expect("server start");
+    let addr = handle.addr();
+    let ron = two_sibling_ron();
+    let start = ron.find("  completion: ").expect("completion field");
+    let with = |completion: &str| format!("{}  completion: \"{completion}\",\n)\n", &ron[..start]);
+    // A flat schema of `labels`, nothing addable.
+    let over = |labels: &[String], completion: &str| {
+        format!(
+            "(\n  schema: \"{}\",\n  default: \"false\",\n  rules: [\n  ],\n  \
+             initial: \"\",\n  completion: \"{completion}\",\n)\n",
+            labels.join(", ")
+        )
+    };
+    let mut iff = "p".to_string();
+    for _ in 0..40 {
+        iff = format!("({iff} <-> p)");
+    }
+    let ls: Vec<String> = (0..20_000).map(|i| format!("l{i}")).collect();
+    let ab: Vec<String> = (0..20_000)
+        .flat_map(|i| [format!("a{i}"), format!("b{i}")])
+        .collect();
+    let cnf: Vec<String> = (0..20_000).map(|i| format!("(a{i} | b{i})")).collect();
+    let cases = [
+        ("200,000-operand &", with(&vec!["p"; 200_000].join(" & "))),
+        ("200,000-operand |", with(&vec!["p"; 200_000].join(" | "))),
+        ("200,000-step path", with(&vec!["p"; 200_000].join("/"))),
+        (
+            "200,000 filters",
+            with(&format!("p{}", "[b]".repeat(200_000))),
+        ),
+        ("depth-40 <->", with(&iff)),
+        ("20,000-operand &", over(&ls, &ls.join(" & "))),
+        ("20,000-operand |", over(&ls, &ls.join(" | "))),
+        ("20,000-clause CNF", over(&ab, &cnf.join(" & "))),
+    ];
+    // Unoptimised test builds run an order of magnitude slower.
+    let bound = Duration::from_secs(if cfg!(debug_assertions) { 60 } else { 2 });
+    for (name, body) in &cases {
+        assert!(body.len() < 1 << 20, "{name}: {} bytes", body.len());
+        for kind in ["completability", "semisoundness", "satisfiability"] {
+            let path = format!("/v1/analyze?kind={kind}");
+            let t = Instant::now();
+            let (status, _, reply) = exchange(addr, "POST", &path, None, body);
+            let took = t.elapsed();
+            let reply = &reply[..reply.len().min(200)];
+            assert!(
+                (400..500).contains(&status) || (status == 200 && took <= bound),
+                "{kind} on {name}: {status} after {took:?}: {reply}"
+            );
+            let (status, _, _) = exchange(addr, "POST", "/v1/analyze", None, &ron);
+            assert_eq!(
+                status, 200,
+                "the request after {kind} on {name} is answered"
+            );
+        }
+    }
+    handle.shutdown();
+}
+
 /// Completions nested just under `MAX_NESTING` parse and are analyzed
 /// for every kind, on the workers' stacks, and the server keeps serving.
 #[test]
@@ -323,6 +390,7 @@ fn nesting_just_under_the_limit_is_analyzed_for_every_kind() {
         format!("{}p", "!".repeat(254)),
         format!("{}p{}", "(".repeat(254), ")".repeat(254)),
         format!("{}p{}", "!(".repeat(127), ")".repeat(127)),
+        vec!["p"; 254].join("/"),
     ];
     for completion in &completions {
         let deep = format!("{}  completion: \"{completion}\",\n)\n", &ron[..start]);

@@ -19,7 +19,7 @@
 
 use crate::verdict::{SearchStats, Verdict};
 use idar_core::{
-    Formula, GuardedForm, InstNodeId, Instance, PathExpr, Right, SchemaNodeId, Update,
+    Formula, GuardedForm, InstNodeId, Instance, PathExpr, PathStep, Right, SchemaNodeId, Update,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -394,8 +394,29 @@ enum Bx {
     Const(bool),
     Bit(u8),
     Not(Box<Bx>),
-    And(Box<Bx>, Box<Bx>),
-    Or(Box<Bx>, Box<Bx>),
+    And(Vec<Bx>),
+    Or(Vec<Bx>),
+}
+
+impl Bx {
+    /// The flattened `∧` (`and`) or `∨` of `items`, without operands that
+    /// are its identity; the identity when none is left.
+    fn junction(items: impl IntoIterator<Item = Bx>, and: bool) -> Bx {
+        let mut ops: Vec<Bx> = Vec::new();
+        for b in items {
+            match (b, and) {
+                (Bx::Const(c), _) if c == and => {}
+                (Bx::And(bs), true) | (Bx::Or(bs), false) => ops.extend(bs),
+                (b, _) => ops.push(b),
+            }
+        }
+        match ops.len() {
+            0 => Bx::Const(and),
+            1 => ops.pop().expect("one operand"),
+            _ if and => Bx::And(ops),
+            _ => Bx::Or(ops),
+        }
+    }
 }
 
 impl Compiled {
@@ -416,8 +437,8 @@ fn eval_bx(b: &Bx, s: u64) -> bool {
         Bx::Const(c) => *c,
         Bx::Bit(i) => s >> i & 1 == 1,
         Bx::Not(x) => !eval_bx(x, s),
-        Bx::And(x, y) => eval_bx(x, s) && eval_bx(y, s),
-        Bx::Or(x, y) => eval_bx(x, s) || eval_bx(y, s),
+        Bx::And(xs) => xs.iter().all(|x| eval_bx(x, s)),
+        Bx::Or(xs) => xs.iter().any(|x| eval_bx(x, s)),
     }
 }
 
@@ -426,78 +447,47 @@ fn compile_formula(f: &Formula, ctx: Ctx, bits: &HashMap<&str, u8>) -> Bx {
         Formula::True => Bx::Const(true),
         Formula::False => Bx::Const(false),
         Formula::Not(g) => Bx::Not(Box::new(compile_formula(g, ctx, bits))),
-        Formula::And(a, b) => Bx::And(
-            Box::new(compile_formula(a, ctx, bits)),
-            Box::new(compile_formula(b, ctx, bits)),
-        ),
-        Formula::Or(a, b) => Bx::Or(
-            Box::new(compile_formula(a, ctx, bits)),
-            Box::new(compile_formula(b, ctx, bits)),
-        ),
+        Formula::And(fs) => Bx::junction(fs.iter().map(|g| compile_formula(g, ctx, bits)), true),
+        Formula::Or(fs) => Bx::junction(fs.iter().map(|g| compile_formula(g, ctx, bits)), false),
         Formula::Path(p) => {
             // `n ⊨ p` ⇔ some target reachable: OR of target guards.
             let ts = compile_path(p, ctx, bits);
-            disj(ts.into_iter().map(|(_, g)| g))
+            Bx::junction(ts.into_iter().map(|(_, g)| g), false)
         }
     }
 }
 
 /// Targets of a path from `ctx`, each with the condition under which it is
-/// reached. Contexts are merged (OR) to keep the expression small.
+/// reached: a left fold over the steps. Contexts are merged (OR) to keep
+/// the expression small.
 fn compile_path(p: &PathExpr, ctx: Ctx, bits: &HashMap<&str, u8>) -> Vec<(Ctx, Bx)> {
-    let merged = |v: Vec<(Ctx, Bx)>| -> Vec<(Ctx, Bx)> {
-        let mut out: Vec<(Ctx, Bx)> = Vec::new();
-        for (c, g) in v {
-            if let Some(slot) = out.iter_mut().find(|(c2, _)| *c2 == c) {
-                let prev = std::mem::replace(&mut slot.1, Bx::Const(false));
-                slot.1 = Bx::Or(Box::new(prev), Box::new(g));
-            } else {
-                out.push((c, g));
-            }
-        }
-        out
-    };
-    match p {
-        PathExpr::Parent => match ctx {
-            Ctx::Root => Vec::new(), // the root has no parent
-            Ctx::Child(_) => vec![(Ctx::Root, Bx::Const(true))],
-        },
-        PathExpr::Label(l) => match ctx {
-            Ctx::Root => match bits.get(l.as_str()) {
-                // The l-child exists iff its bit is set.
-                Some(&i) => vec![(Ctx::Child(i), Bx::Bit(i))],
-                None => Vec::new(), // label not in schema: never matches
-            },
-            Ctx::Child(_) => Vec::new(), // depth-1 children are leaves
-        },
-        PathExpr::Seq(p1, p2) => {
-            let mut out = Vec::new();
-            for (c1, g1) in compile_path(p1, ctx, bits) {
-                for (c2, g2) in compile_path(p2, c1, bits) {
-                    out.push((c2, Bx::And(Box::new(g1.clone()), Box::new(g2))));
+    let mut targets = vec![(ctx, Bx::Const(true))];
+    for step in p.steps() {
+        let mut next: Vec<(Ctx, Bx)> = Vec::new();
+        for (c, g) in targets {
+            let (c2, cond) = match (step, c) {
+                (PathStep::Filter(f), c) => (c, compile_formula(f, c, bits)),
+                (PathStep::Parent, Ctx::Child(_)) => (Ctx::Root, Bx::Const(true)),
+                (PathStep::Label(l), Ctx::Root) => match bits.get(l.as_str()) {
+                    // The l-child exists iff its bit is set.
+                    Some(&i) => (Ctx::Child(i), Bx::Bit(i)),
+                    None => continue, // label not in schema: never matches
+                },
+                // The root has no parent, and depth-1 children are leaves.
+                (PathStep::Parent, Ctx::Root) | (PathStep::Label(_), Ctx::Child(_)) => continue,
+            };
+            let g = Bx::junction([g, cond], true);
+            match next.iter_mut().find(|(c, _)| *c == c2) {
+                Some(slot) => {
+                    let prev = std::mem::replace(&mut slot.1, Bx::Const(false));
+                    slot.1 = Bx::junction([prev, g], false);
                 }
+                None => next.push((c2, g)),
             }
-            merged(out)
         }
-        PathExpr::Filter(p1, f) => compile_path(p1, ctx, bits)
-            .into_iter()
-            .map(|(c, g)| {
-                let cond = compile_formula(f, c, bits);
-                (c, Bx::And(Box::new(g), Box::new(cond)))
-            })
-            .collect(),
+        targets = next;
     }
-}
-
-fn disj(items: impl Iterator<Item = Bx>) -> Bx {
-    let mut acc: Option<Bx> = None;
-    for x in items {
-        acc = Some(match acc {
-            None => x,
-            Some(a) => Bx::Or(Box::new(a), Box::new(x)),
-        });
-    }
-    acc.unwrap_or(Bx::Const(false))
+    targets
 }
 
 #[cfg(test)]

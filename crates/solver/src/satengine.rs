@@ -22,6 +22,7 @@
 
 use idar_core::formula::StepFormula;
 use idar_logic::prop::{PropFormula, Var};
+use std::collections::HashMap;
 
 /// The propositional abstraction of a root-evaluated step formula.
 pub struct Abstraction {
@@ -32,6 +33,8 @@ pub struct Abstraction {
     /// True when every atom is a bare child label (`Child`), making the
     /// abstraction exact over unconstrained trees.
     pub labels_only: bool,
+    /// The variable of each atom.
+    index: HashMap<StepFormula, usize>,
 }
 
 impl Abstraction {
@@ -42,6 +45,7 @@ impl Abstraction {
             prop: PropFormula::Const(true),
             atoms: Vec::new(),
             labels_only: true,
+            index: HashMap::new(),
         };
         abs.prop = abs.translate(f);
         abs
@@ -57,13 +61,10 @@ impl Abstraction {
     }
 
     fn var_for(&mut self, atom: &StepFormula) -> PropFormula {
-        let i = match self.atoms.iter().position(|a| a == atom) {
-            Some(i) => i,
-            None => {
-                self.atoms.push(atom.clone());
-                self.atoms.len() - 1
-            }
-        };
+        let i = *self.index.entry(atom.clone()).or_insert_with(|| {
+            self.atoms.push(atom.clone());
+            self.atoms.len() - 1
+        });
         if !matches!(atom, StepFormula::Child(_)) {
             self.labels_only = false;
         }
@@ -78,8 +79,8 @@ impl Abstraction {
             StepFormula::Parent | StepFormula::ParentSat(_) => PropFormula::Const(false),
             StepFormula::Child(_) | StepFormula::ChildSat(..) => self.var_for(f),
             StepFormula::Not(g) => self.translate(g).not(),
-            StepFormula::And(a, b) => self.translate(a).and(self.translate(b)),
-            StepFormula::Or(a, b) => self.translate(a).or(self.translate(b)),
+            StepFormula::And(fs) => PropFormula::conj(fs.iter().map(|g| self.translate(g))),
+            StepFormula::Or(fs) => PropFormula::disj(fs.iter().map(|g| self.translate(g))),
         }
     }
 }

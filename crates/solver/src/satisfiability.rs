@@ -17,7 +17,10 @@
 //! * Parent obligations `..[ψ]` travel up to the (already-materialised)
 //!   parent, whose obligation set grows and is re-processed — this is the
 //!   fixpoint the paper's PSPACE walk performs with guessed `Φ(n)` sets.
-//! * `∨` creates a backtracking choice point (the tableau state is cloned).
+//! * `∨` creates a backtracking choice point. The search changes one
+//!   tableau in place and keeps a trail of its changes to undo, so a
+//!   choice point copies nothing, and its open choice points are an
+//!   explicit stack, bounded like the branches by `max_branches`.
 //!
 //! Obligations are deduplicated per node and drawn from the finite closure
 //! of φ's subformulas under negation, so each branch terminates; the number
@@ -25,8 +28,7 @@
 
 use idar_core::formula::StepFormula;
 use idar_core::{Formula, Schema, SchemaNodeId};
-use std::collections::HashSet;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Options for the satisfiability search.
@@ -104,8 +106,8 @@ impl WitnessTree {
                 .any(|c| self.nodes[c].0 == *l && self.holds_step(c, g)),
             StepFormula::ParentSat(g) => at != 0 && self.holds_step(self.nodes[at].1, g),
             StepFormula::Not(g) => !self.holds_step(at, g),
-            StepFormula::And(a, b) => self.holds_step(at, a) && self.holds_step(at, b),
-            StepFormula::Or(a, b) => self.holds_step(at, a) || self.holds_step(at, b),
+            StepFormula::And(fs) => fs.iter().all(|g| self.holds_step(at, g)),
+            StepFormula::Or(fs) => fs.iter().any(|g| self.holds_step(at, g)),
         }
     }
 
@@ -154,27 +156,16 @@ pub fn satisfiable(f: &Formula, opts: &SatOptions) -> SatResult {
         FastPath::Inconclusive => {}
     }
     let budget = opts.max_branches.unwrap_or(1 << 22);
-    let mut searcher = Searcher {
-        schema: opts.schema.clone(),
-        max_depth,
-        branches: 0,
-        budget,
-    };
-    let mut state = Tableau::root(opts.schema.as_deref());
-    state.push(0, step);
-    match searcher.solve(state) {
-        Some(t) => {
-            let tree = t.into_witness();
+    let mut tableau = Tableau::new(opts.schema.clone(), max_depth, budget);
+    tableau.push(0, step);
+    match tableau.solve() {
+        Ok(true) => {
+            let tree = tableau.into_witness();
             debug_assert!(tree.holds(0, f), "tableau produced a non-model for {f}");
             SatResult::Sat(tree)
         }
-        None => {
-            if searcher.branches >= searcher.budget {
-                SatResult::BudgetExhausted
-            } else {
-                SatResult::Unsat
-            }
-        }
+        Ok(false) => SatResult::Unsat,
+        Err(Exhausted) => SatResult::BudgetExhausted,
     }
 }
 
@@ -226,71 +217,293 @@ fn child_nesting(f: &StepFormula) -> usize {
         StepFormula::ChildSat(_, g) => 1 + child_nesting(g),
         StepFormula::ParentSat(g) => child_nesting(g), // does not descend
         StepFormula::Not(g) => child_nesting(g),
-        StepFormula::And(a, b) | StepFormula::Or(a, b) => child_nesting(a).max(child_nesting(b)),
+        StepFormula::And(fs) | StepFormula::Or(fs) => {
+            fs.iter().map(child_nesting).max().unwrap_or(1)
+        }
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 struct TabNode {
     label: String,
     parent: usize, // usize::MAX for root
     depth: usize,
     schema_node: Option<SchemaNodeId>,
-    /// Per-label constraints every child must satisfy: (label, pushed ψ).
-    child_constraints: Vec<(String, StepFormula)>,
+    /// The children, by label, in creation order.
+    children: HashMap<String, Vec<usize>>,
+    /// Per-label constraints every child must satisfy (pushed `ψ`s).
+    child_constraints: HashMap<String, Vec<StepFormula>>,
     /// Labels that must not occur among children.
     forbidden: HashSet<String>,
     /// Obligations already processed (dedup to guarantee termination).
     done: HashSet<StepFormula>,
 }
 
-#[derive(Debug, Clone)]
+impl TabNode {
+    fn has_child(&self, label: &str) -> bool {
+        self.children.get(label).is_some_and(|c| !c.is_empty())
+    }
+}
+
+/// A change to the tableau that backtracking must undo.
+#[derive(Debug)]
+enum Undo {
+    /// `nodes[.0].done` gained the obligation at `queues[.1][.2]`.
+    Done(usize, usize, usize),
+    /// `nodes[.0].forbidden` gained label `.1`.
+    Forbade(usize, String),
+    /// `nodes[.0].child_constraints[.1]` gained a constraint.
+    Constrained(usize, String),
+    /// The last node was created.
+    Created,
+}
+
+/// An open choice point: the tableau as it was when a disjunction
+/// branched, and the disjuncts still to try there.
+#[derive(Debug)]
+struct Choice {
+    trail: usize,
+    lens: [usize; 2],
+    heads: [usize; 2],
+    node: usize,
+    /// Untried disjuncts, last first.
+    rest: Vec<StepFormula>,
+}
+
+/// The branch budget ran out.
+struct Exhausted;
+
+/// A depth-first tableau search. It changes one tableau in place and
+/// undoes the changes on backtracking, so a choice point costs the
+/// obligations it undoes, not a copy of the tableau, and its saved states
+/// are an explicit stack bounded by the branch budget.
 struct Tableau {
+    schema: Option<Arc<Schema>>,
+    max_depth: usize,
+    branches: usize,
+    budget: usize,
     nodes: Vec<TabNode>,
-    /// Deterministic obligations (no choice involved).
-    pending: VecDeque<(usize, StepFormula)>,
-    /// Disjunctions, deferred until the deterministic queue drains — the
-    /// tableau analogue of unit propagation: contradictions surface before
-    /// we commit to a branch, pruning the search massively on CNF-shaped
-    /// inputs (the Cor 4.5 SAT encodings).
-    choices: VecDeque<(usize, StepFormula)>,
+    /// `(node, obligation)` queues: `queues[0]` holds the deterministic
+    /// obligations, `queues[1]` the disjunctions, which wait until
+    /// `queues[0]` drains — the tableau analogue of unit propagation:
+    /// contradictions surface before we commit to a branch, pruning the
+    /// search massively on CNF-shaped inputs (the Cor 4.5 SAT encodings).
+    /// Entries before `heads[q]` have been taken; they stay until
+    /// backtracking truncates them.
+    queues: [Vec<(usize, StepFormula)>; 2],
+    heads: [usize; 2],
+    trail: Vec<Undo>,
+    stack: Vec<Choice>,
 }
 
 impl Tableau {
-    fn root(schema: Option<&Schema>) -> Tableau {
+    fn new(schema: Option<Arc<Schema>>, max_depth: usize, budget: usize) -> Tableau {
+        let root = TabNode {
+            label: idar_core::ROOT_LABEL.to_string(),
+            parent: usize::MAX,
+            schema_node: schema.as_ref().map(|_| SchemaNodeId::ROOT),
+            ..TabNode::default()
+        };
         Tableau {
-            nodes: vec![TabNode {
-                label: idar_core::ROOT_LABEL.to_string(),
-                parent: usize::MAX,
-                depth: 0,
-                schema_node: schema.map(|_| SchemaNodeId::ROOT),
-                child_constraints: Vec::new(),
-                forbidden: HashSet::new(),
-                done: HashSet::new(),
-            }],
-            pending: VecDeque::new(),
-            choices: VecDeque::new(),
+            schema,
+            max_depth,
+            branches: 0,
+            budget,
+            nodes: vec![root],
+            queues: [Vec::new(), Vec::new()],
+            heads: [0, 0],
+            trail: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
     fn push(&mut self, node: usize, f: StepFormula) {
-        if matches!(f, StepFormula::Or(..)) {
-            self.choices.push_back((node, f));
+        let q = usize::from(matches!(f, StepFormula::Or(..)));
+        self.queues[q].push((node, f));
+    }
+
+    /// Count a branch; `Err` once the budget is spent.
+    fn branch(&mut self) -> Result<(), Exhausted> {
+        self.branches += 1;
+        if self.branches >= self.budget {
+            Err(Exhausted)
         } else {
-            self.pending.push_back((node, f));
+            Ok(())
         }
     }
 
-    fn pop(&mut self) -> Option<(usize, StepFormula)> {
-        self.pending
-            .pop_front()
-            .or_else(|| self.choices.pop_front())
+    /// Process obligations to a fixpoint, backtracking on contradictions:
+    /// `Ok(true)` when every obligation holds, `Ok(false)` when every
+    /// branch failed.
+    fn solve(&mut self) -> Result<bool, Exhausted> {
+        loop {
+            let Some(q) = (0..2).find(|&q| self.heads[q] < self.queues[q].len()) else {
+                return Ok(true);
+            };
+            let i = self.heads[q];
+            self.heads[q] += 1;
+            // Taken out while it is processed, which only appends to the
+            // queues; put back for backtracking to an earlier state.
+            let (node, f) = std::mem::replace(&mut self.queues[q][i], (0, StepFormula::True));
+            let fresh = self.nodes[node].done.insert(f.clone());
+            let ok = if fresh {
+                self.trail.push(Undo::Done(node, q, i));
+                self.process(node, &f)?
+            } else {
+                true // already handled at this node
+            };
+            self.queues[q][i] = (node, f);
+            if !ok && !self.backtrack()? {
+                return Ok(false);
+            }
+        }
     }
 
-    fn children_of(&self, node: usize) -> Vec<usize> {
-        (1..self.nodes.len())
-            .filter(|&i| self.nodes[i].parent == node)
-            .collect()
+    /// Process one fresh obligation; `Ok(false)` on a contradiction.
+    fn process(&mut self, node: usize, f: &StepFormula) -> Result<bool, Exhausted> {
+        match f {
+            StepFormula::True => {}
+            StepFormula::False => return Ok(false),
+            StepFormula::And(fs) => {
+                for g in fs {
+                    self.push(node, g.clone());
+                }
+            }
+            StepFormula::Or(fs) => {
+                // Propagation-style shortcuts before committing to a
+                // branch: a surely-true disjunct discharges the obligation,
+                // and surely-false ones drop out.
+                if fs.iter().any(|g| self.surely_true(node, g)) {
+                    return Ok(true);
+                }
+                let mut rest: Vec<StepFormula> = fs
+                    .iter()
+                    .rev()
+                    .filter(|g| !self.surely_false(node, g))
+                    .cloned()
+                    .collect();
+                let Some(first) = rest.pop() else {
+                    return Ok(false);
+                };
+                if !rest.is_empty() {
+                    self.branch()?;
+                    self.stack.push(Choice {
+                        trail: self.trail.len(),
+                        lens: [self.queues[0].len(), self.queues[1].len()],
+                        heads: self.heads,
+                        node,
+                        rest,
+                    });
+                }
+                self.push(node, first);
+            }
+            StepFormula::Child(l) => {
+                self.push(
+                    node,
+                    StepFormula::ChildSat(l.clone(), Box::new(StepFormula::True)),
+                );
+            }
+            StepFormula::ChildSat(l, psi) => {
+                if self.nodes[node].forbidden.contains(l) {
+                    return Ok(false);
+                }
+                let Some(c) = self.create_child(node, l) else {
+                    return Ok(false);
+                };
+                self.push(c, (**psi).clone());
+                // Existing per-label constraints apply to the new child.
+                let constraints = self.nodes[node].child_constraints.get(l).cloned();
+                for g in constraints.into_iter().flatten() {
+                    self.push(c, g);
+                }
+            }
+            StepFormula::Parent => return Ok(node != 0), // the root has no parent
+            StepFormula::ParentSat(psi) => {
+                if node == 0 {
+                    return Ok(false);
+                }
+                self.push(self.nodes[node].parent, (**psi).clone());
+            }
+            StepFormula::Not(inner) => match &**inner {
+                StepFormula::Child(l) => {
+                    // No l-child may exist, now or later.
+                    if self.nodes[node].has_child(l) {
+                        return Ok(false);
+                    }
+                    if self.nodes[node].forbidden.insert(l.clone()) {
+                        self.trail.push(Undo::Forbade(node, l.clone()));
+                    }
+                }
+                StepFormula::ChildSat(l, xi) => {
+                    let neg = StepFormula::Not(xi.clone()).nnf();
+                    let kids = self.nodes[node].children.get(l).cloned();
+                    for c in kids.into_iter().flatten() {
+                        self.push(c, neg.clone());
+                    }
+                    let n = &mut self.nodes[node];
+                    n.child_constraints.entry(l.clone()).or_default().push(neg);
+                    self.trail.push(Undo::Constrained(node, l.clone()));
+                }
+                // Non-root nodes do have parents.
+                StepFormula::Parent => return Ok(node == 0),
+                StepFormula::ParentSat(psi) => {
+                    // At the root: vacuously true.
+                    if node != 0 {
+                        let neg = StepFormula::Not(psi.clone()).nnf();
+                        self.push(self.nodes[node].parent, neg);
+                    }
+                }
+                StepFormula::True => return Ok(false),
+                StepFormula::False => {}
+                other => {
+                    // nnf leaves Not only on atoms; be defensive.
+                    self.push(node, StepFormula::Not(Box::new(other.clone())).nnf());
+                }
+            },
+        }
+        Ok(true)
+    }
+
+    /// Return to the latest choice point and try its next disjunct;
+    /// `Ok(false)` when no choice point is left.
+    fn backtrack(&mut self) -> Result<bool, Exhausted> {
+        let Some(mut choice) = self.stack.pop() else {
+            return Ok(false);
+        };
+        while self.trail.len() > choice.trail {
+            match self.trail.pop().expect("above the choice point") {
+                Undo::Done(node, q, i) => {
+                    self.nodes[node].done.remove(&self.queues[q][i].1);
+                }
+                Undo::Forbade(node, l) => {
+                    self.nodes[node].forbidden.remove(&l);
+                }
+                Undo::Constrained(node, l) => {
+                    let constraints = self.nodes[node].child_constraints.get_mut(&l);
+                    constraints.expect("recorded").pop();
+                }
+                Undo::Created => {
+                    let c = self.nodes.pop().expect("created");
+                    let siblings = self.nodes[c.parent].children.get_mut(&c.label);
+                    siblings.expect("recorded").pop();
+                }
+            }
+        }
+        for q in 0..2 {
+            self.queues[q].truncate(choice.lens[q]);
+        }
+        self.heads = choice.heads;
+        let next = choice
+            .rest
+            .pop()
+            .expect("a choice point keeps an untried disjunct");
+        let node = choice.node;
+        if !choice.rest.is_empty() {
+            self.branch()?;
+            self.stack.push(choice);
+        }
+        self.push(node, next);
+        Ok(true)
     }
 
     /// Cheap monotone truth check: `true` only if `f` is *guaranteed* to
@@ -298,18 +511,15 @@ impl Tableau {
     /// ever added, never removed, so positive child facts are stable; the
     /// `done` set records obligations already enforced).
     fn surely_true(&self, node: usize, f: &StepFormula) -> bool {
-        if self.nodes[node].done.contains(f) {
+        let n = &self.nodes[node];
+        if n.done.contains(f) {
             return true;
         }
         match f {
             StepFormula::True => true,
-            StepFormula::Child(l) => self
-                .children_of(node)
-                .iter()
-                .any(|&c| self.nodes[c].label == *l),
+            StepFormula::Child(l) => n.has_child(l),
             StepFormula::Not(inner) => match &**inner {
-                StepFormula::Child(l) => self.nodes[node].forbidden.contains(l),
-                StepFormula::ChildSat(l, _) => self.nodes[node].forbidden.contains(l),
+                StepFormula::Child(l) | StepFormula::ChildSat(l, _) => n.forbidden.contains(l),
                 StepFormula::False => true,
                 _ => false,
             },
@@ -319,21 +529,40 @@ impl Tableau {
 
     /// Cheap certain-failure check (the dual).
     fn surely_false(&self, node: usize, f: &StepFormula) -> bool {
+        let n = &self.nodes[node];
         match f {
             StepFormula::False => true,
-            StepFormula::Child(l) | StepFormula::ChildSat(l, _) => {
-                self.nodes[node].forbidden.contains(l)
-            }
+            StepFormula::Child(l) | StepFormula::ChildSat(l, _) => n.forbidden.contains(l),
             StepFormula::Not(inner) => match &**inner {
-                StepFormula::Child(l) => self
-                    .children_of(node)
-                    .iter()
-                    .any(|&c| self.nodes[c].label == *l),
+                StepFormula::Child(l) => n.has_child(l),
                 StepFormula::True => true,
                 _ => false,
             },
             _ => false,
         }
+    }
+
+    fn create_child(&mut self, node: usize, label: &str) -> Option<usize> {
+        let depth = self.nodes[node].depth;
+        if depth >= self.max_depth {
+            return None;
+        }
+        let schema_node = match (&self.schema, self.nodes[node].schema_node) {
+            (Some(schema), Some(sn)) => Some(schema.child_by_label(sn, label)?),
+            _ => None,
+        };
+        let c = self.nodes.len();
+        self.nodes.push(TabNode {
+            label: label.to_string(),
+            parent: node,
+            depth: depth + 1,
+            schema_node,
+            ..TabNode::default()
+        });
+        let siblings = self.nodes[node].children.entry(label.to_string());
+        siblings.or_default().push(c);
+        self.trail.push(Undo::Created);
+        Some(c)
     }
 
     fn into_witness(self) -> WitnessTree {
@@ -344,155 +573,6 @@ impl Tableau {
                 .map(|n| (n.label, n.parent))
                 .collect(),
         }
-    }
-}
-
-struct Searcher {
-    schema: Option<Arc<Schema>>,
-    max_depth: usize,
-    branches: usize,
-    budget: usize,
-}
-
-impl Searcher {
-    /// Process pending obligations to a fixpoint; `None` on contradiction.
-    fn solve(&mut self, mut state: Tableau) -> Option<Tableau> {
-        while let Some((node, f)) = state.pop() {
-            if !state.nodes[node].done.insert(f.clone()) {
-                continue; // already handled at this node
-            }
-            match f {
-                StepFormula::True => {}
-                StepFormula::False => return None,
-                StepFormula::And(a, b) => {
-                    state.push(node, *a);
-                    state.push(node, *b);
-                }
-                StepFormula::Or(a, b) => {
-                    // Propagation-style shortcuts before committing to a
-                    // branch: a surely-true disjunct discharges the
-                    // obligation, a surely-false one forces the other side.
-                    if state.surely_true(node, &a) || state.surely_true(node, &b) {
-                        continue;
-                    }
-                    if state.surely_false(node, &a) {
-                        state.push(node, *b);
-                        continue;
-                    }
-                    if state.surely_false(node, &b) {
-                        state.push(node, *a);
-                        continue;
-                    }
-                    self.branches += 1;
-                    if self.branches >= self.budget {
-                        return None;
-                    }
-                    // Try the left disjunct on a cloned tableau.
-                    let mut left = state.clone();
-                    left.push(node, *a);
-                    if let Some(sol) = self.solve(left) {
-                        return Some(sol);
-                    }
-                    state.push(node, *b);
-                }
-                StepFormula::Child(l) => {
-                    state.push(node, StepFormula::ChildSat(l, Box::new(StepFormula::True)));
-                }
-                StepFormula::ChildSat(l, psi) => {
-                    if state.nodes[node].forbidden.contains(&l) {
-                        return None;
-                    }
-                    let c = self.create_child(&mut state, node, &l)?;
-                    state.push(c, *psi);
-                    // Existing per-label constraints apply to the new child.
-                    let constraints: Vec<StepFormula> = state.nodes[node]
-                        .child_constraints
-                        .iter()
-                        .filter(|(cl, _)| *cl == l)
-                        .map(|(_, g)| g.clone())
-                        .collect();
-                    for g in constraints {
-                        state.push(c, g);
-                    }
-                }
-                StepFormula::Parent => {
-                    if node == 0 {
-                        return None; // the root has no parent
-                    }
-                }
-                StepFormula::ParentSat(psi) => {
-                    if node == 0 {
-                        return None;
-                    }
-                    let p = state.nodes[node].parent;
-                    state.push(p, *psi);
-                }
-                StepFormula::Not(inner) => match *inner {
-                    StepFormula::Child(l) => {
-                        // No l-child may exist, now or later.
-                        if state
-                            .children_of(node)
-                            .iter()
-                            .any(|&c| state.nodes[c].label == l)
-                        {
-                            return None;
-                        }
-                        state.nodes[node].forbidden.insert(l);
-                    }
-                    StepFormula::ChildSat(l, xi) => {
-                        let neg = StepFormula::Not(Box::new(*xi)).nnf();
-                        for c in state.children_of(node) {
-                            if state.nodes[c].label == l {
-                                state.push(c, neg.clone());
-                            }
-                        }
-                        state.nodes[node].child_constraints.push((l, neg));
-                    }
-                    StepFormula::Parent => {
-                        if node != 0 {
-                            return None; // non-root nodes do have parents
-                        }
-                    }
-                    StepFormula::ParentSat(psi) => {
-                        if node != 0 {
-                            let p = state.nodes[node].parent;
-                            let neg = StepFormula::Not(psi).nnf();
-                            state.push(p, neg);
-                        }
-                        // At the root: vacuously true.
-                    }
-                    StepFormula::True => return None,
-                    StepFormula::False => {}
-                    other => {
-                        // nnf leaves Not only on atoms; be defensive.
-                        state.push(node, StepFormula::Not(Box::new(other)).nnf());
-                    }
-                },
-            }
-        }
-        Some(state)
-    }
-
-    fn create_child(&self, state: &mut Tableau, node: usize, label: &str) -> Option<usize> {
-        let depth = state.nodes[node].depth;
-        if depth >= self.max_depth {
-            return None;
-        }
-        let schema_node = match (&self.schema, state.nodes[node].schema_node) {
-            (Some(schema), Some(sn)) => Some(schema.child_by_label(sn, label)?),
-            _ => None,
-        };
-        let c = state.nodes.len();
-        state.nodes.push(TabNode {
-            label: label.to_string(),
-            parent: node,
-            depth: depth + 1,
-            schema_node,
-            child_constraints: Vec::new(),
-            forbidden: HashSet::new(),
-            done: HashSet::new(),
-        });
-        Some(c)
     }
 }
 
@@ -650,5 +730,71 @@ mod tests {
             }
             assert_eq!(verdicts[0], verdicts[1], "{s}");
         }
+    }
+
+    /// The tableau forced on random label formulas decides exactly what
+    /// the root's child-label subsets decide, so backtracking restores
+    /// every state it undoes.
+    #[test]
+    fn forced_tableau_agrees_with_label_subsets() {
+        use idar_logic::gen::{Rng, XorShift};
+        fn random(rng: &mut XorShift, size: usize) -> Formula {
+            if size <= 1 {
+                return Formula::label(["a", "b", "c", "d"][rng.below(4)]);
+            }
+            let left = rng.range(1, size - 1);
+            match rng.below(3) {
+                0 => random(rng, size - 1).not(),
+                1 => random(rng, left).and(random(rng, size - left)),
+                _ => random(rng, left).or(random(rng, size - left)),
+            }
+        }
+        let forced = SatOptions {
+            max_branches: Some(1 << 22),
+            ..Default::default()
+        };
+        let schema = Arc::new(Schema::parse("a, b, c, d").unwrap());
+        let mut rng = XorShift::new(0x5EED);
+        for _ in 0..300 {
+            let f = random(&mut rng, 14);
+            let subsets = (0..16u32).map(|bits| {
+                let labels = ["a", "b", "c", "d"].iter().enumerate();
+                let text: Vec<&str> = labels
+                    .filter(|(i, _)| bits >> i & 1 == 1)
+                    .map(|(_, l)| *l)
+                    .collect();
+                idar_core::Instance::parse(schema.clone(), &text.join(", ")).unwrap()
+            });
+            let expected = subsets
+                .into_iter()
+                .any(|i| idar_core::formula::holds_at_root(&i, &f));
+            let r = satisfiable(&f, &forced);
+            assert_eq!(r.is_sat(), expected, "{f}");
+            if let SatResult::Sat(t) = r {
+                assert!(t.holds(0, &f), "witness fails {f}");
+            }
+        }
+    }
+
+    /// Long chains cost the tableau linear work: a 4,000-operand `&` and
+    /// a 4,000-clause CNF decide far inside the default budget, and a
+    /// small budget on the CNF, which branches once per clause, is an
+    /// honest `BudgetExhausted`.
+    #[test]
+    fn long_chains_are_linear_in_the_tableau_and_bounded() {
+        let forced = |branches| SatOptions {
+            max_branches: Some(branches),
+            ..Default::default()
+        };
+        let label = |p: &str, i: usize| Formula::label(&format!("{p}{i}"));
+        let chain = Formula::conj((0..4_000).map(|i| label("l", i)));
+        let cnf = Formula::conj((0..4_000).map(|i| label("a", i).or(label("b", i))));
+        for f in [&chain, &cnf] {
+            let SatResult::Sat(t) = satisfiable(f, &forced(1 << 22)) else {
+                panic!("expected a witness");
+            };
+            assert!(t.holds(0, f));
+        }
+        assert_eq!(satisfiable(&cnf, &forced(100)), SatResult::BudgetExhausted);
     }
 }

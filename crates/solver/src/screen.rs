@@ -71,6 +71,7 @@ use idar_core::formula::StepFormula;
 use idar_core::{Formula, GuardedForm, InstNodeId, Right, Schema, SchemaNodeId, Update};
 use idar_logic::prop::PropFormula;
 use idar_logic::Engine;
+use std::collections::HashMap;
 
 /// Counters from one screener pass (polynomial everything).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -375,7 +376,7 @@ fn guard_unsat(
         schema,
         may,
         must,
-        atoms: Vec::new(),
+        atoms: HashMap::new(),
         implications: Vec::new(),
         sat_checks: 0,
     };
@@ -391,7 +392,8 @@ struct Translator<'a> {
     schema: &'a Schema,
     may: &'a [bool],
     must: &'a [bool],
-    atoms: Vec<(SchemaNodeId, StepFormula)>,
+    /// The variable of each atom.
+    atoms: HashMap<(SchemaNodeId, StepFormula), usize>,
     implications: Vec<PropFormula>,
     sat_checks: usize,
 }
@@ -422,14 +424,8 @@ impl Translator<'_> {
     }
 
     fn var_for(&mut self, at: SchemaNodeId, atom: &StepFormula) -> PropFormula {
-        let key = (at, atom.clone());
-        let i = match self.atoms.iter().position(|a| *a == key) {
-            Some(i) => i,
-            None => {
-                self.atoms.push(key);
-                self.atoms.len() - 1
-            }
-        };
+        let next = self.atoms.len();
+        let i = *self.atoms.entry((at, atom.clone())).or_insert(next);
         PropFormula::var(i as u32)
     }
 
@@ -461,8 +457,8 @@ impl Translator<'_> {
                 _ => PropFormula::Const(false),
             },
             StepFormula::Not(g) => self.translate(at, g).not(),
-            StepFormula::And(a, b) => self.translate(at, a).and(self.translate(at, b)),
-            StepFormula::Or(a, b) => self.translate(at, a).or(self.translate(at, b)),
+            StepFormula::And(fs) => PropFormula::conj(fs.iter().map(|g| self.translate(at, g))),
+            StepFormula::Or(fs) => PropFormula::disj(fs.iter().map(|g| self.translate(at, g))),
         }
     }
 
@@ -486,41 +482,77 @@ impl Translator<'_> {
 /// every addition. Stops at the first complete instance (a sound
 /// `Holds`, any fragment) or at a no-progress sweep (inconclusive).
 /// Terminates within `|I₀| · |M|` additions (one sibling per pair).
+///
+/// A positive completion formula is monotone under additions, so it is
+/// tested once per sweep instead, and a sweep that completes it is
+/// bisected for its first complete prefix: the same run, with a number of
+/// tests logarithmic rather than linear in the sweep's additions.
 fn chase(form: &GuardedForm, stats: &mut ScreenStats) -> Option<Vec<Update>> {
     let schema = form.schema().clone();
     let mut inst = form.initial().clone();
     let mut run: Vec<Update> = Vec::new();
-    if form.is_complete(&inst) {
+    // The chase's instance can have a wide root: test completion with
+    // the root's presence table.
+    if form.is_complete_indexed(&inst) {
         return Some(run);
     }
+    let monotone = form.completion().is_positive();
+    // `filled[e]`: the swept node has a child along edge `e`.
+    let mut filled = vec![false; schema.node_count()];
     loop {
-        let mut progressed = false;
+        let swept = run.len();
         let nodes: Vec<InstNodeId> = inst.live_nodes().collect();
         for node in nodes {
-            let sn = inst.schema_node(node);
-            for &edge in schema.children(sn) {
-                if inst.children_at(node, edge).next().is_some() {
-                    continue;
-                }
+            let children: Vec<SchemaNodeId> = inst
+                .children(node)
+                .iter()
+                .map(|&c| inst.schema_node(c))
+                .collect();
+            children.iter().for_each(|c| filled[c.index()] = true);
+            for &edge in schema.children(inst.schema_node(node)) {
                 let u = Update::Add { parent: node, edge };
-                if !form.is_allowed(&inst, &u) {
+                if filled[edge.index()] || !form.is_allowed(&inst, &u) {
                     continue;
                 }
                 form.apply_unchecked(&mut inst, &u)
                     .expect("guard checked, schema edge valid");
                 run.push(u);
-                stats.chase_steps += 1;
-                progressed = true;
-                if form.is_complete(&inst) {
-                    debug_assert!(form.is_complete_run(&run));
-                    return Some(run);
+                if !monotone && form.is_complete_indexed(&inst) {
+                    return Some(chased(form, run, stats));
                 }
             }
+            children.iter().for_each(|c| filled[c.index()] = false);
         }
-        if !progressed {
+        if run.len() == swept {
+            stats.chase_steps += run.len();
             return None;
         }
+        if monotone && form.is_complete_indexed(&inst) {
+            // Prefixes of `lo` additions are incomplete, of `hi` complete.
+            let (mut lo, mut hi) = (swept, run.len());
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                let mut prefix = form.initial().clone();
+                for u in &run[..mid] {
+                    form.apply_unchecked(&mut prefix, u).expect("replays");
+                }
+                if form.is_complete_indexed(&prefix) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            run.truncate(hi);
+            return Some(chased(form, run, stats));
+        }
     }
+}
+
+/// Count a complete chase run's additions.
+fn chased(form: &GuardedForm, run: Vec<Update>, stats: &mut ScreenStats) -> Vec<Update> {
+    debug_assert!(form.is_complete_run(&run));
+    stats.chase_steps += run.len();
+    run
 }
 
 #[cfg(test)]
@@ -674,5 +706,34 @@ mod tests {
         assert_eq!(r.completability.verdict(), Some(Verdict::Holds));
         assert_eq!(r.stats.chase_steps, 1);
         assert!(r.stats.rounds >= 1);
+    }
+
+    /// A guard and a completion formula of 20,000 operands each are
+    /// Tseitin-encoded through the SAT bridge, compiled to depth-1 bitset
+    /// expressions and screened on a 256 KiB stack.
+    #[test]
+    fn long_chains_are_screened_on_a_small_stack() {
+        const OPERANDS: usize = 20_000;
+        let atoms = ["a", "!b", "c | a", "!(b & c)"].map(|t| Formula::parse(t).unwrap());
+        let chain = Formula::conj((0..OPERANDS).map(|i| atoms[i % atoms.len()].clone()));
+        let g = form("a, b, c", &[("a", "true"), ("c", "a")], "", "a");
+        let mut rules = g.rules().clone();
+        rules.set(Right::Add, g.schema().resolve("b").unwrap(), chain.clone());
+        let g = GuardedForm::new(g.schema().clone(), rules, g.initial().clone(), chain);
+        let small = std::thread::Builder::new().stack_size(256 << 10);
+        std::thread::scope(|s| {
+            small
+                .spawn_scoped(s, || {
+                    let step = StepFormula::from_formula(g.completion()).nnf();
+                    assert!(!crate::satengine::surely_unsatisfiable(&step, Engine::Cdcl));
+                    let sys = crate::depth1::Depth1System::new(&g).unwrap();
+                    assert!(!sys.is_complete_state(sys.initial_state()));
+                    let r = screen(&g);
+                    assert_eq!(r.completability.verdict(), Some(Verdict::Holds));
+                })
+                .unwrap()
+                .join()
+                .unwrap();
+        });
     }
 }

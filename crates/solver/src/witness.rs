@@ -48,17 +48,12 @@ pub fn extract_witness(inst: &Instance, f: &Formula) -> Option<Instance> {
         match ob {
             StepFormula::True => {}
             StepFormula::False => unreachable!("False cannot hold in I"),
-            StepFormula::And(a, b) => {
-                queue.push_back((n, *a));
-                queue.push_back((n, *b));
-            }
-            StepFormula::Or(a, b) => {
+            StepFormula::And(fs) => queue.extend(fs.into_iter().map(|g| (n, g))),
+            StepFormula::Or(mut fs) => {
                 // Select a satisfied disjunct (Lemma 4.4's selection rule 6).
-                if a.holds(inst, n) {
-                    queue.push_back((n, *a));
-                } else {
-                    queue.push_back((n, *b));
-                }
+                let i = fs.iter().position(|g| g.holds(inst, n));
+                let g = fs.swap_remove(i.expect("a disjunct holds in I"));
+                queue.push_back((n, g));
             }
             StepFormula::Child(l) => {
                 let c =

@@ -24,13 +24,10 @@ fn formula_strategy(depth: u32) -> impl Strategy<Value = Formula> {
         Just(Formula::False),
         // `l[..[l']]` — child with a root-check filter.
         ((0..LABELS.len()), (0..LABELS.len())).prop_map(|(i, j)| {
-            Formula::Path(idar::core::PathExpr::Filter(
-                Box::new(idar::core::PathExpr::Label(LABELS[i].into())),
-                Box::new(Formula::Path(idar::core::PathExpr::Filter(
-                    Box::new(idar::core::PathExpr::Parent),
-                    Box::new(Formula::label(LABELS[j])),
-                ))),
-            ))
+            Formula::Path(
+                idar::core::PathExpr::label(LABELS[i])
+                    .filtered(Formula::label(LABELS[j]).at_parent()),
+            )
         }),
     ];
     leaf.prop_recursive(depth, 24, 2, |inner| {
