@@ -45,7 +45,9 @@ use std::fmt;
 ///
 /// `∧` and `∨` chains are stored n-ary. The builders and the parser keep
 /// them flat: no `And` has an `And` operand, no `Or` an `Or` operand, and
-/// each has at least two operands.
+/// each has at least two operands. A chain built directly with fewer
+/// stands for the identity (no operand) or its one operand, and prints
+/// and sizes as that.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Formula {
     /// Always true (extension; see module docs).
@@ -67,16 +69,7 @@ pub enum Formula {
 /// so are `(p/q)[f]` and `p/q[f]`. The list is never empty and starts
 /// with a move (`..` or a label).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PathExpr(Steps);
-
-/// The steps of a [`PathExpr`]. A single step, the common bare label, is
-/// kept inline, without a heap list; `One` is used exactly when there is
-/// one step, so equal paths have equal representations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Steps {
-    One(PathStep),
-    Many(Vec<PathStep>),
-}
+pub struct PathExpr(Vec<PathStep>);
 
 /// One step of a [`PathExpr`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -174,7 +167,9 @@ impl Formula {
             Formula::Path(p) => 1 + p.size(),
             Formula::Not(f) => 1 + f.size(),
             Formula::And(fs) | Formula::Or(fs) => {
-                fs.len().saturating_sub(1) + fs.iter().map(Formula::size).sum::<usize>()
+                let ops: usize = fs.iter().map(Formula::size).sum();
+                // The empty chain is its identity constant.
+                (ops + fs.len().saturating_sub(1)).max(1)
             }
         }
     }
@@ -260,28 +255,51 @@ impl Formula {
     }
 }
 
-/// The flattened `∧` (`and`) or `∨` of `items`; the identity when empty.
-fn junction<I: IntoIterator<Item = Formula>>(items: I, and: bool) -> Formula {
-    let mut ops: Vec<Formula> = Vec::new();
+/// An AST with n-ary `∧`/`∨` chains. [`junction`] is the one builder
+/// of such chains in this crate.
+pub(crate) trait Chain: Sized {
+    /// The `∧` (`and`) or `∨` chain of `ops`, which are none (the
+    /// identity constant) or at least two.
+    fn chain(ops: Vec<Self>, and: bool) -> Self;
+    /// The operands of `self` if it is an `∧` (`and`) or `∨` chain, else
+    /// `self` back.
+    fn operands(self, and: bool) -> std::result::Result<Vec<Self>, Self>;
+}
+
+/// The flat `∧` (`and`) or `∨` of `items`: an operand that is a chain of
+/// the same kind contributes its operands, no operands give the identity
+/// and one operand is returned as is.
+pub(crate) fn junction<T: Chain>(items: impl IntoIterator<Item = T>, and: bool) -> T {
+    let items = items.into_iter();
+    let mut ops: Vec<T> = Vec::with_capacity(items.size_hint().0);
     for f in items {
-        push_operand(&mut ops, f, and);
+        match f.operands(and) {
+            Ok(fs) if ops.is_empty() => ops = fs,
+            Ok(fs) => ops.extend(fs),
+            Err(f) => ops.push(f),
+        }
     }
     match ops.len() {
-        0 if and => Formula::True,
-        0 => Formula::False,
         1 => ops.pop().expect("one operand"),
-        _ if and => Formula::And(ops),
-        _ => Formula::Or(ops),
+        _ => T::chain(ops, and),
     }
 }
 
-/// Append `f` to the operands of an `∧` (`and`) or `∨` chain; a chain of
-/// the same kind contributes its operands.
-fn push_operand(ops: &mut Vec<Formula>, f: Formula, and: bool) {
-    match (f, and) {
-        (Formula::And(fs), true) | (Formula::Or(fs), false) if ops.is_empty() => *ops = fs,
-        (Formula::And(fs), true) | (Formula::Or(fs), false) => ops.extend(fs),
-        (f, _) => ops.push(f),
+impl Chain for Formula {
+    fn chain(ops: Vec<Formula>, and: bool) -> Formula {
+        match (ops.is_empty(), and) {
+            (true, true) => Formula::True,
+            (true, false) => Formula::False,
+            (false, true) => Formula::And(ops),
+            (false, false) => Formula::Or(ops),
+        }
+    }
+
+    fn operands(self, and: bool) -> std::result::Result<Vec<Formula>, Formula> {
+        match (self, and) {
+            (Formula::And(fs), true) | (Formula::Or(fs), false) => Ok(fs),
+            (f, _) => Err(f),
+        }
     }
 }
 
@@ -295,57 +313,41 @@ impl PathStep {
 impl PathExpr {
     /// `l` — one child step.
     pub fn label(l: &str) -> PathExpr {
-        PathExpr(Steps::One(PathStep::Label(l.to_string())))
+        PathExpr(vec![PathStep::Label(l.to_string())])
     }
 
     /// `..` — one parent step.
     pub fn parent() -> PathExpr {
-        PathExpr(Steps::One(PathStep::Parent))
+        PathExpr(vec![PathStep::Parent])
     }
 
     /// The path with these steps.
     ///
     /// # Panics
     /// If `steps` does not start with a move.
-    pub fn from_steps(mut steps: Vec<PathStep>) -> PathExpr {
+    pub fn from_steps(steps: Vec<PathStep>) -> PathExpr {
         assert!(
             steps.first().is_some_and(PathStep::is_move),
             "a path starts with `..` or a label"
         );
-        match steps.len() {
-            1 => PathExpr(Steps::One(steps.pop().expect("one step"))),
-            _ => PathExpr(Steps::Many(steps)),
-        }
+        PathExpr(steps)
     }
 
     /// The steps, in order; the first is a move.
     pub fn steps(&self) -> &[PathStep] {
-        match &self.0 {
-            Steps::One(step) => std::slice::from_ref(step),
-            Steps::Many(steps) => steps,
-        }
-    }
-
-    /// The steps, as a list.
-    fn into_steps(self) -> Vec<PathStep> {
-        match self.0 {
-            Steps::One(step) => vec![step],
-            Steps::Many(steps) => steps,
-        }
+        &self.0
     }
 
     /// `self/rhs`.
-    pub fn then(self, rhs: PathExpr) -> PathExpr {
-        let mut steps = self.into_steps();
-        steps.extend(rhs.into_steps());
-        PathExpr(Steps::Many(steps))
+    pub fn then(mut self, mut rhs: PathExpr) -> PathExpr {
+        self.0.append(&mut rhs.0);
+        self
     }
 
     /// `self[f]`.
-    pub fn filtered(self, f: Formula) -> PathExpr {
-        let mut steps = self.into_steps();
-        steps.push(PathStep::Filter(Box::new(f)));
-        PathExpr(Steps::Many(steps))
+    pub fn filtered(mut self, f: Formula) -> PathExpr {
+        self.0.push(PathStep::Filter(Box::new(f)));
+        self
     }
 
     /// A chain of `k` parent steps followed by a label step — the
@@ -399,6 +401,11 @@ impl Formula {
             Formula::Not(inner) => {
                 write!(f, "!")?;
                 return inner.fmt_prec(f, 3);
+            }
+            Formula::And(ops) if ops.is_empty() => return write!(f, "true"),
+            Formula::Or(ops) if ops.is_empty() => return write!(f, "false"),
+            Formula::And(ops) | Formula::Or(ops) if ops.len() == 1 => {
+                return ops[0].fmt_prec(f, prec)
             }
             Formula::And(ops) => (ops, " & ", 2),
             Formula::Or(ops) => (ops, " | ", 1),
@@ -463,6 +470,20 @@ mod tests {
     fn conj_disj_empty() {
         assert_eq!(Formula::conj(std::iter::empty()), Formula::True);
         assert_eq!(Formula::disj(std::iter::empty()), Formula::False);
+    }
+
+    #[test]
+    fn short_chains_print_and_size_as_what_they_stand_for() {
+        let a_or_b = Formula::parse("a | b").unwrap();
+        for (f, text) in [
+            (Formula::And(vec![]), "true"),
+            (Formula::Or(vec![]), "false"),
+            (Formula::And(vec![a_or_b.clone()]), "a | b"),
+            (Formula::Or(vec![a_or_b.clone()]).not(), "!(a | b)"),
+        ] {
+            assert_eq!(f.to_string(), text);
+            assert_eq!(f.size(), Formula::parse(text).unwrap().size(), "{text}");
+        }
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! construction of Lemma 4.4 (and the tableau of Cor. 4.5) possible: each
 //! obligation speaks about the current node, one child, or the parent.
 
-use super::{Formula, PathExpr, PathStep};
+use super::{junction, Chain, Formula, PathExpr, PathStep};
 use crate::instance::{InstNodeId, Instance};
 
 /// A formula in the Lemma 4.4 step normal form. Like [`Formula`], it
-/// stores `∧`/`∨` chains n-ary and flat.
+/// stores `∧`/`∨` chains n-ary and flat, each of at least two operands.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StepFormula {
     /// `true` (extension constant, carried through normalisation).
@@ -57,27 +57,8 @@ impl StepFormula {
             Formula::False => StepFormula::False,
             Formula::Path(p) => norm_path(p),
             Formula::Not(g) => StepFormula::Not(Box::new(Self::from_formula(g))),
-            Formula::And(fs) => StepFormula::junction(fs.iter().map(Self::from_formula), true),
-            Formula::Or(fs) => StepFormula::junction(fs.iter().map(Self::from_formula), false),
-        }
-    }
-
-    /// The flattened `∧` (`and`) or `∨` of `items`; the identity when
-    /// empty.
-    fn junction(items: impl IntoIterator<Item = StepFormula>, and: bool) -> StepFormula {
-        let mut ops: Vec<StepFormula> = Vec::new();
-        for f in items {
-            match (f, and) {
-                (StepFormula::And(fs), true) | (StepFormula::Or(fs), false) => ops.extend(fs),
-                (f, _) => ops.push(f),
-            }
-        }
-        match ops.len() {
-            0 if and => StepFormula::True,
-            0 => StepFormula::False,
-            1 => ops.pop().expect("one operand"),
-            _ if and => StepFormula::And(ops),
-            _ => StepFormula::Or(ops),
+            Formula::And(fs) => junction(fs.iter().map(Self::from_formula), true),
+            Formula::Or(fs) => junction(fs.iter().map(Self::from_formula), false),
         }
     }
 
@@ -111,10 +92,8 @@ impl StepFormula {
             StepFormula::False if neg => StepFormula::True,
             StepFormula::Not(f) => f.nnf_inner(!neg),
             // De Morgan: under a negation `∧` becomes `∨` and back.
-            StepFormula::And(fs) => {
-                StepFormula::junction(fs.iter().map(|f| f.nnf_inner(neg)), !neg)
-            }
-            StepFormula::Or(fs) => StepFormula::junction(fs.iter().map(|f| f.nnf_inner(neg)), neg),
+            StepFormula::And(fs) => junction(fs.iter().map(|f| f.nnf_inner(neg)), !neg),
+            StepFormula::Or(fs) => junction(fs.iter().map(|f| f.nnf_inner(neg)), neg),
             // Path atoms keep their *inner* formulas un-negated: `¬l[ψ]`
             // means "no l-child satisfies ψ", not "some child fails ψ".
             atom if neg => StepFormula::Not(Box::new(atom.clone())),
@@ -134,7 +113,9 @@ impl StepFormula {
                 1 + f.size()
             }
             StepFormula::And(fs) | StepFormula::Or(fs) => {
-                fs.len().saturating_sub(1) + fs.iter().map(StepFormula::size).sum::<usize>()
+                let ops: usize = fs.iter().map(StepFormula::size).sum();
+                // The empty chain is its identity constant.
+                (ops + fs.len().saturating_sub(1)).max(1)
             }
         }
     }
@@ -158,6 +139,24 @@ impl StepFormula {
     }
 }
 
+impl Chain for StepFormula {
+    fn chain(ops: Vec<StepFormula>, and: bool) -> StepFormula {
+        match (ops.is_empty(), and) {
+            (true, true) => StepFormula::True,
+            (true, false) => StepFormula::False,
+            (false, true) => StepFormula::And(ops),
+            (false, false) => StepFormula::Or(ops),
+        }
+    }
+
+    fn operands(self, and: bool) -> Result<Vec<StepFormula>, StepFormula> {
+        match (self, and) {
+            (StepFormula::And(fs), true) | (StepFormula::Or(fs), false) => Ok(fs),
+            (f, _) => Err(f),
+        }
+    }
+}
+
 /// Normalise a path expression to one of the four `P'` atoms: a right
 /// fold over its steps. Each move takes the normal form of the rest of
 /// the path as its filter (`l/p ≡ l[p]`, `../p ≡ ..[p]`), conjoined after
@@ -176,7 +175,7 @@ fn norm_path(p: &PathExpr) -> StepFormula {
             _ if filters.is_empty() && rest.is_none() => None,
             _ => {
                 let ops = filters.drain(..).rev().chain(rest.take());
-                Some(StepFormula::junction(ops, true))
+                Some(junction(ops, true))
             }
         };
         rest = Some(match (step, cond) {

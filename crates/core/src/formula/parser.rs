@@ -37,7 +37,7 @@
 //! signs appear in the paper's own labels, e.g. `d'` and `init(q,0,+)`
 //! which we render as `init_q_0_+`).
 
-use super::{push_operand, Formula, PathExpr, PathStep, Steps};
+use super::{junction, Formula, PathExpr, PathStep};
 use crate::error::{too_deep, CoreError, Result};
 use crate::{MAX_EXPANSION, MAX_NESTING};
 
@@ -159,16 +159,11 @@ impl<'a> Parser<'a> {
         if !self.eat_any(ops) {
             return Ok(first);
         }
-        let mut fs = Vec::with_capacity(2);
-        push_operand(&mut fs, first, and);
+        let mut fs = vec![first];
         loop {
-            push_operand(&mut fs, operand(self)?, and);
+            fs.push(operand(self)?);
             if !self.eat_any(ops) {
-                return Ok(if and {
-                    Formula::And(fs)
-                } else {
-                    Formula::Or(fs)
-                });
+                return Ok(junction(fs, and));
             }
         }
     }
@@ -197,7 +192,7 @@ impl<'a> Parser<'a> {
                         ));
                     };
                     let moves = p.steps().iter().filter(|s| s.is_move()).count();
-                    return Ok(Formula::Path(self.path_tail(p.into_steps(), moves)?));
+                    return Ok(Formula::Path(self.path_tail(p.0, moves)?));
                 }
                 Ok(inner)
             }
@@ -213,10 +208,6 @@ impl<'a> Parser<'a> {
                 } else {
                     PathStep::Label(self.ident()?)
                 };
-                // Most paths are one step, which needs no list.
-                if !matches!(self.peek(), Some(b'[') | Some(b'/')) {
-                    return Ok(Formula::Path(PathExpr(Steps::One(first))));
-                }
                 Ok(Formula::Path(self.path_tail(vec![first], 1)?))
             }
             None => Err(self.err("unexpected end of input")),
@@ -275,11 +266,11 @@ impl<'a> Parser<'a> {
             if !self.eat(")") {
                 return Err(self.err("expected `)`"));
             }
-            let Formula::Path(p) = inner else {
+            let Formula::Path(mut p) = inner else {
                 return Err(self.err("expected a path expression inside `(…)` step"));
             };
             let moves = p.steps().iter().filter(|s| s.is_move()).count();
-            steps.append(&mut p.into_steps());
+            steps.append(&mut p.0);
             return Ok(moves);
         }
         steps.push(PathStep::Label(self.ident()?));

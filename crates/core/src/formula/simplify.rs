@@ -20,7 +20,7 @@
 //! * filter folding: `p[true] → p`, `p[false] → false` (as a path the
 //!   latter has no targets — the enclosing formula collapses).
 
-use super::{Formula, PathExpr, PathStep};
+use super::{Chain, Formula, PathExpr, PathStep};
 use std::collections::HashSet;
 
 impl Formula {
@@ -58,10 +58,9 @@ fn rebuild(items: &[Formula], is_and: bool) -> Formula {
     let mut seen: HashSet<Formula> = HashSet::with_capacity(items.len());
     // A simplified operand may itself be a chain of the same kind (`¬¬`
     // removed around it); its operands join this chain.
-    let simplified = items.iter().flat_map(|f| match (f.simplified(), is_and) {
-        (Formula::And(fs), true) | (Formula::Or(fs), false) => fs,
-        (g, _) => vec![g],
-    });
+    let simplified = items
+        .iter()
+        .flat_map(|f| f.simplified().operands(is_and).unwrap_or_else(|g| vec![g]));
     for item in simplified {
         if item == absorb {
             return absorb;

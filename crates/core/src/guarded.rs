@@ -357,17 +357,11 @@ impl GuardedForm {
         }
     }
 
-    /// Does the completion formula hold for `inst` (at the root)?
+    /// Does the completion formula hold for `inst` (at the root)? The
+    /// root's child-presence table is filled first, so each presence test
+    /// of the completion formula is a lookup, not a scan of the root's
+    /// children.
     pub fn is_complete(&self, inst: &Instance) -> bool {
-        Evaluator::new(inst).holds(&self.programs().completion, InstNodeId::ROOT)
-    }
-
-    /// [`is_complete`](GuardedForm::is_complete), with the root's
-    /// child-presence table filled first. That costs the root's fan-out
-    /// once and makes each presence test of the completion formula a
-    /// lookup instead of a scan of the root's children: the cheaper way
-    /// on an instance with a wide root.
-    pub fn is_complete_indexed(&self, inst: &Instance) -> bool {
         let mut ev = Evaluator::new(inst);
         ev.load(InstNodeId::ROOT);
         ev.holds(&self.programs().completion, InstNodeId::ROOT)
@@ -499,10 +493,8 @@ impl GuardedForm {
     /// Is `updates` a *complete run* (Def. 3.11): a valid run whose final
     /// instance satisfies the completion formula?
     pub fn is_complete_run(&self, updates: &[Update]) -> bool {
-        match self.replay(updates) {
-            Ok(run) => self.is_complete(run.last()),
-            Err(_) => false,
-        }
+        let mut inst = self.initial.clone();
+        updates.iter().all(|u| self.apply(&mut inst, u).is_ok()) && self.is_complete(&inst)
     }
 }
 

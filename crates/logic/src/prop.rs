@@ -207,7 +207,9 @@ impl fmt::Display for Cnf {
 /// A general propositional formula (used as QBF matrix; the guarded-form
 /// reductions need non-CNF shapes too). The builders keep `∧`/`∨` chains
 /// n-ary and flat: no `And` has an `And` operand, no `Or` an `Or`
-/// operand.
+/// operand, and each has at least two operands. A chain built directly
+/// with fewer stands for the identity (no operand) or its one operand,
+/// and prints as that.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PropFormula {
     Const(bool),
@@ -434,6 +436,11 @@ impl fmt::Display for PropFormula {
             PropFormula::Const(c) => return write!(f, "{c}"),
             PropFormula::Var(v) => return write!(f, "{v}"),
             PropFormula::Not(g) => return write!(f, "!({g})"),
+            PropFormula::And(fs) if fs.is_empty() => return write!(f, "true"),
+            PropFormula::Or(fs) if fs.is_empty() => return write!(f, "false"),
+            PropFormula::And(fs) | PropFormula::Or(fs) if fs.len() == 1 => {
+                return write!(f, "{}", fs[0])
+            }
             PropFormula::And(fs) => (fs, " & "),
             PropFormula::Or(fs) => (fs, " | "),
         };
@@ -571,5 +578,15 @@ mod tests {
     fn display_roundtrips_visually() {
         let cnf = Cnf::new(vec![vec![Lit::pos(0), Lit::neg(1)]]);
         assert_eq!(cnf.to_string(), "(x0 | !x1)");
+        // Chains built with fewer than two operands print as what they
+        // stand for.
+        let x0 = PropFormula::var(0);
+        assert_eq!(PropFormula::And(vec![]).to_string(), "true");
+        assert_eq!(PropFormula::Or(vec![]).to_string(), "false");
+        assert_eq!(PropFormula::Or(vec![x0.clone()]).to_string(), "x0");
+        assert_eq!(
+            PropFormula::And(vec![x0.clone(), x0]).to_string(),
+            "(x0 & x0)"
+        );
     }
 }

@@ -312,11 +312,76 @@ fn deeply_nested_form_is_a_400_and_the_server_keeps_serving() {
     handle.shutdown();
 }
 
-/// Hostile completion formulas, each sent for every kind: chains of every
-/// operator far longer than `MAX_NESTING`, a path past it, a long filter
-/// chain, an exponential `<->` nest, and wide chains and a CNF whose
-/// labels all resolve in the schema. Each gets a 4xx, or a 200 within 2 s
-/// (release build), and the server answers the next request.
+/// Every analysis kind.
+const KINDS: [&str; 3] = ["completability", "semisoundness", "satisfiability"];
+
+/// A form over a flat schema of `labels` with completion `completion`,
+/// whose rules are all `guard`.
+fn flat_form(labels: &[String], guard: &str, completion: &str) -> String {
+    format!(
+        "(\n  schema: \"{}\",\n  default: \"{guard}\",\n  rules: [\n  ],\n  \
+         initial: \"\",\n  completion: \"{completion}\",\n)\n",
+        labels.join(", ")
+    )
+}
+
+/// The wide inputs of the hostile table: 20,000-operand `&` and `|`
+/// chains and a 20,000-clause CNF, over a flat schema of their labels
+/// whose rules are all `guard`.
+fn wide_inputs(guard: &str) -> Vec<(String, String)> {
+    let ls: Vec<String> = (0..20_000).map(|i| format!("l{i}")).collect();
+    let ab: Vec<String> = (0..20_000)
+        .flat_map(|i| [format!("a{i}"), format!("b{i}")])
+        .collect();
+    let cnf: Vec<String> = (0..20_000).map(|i| format!("(a{i} | b{i})")).collect();
+    vec![
+        (
+            format!("20,000-operand &, rules {guard}"),
+            flat_form(&ls, guard, &ls.join(" & ")),
+        ),
+        (
+            format!("20,000-operand |, rules {guard}"),
+            flat_form(&ls, guard, &ls.join(" | ")),
+        ),
+        (
+            format!("20,000-clause CNF, rules {guard}"),
+            flat_form(&ab, guard, &cnf.join(" & ")),
+        ),
+    ]
+}
+
+/// Send `body` for each of `kinds`: each must get a 4xx, or a 200 within
+/// 2 s (release build), and the server must answer the next request.
+fn answered_in_time(addr: std::net::SocketAddr, name: &str, body: &str, kinds: &[&str]) {
+    assert!(body.len() < 1 << 20, "{name}: {} bytes", body.len());
+    // Unoptimised test builds run an order of magnitude slower.
+    let bound = Duration::from_secs(if cfg!(debug_assertions) { 60 } else { 2 });
+    for kind in kinds {
+        let path = format!("/v1/analyze?kind={kind}");
+        let t = Instant::now();
+        let (status, _, reply) = exchange(addr, "POST", &path, None, body);
+        let took = t.elapsed();
+        let reply = &reply[..reply.len().min(200)];
+        assert!(
+            (400..500).contains(&status) || (status == 200 && took <= bound),
+            "{kind} on {name}: {status} after {took:?}: {reply}"
+        );
+        let (status, _, _) = exchange(addr, "POST", "/v1/analyze", None, &two_sibling_ron());
+        assert_eq!(
+            status, 200,
+            "the request after {kind} on {name} is answered"
+        );
+    }
+}
+
+/// Hostile completion formulas: chains of every operator far longer than
+/// `MAX_NESTING`, a path past it, a long filter chain, an exponential
+/// `<->` nest, and wide chains and a CNF whose labels all resolve in the
+/// schema, under all-`false` and under all-`true` rules. Each
+/// gets a 4xx, or a 200 within 2 s (release build), for every kind, and
+/// the server answers the next request. The one exception, semi-soundness
+/// under all-`true` rules, is
+/// `permissive_wide_semisoundness_is_answered_in_time`.
 #[test]
 fn hostile_formulas_are_answered_and_the_server_keeps_serving() {
     let handle = Server::start("127.0.0.1:0", ServerConfig::default()).expect("server start");
@@ -324,23 +389,10 @@ fn hostile_formulas_are_answered_and_the_server_keeps_serving() {
     let ron = two_sibling_ron();
     let start = ron.find("  completion: ").expect("completion field");
     let with = |completion: &str| format!("{}  completion: \"{completion}\",\n)\n", &ron[..start]);
-    // A flat schema of `labels`, nothing addable.
-    let over = |labels: &[String], completion: &str| {
-        format!(
-            "(\n  schema: \"{}\",\n  default: \"false\",\n  rules: [\n  ],\n  \
-             initial: \"\",\n  completion: \"{completion}\",\n)\n",
-            labels.join(", ")
-        )
-    };
     let mut iff = "p".to_string();
     for _ in 0..40 {
         iff = format!("({iff} <-> p)");
     }
-    let ls: Vec<String> = (0..20_000).map(|i| format!("l{i}")).collect();
-    let ab: Vec<String> = (0..20_000)
-        .flat_map(|i| [format!("a{i}"), format!("b{i}")])
-        .collect();
-    let cnf: Vec<String> = (0..20_000).map(|i| format!("(a{i} | b{i})")).collect();
     let cases = [
         ("200,000-operand &", with(&vec!["p"; 200_000].join(" & "))),
         ("200,000-operand |", with(&vec!["p"; 200_000].join(" | "))),
@@ -350,30 +402,28 @@ fn hostile_formulas_are_answered_and_the_server_keeps_serving() {
             with(&format!("p{}", "[b]".repeat(200_000))),
         ),
         ("depth-40 <->", with(&iff)),
-        ("20,000-operand &", over(&ls, &ls.join(" & "))),
-        ("20,000-operand |", over(&ls, &ls.join(" | "))),
-        ("20,000-clause CNF", over(&ab, &cnf.join(" & "))),
     ];
-    // Unoptimised test builds run an order of magnitude slower.
-    let bound = Duration::from_secs(if cfg!(debug_assertions) { 60 } else { 2 });
     for (name, body) in &cases {
-        assert!(body.len() < 1 << 20, "{name}: {} bytes", body.len());
-        for kind in ["completability", "semisoundness", "satisfiability"] {
-            let path = format!("/v1/analyze?kind={kind}");
-            let t = Instant::now();
-            let (status, _, reply) = exchange(addr, "POST", &path, None, body);
-            let took = t.elapsed();
-            let reply = &reply[..reply.len().min(200)];
-            assert!(
-                (400..500).contains(&status) || (status == 200 && took <= bound),
-                "{kind} on {name}: {status} after {took:?}: {reply}"
-            );
-            let (status, _, _) = exchange(addr, "POST", "/v1/analyze", None, &ron);
-            assert_eq!(
-                status, 200,
-                "the request after {kind} on {name} is answered"
-            );
-        }
+        answered_in_time(addr, name, body, &KINDS);
+    }
+    for (name, body) in wide_inputs("false") {
+        answered_in_time(addr, &name, &body, &KINDS);
+    }
+    for (name, body) in wide_inputs("true") {
+        answered_in_time(addr, &name, &body, &["completability", "satisfiability"]);
+    }
+    handle.shutdown();
+}
+
+/// Semi-soundness of the wide inputs under all-`true` rules. Known to
+/// stall: it does not answer within 100 s (ROADMAP item 7), so the test
+/// is ignored until that item is done; `cargo test -- --ignored` runs it.
+#[test]
+#[ignore = "known stall, ROADMAP item 7"]
+fn permissive_wide_semisoundness_is_answered_in_time() {
+    let handle = Server::start("127.0.0.1:0", ServerConfig::default()).expect("server start");
+    for (name, body) in wide_inputs("true") {
+        answered_in_time(handle.addr(), &name, &body, &["semisoundness"]);
     }
     handle.shutdown();
 }
@@ -394,7 +444,7 @@ fn nesting_just_under_the_limit_is_analyzed_for_every_kind() {
     ];
     for completion in &completions {
         let deep = format!("{}  completion: \"{completion}\",\n)\n", &ron[..start]);
-        for kind in ["completability", "semisoundness", "satisfiability"] {
+        for kind in KINDS {
             let path = format!("/v1/analyze?kind={kind}");
             let (status, _, body) = exchange(addr, "POST", &path, None, &deep);
             assert_eq!(status, 200, "{kind} on {}: {body}", &completion[..8]);

@@ -491,9 +491,7 @@ fn chase(form: &GuardedForm, stats: &mut ScreenStats) -> Option<Vec<Update>> {
     let schema = form.schema().clone();
     let mut inst = form.initial().clone();
     let mut run: Vec<Update> = Vec::new();
-    // The chase's instance can have a wide root: test completion with
-    // the root's presence table.
-    if form.is_complete_indexed(&inst) {
+    if form.is_complete(&inst) {
         return Some(run);
     }
     let monotone = form.completion().is_positive();
@@ -517,7 +515,7 @@ fn chase(form: &GuardedForm, stats: &mut ScreenStats) -> Option<Vec<Update>> {
                 form.apply_unchecked(&mut inst, &u)
                     .expect("guard checked, schema edge valid");
                 run.push(u);
-                if !monotone && form.is_complete_indexed(&inst) {
+                if !monotone && form.is_complete(&inst) {
                     return Some(chased(form, run, stats));
                 }
             }
@@ -527,7 +525,7 @@ fn chase(form: &GuardedForm, stats: &mut ScreenStats) -> Option<Vec<Update>> {
             stats.chase_steps += run.len();
             return None;
         }
-        if monotone && form.is_complete_indexed(&inst) {
+        if monotone && form.is_complete(&inst) {
             // Prefixes of `lo` additions are incomplete, of `hi` complete.
             let (mut lo, mut hi) = (swept, run.len());
             while hi - lo > 1 {
@@ -536,7 +534,7 @@ fn chase(form: &GuardedForm, stats: &mut ScreenStats) -> Option<Vec<Update>> {
                 for u in &run[..mid] {
                     form.apply_unchecked(&mut prefix, u).expect("replays");
                 }
-                if form.is_complete_indexed(&prefix) {
+                if form.is_complete(&prefix) {
                     hi = mid;
                 } else {
                     lo = mid;
