@@ -14,16 +14,16 @@
 //!   rule (right, e)  ↦  { (schema node, polarity) … }
 //! ```
 //!
-//! is the *guard dependency relation*; its inverse is the **rule
-//! enablement graph**: adding or deleting an instance node mapped to
+//! is the *guard dependency relation*; inverted, it says which rules an
+//! update can affect: adding or deleting an instance node mapped to
 //! schema node `s` can only change the truth of guards that depend on
-//! `s`. The static screener (`idar-solver`'s `screen` module) uses this
-//! graph as its fixpoint worklist — when a label joins the may-set, only
-//! the rules depending on it are re-examined — and dead-rule detection
-//! reports rules whose dependencies are unreachable.
+//! `s`. The static screener (`idar-solver`'s `screen` module) inverts the
+//! relation of its `add` rules into the wake lists of its may-fixpoint —
+//! when a label joins the may-set, only the rules depending on it are
+//! re-examined.
 
 use crate::formula::StepFormula;
-use crate::guarded::{AccessRules, Right};
+use crate::guarded::Right;
 use crate::schema::{Schema, SchemaNodeId};
 use std::collections::BTreeSet;
 
@@ -117,71 +117,6 @@ fn record(out: &mut GuardDeps, node: SchemaNodeId, neg: bool) {
     }
 }
 
-/// The rule enablement graph of an access-rule table: for every rule, its
-/// guard's dependency set; inverted, for every schema node, the rules
-/// whose guards depend on it.
-#[derive(Debug, Clone)]
-pub struct EnablementGraph {
-    /// `deps[i]` are the dependencies of rule `rules[i]`.
-    rules: Vec<RuleId>,
-    deps: Vec<GuardDeps>,
-    /// `affected[s.index()]` lists indices into `rules` of the rules
-    /// depending on schema node `s`.
-    affected: Vec<Vec<usize>>,
-}
-
-impl EnablementGraph {
-    /// Build the graph for `rules` over `schema`. Guards are normalised
-    /// (Lemma 4.4) and walked once each — linear in total guard size.
-    pub fn build(schema: &Schema, rules: &AccessRules) -> EnablementGraph {
-        let mut ids = Vec::with_capacity(schema.node_count().saturating_sub(1) * 2);
-        let mut deps = Vec::with_capacity(ids.capacity());
-        let mut affected = vec![Vec::new(); schema.node_count()];
-        for edge in schema.edge_ids() {
-            let at = schema.parent(edge).expect("edges have parents");
-            for right in [Right::Add, Right::Del] {
-                let guard = StepFormula::from_formula(rules.get(right, edge));
-                let d = GuardDeps::of_step(schema, at, &guard);
-                let idx = ids.len();
-                for s in d.all() {
-                    affected[s.index()].push(idx);
-                }
-                ids.push(RuleId { right, edge });
-                deps.push(d);
-            }
-        }
-        EnablementGraph {
-            rules: ids,
-            deps,
-            affected,
-        }
-    }
-
-    /// All rules, paired with their guard dependencies.
-    pub fn rules(&self) -> impl Iterator<Item = (RuleId, &GuardDeps)> + '_ {
-        self.rules.iter().copied().zip(self.deps.iter())
-    }
-
-    /// The dependencies of one rule.
-    pub fn deps_of(&self, rule: RuleId) -> Option<&GuardDeps> {
-        self.rules
-            .iter()
-            .position(|&r| r == rule)
-            .map(|i| &self.deps[i])
-    }
-
-    /// The rules whose guards depend on schema node `node` — the rules an
-    /// update touching `node` can enable or disable.
-    pub fn rules_affected_by(&self, node: SchemaNodeId) -> impl Iterator<Item = RuleId> + '_ {
-        self.affected[node.index()].iter().map(|&i| self.rules[i])
-    }
-
-    /// Number of rules (two per schema edge).
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,37 +171,5 @@ mod tests {
         let d = GuardDeps::of_step(&s, SchemaNodeId::ROOT, &g);
         assert!(d.pos.contains(&s.resolve("a").unwrap()));
         assert!(d.neg.is_empty());
-    }
-
-    #[test]
-    fn enablement_graph_inverts_dependencies() {
-        let s = schema();
-        let mut rules = AccessRules::new(&s);
-        let a = s.resolve("a").unwrap();
-        let b = s.resolve("b").unwrap();
-        let c = s.resolve("c").unwrap();
-        rules.set(Right::Add, a, Formula::True);
-        rules.set(Right::Add, b, Formula::parse("a").unwrap());
-        rules.set(Right::Add, c, Formula::parse("a & !b").unwrap());
-        let g = EnablementGraph::build(&s, &rules);
-        assert_eq!(g.rule_count(), 2 * (s.node_count() - 1));
-        let on_a: Vec<_> = g.rules_affected_by(a).collect();
-        assert!(on_a.contains(&RuleId {
-            right: Right::Add,
-            edge: b
-        }));
-        assert!(on_a.contains(&RuleId {
-            right: Right::Add,
-            edge: c
-        }));
-        let on_c: Vec<_> = g.rules_affected_by(c).collect();
-        assert!(on_c.is_empty());
-        let d = g
-            .deps_of(RuleId {
-                right: Right::Add,
-                edge: c,
-            })
-            .unwrap();
-        assert!(d.pos.contains(&a) && d.neg.contains(&b));
     }
 }

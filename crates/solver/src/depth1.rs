@@ -187,20 +187,23 @@ impl Depth1System {
     pub fn reachable_from(&self, from: u64) -> Reachability {
         let mut parent: HashMap<u64, Option<(u64, Depth1Move)>> = HashMap::new();
         parent.insert(from, None);
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
+        // The BFS queue is the discovery order: nothing is ever removed.
+        let mut order = vec![from];
+        let mut next = 0;
         let mut transitions = 0usize;
-        while let Some(s) = queue.pop_front() {
+        while let Some(&s) = order.get(next) {
+            next += 1;
             for (m, t) in self.successors(s) {
                 transitions += 1;
                 if let Entry::Vacant(e) = parent.entry(t) {
                     e.insert(Some((s, m)));
-                    queue.push_back(t);
+                    order.push(t);
                 }
             }
         }
         Reachability {
             parent,
+            order,
             stats: SearchStats {
                 states: 0,
                 transitions,
@@ -214,7 +217,11 @@ impl Depth1System {
     /// **Exact** completability (Def. 3.13) via Lemma 4.3.
     pub fn completability(&self) -> Depth1Answer {
         let reach = self.reachable_from(self.initial);
-        let goal = reach.states().find(|&s| self.is_complete_state(s));
+        let goal = reach
+            .states()
+            .iter()
+            .copied()
+            .find(|&s| self.is_complete_state(s));
         match goal {
             Some(s) => Depth1Answer {
                 verdict: Verdict::Holds,
@@ -242,11 +249,11 @@ impl Depth1System {
     pub fn semisoundness(&self) -> Depth1Answer {
         let reach = self.reachable_from(self.initial);
         // Backward reachability from complete states within `reach`.
-        let states: Vec<u64> = reach.states().collect();
+        let states = reach.states();
         let index: HashMap<u64, usize> = states.iter().enumerate().map(|(i, &s)| (s, i)).collect();
         // Reverse adjacency.
         let mut rev: Vec<Vec<usize>> = vec![Vec::new(); states.len()];
-        for (&s, &i) in &index {
+        for (i, &s) in states.iter().enumerate() {
             for (_, t) in self.successors(s) {
                 let j = index[&t];
                 rev[j].push(i);
@@ -338,6 +345,9 @@ pub struct Depth1Answer {
 #[derive(Debug, Clone)]
 pub struct Reachability {
     parent: HashMap<u64, Option<(u64, Depth1Move)>>,
+    /// The reachable states in BFS discovery order, so witnesses picked
+    /// from them do not depend on hash order.
+    order: Vec<u64>,
     /// `closed` is always true: the depth-1 space is finite and explored
     /// exhaustively.
     pub stats: SearchStats,
@@ -349,9 +359,9 @@ impl Reachability {
         self
     }
 
-    /// Iterate over the reachable states.
-    pub fn states(&self) -> impl Iterator<Item = u64> + '_ {
-        self.parent.keys().copied()
+    /// The reachable states, in BFS discovery order.
+    pub fn states(&self) -> &[u64] {
+        &self.order
     }
 
     /// Is `s` reachable?
@@ -539,6 +549,37 @@ mod tests {
         assert!(g.is_complete_run(&run));
         // And the form is semi-sound: any state can still finish.
         assert_eq!(sys.semisoundness().verdict, Verdict::Holds);
+    }
+
+    /// Both witnesses are the first in BFS order, so every build of the
+    /// system gives the same run, though several goals share one depth.
+    #[test]
+    fn witnesses_follow_bfs_order() {
+        // Goals `{a}` and `{b}` both at depth 1; `{a}` and `{b}` are also
+        // the incompletable states of the second form.
+        let complete = form(
+            "a, b",
+            &[("a", "true", "false"), ("b", "true", "false")],
+            "",
+            "a | b",
+        );
+        let stuck = form(
+            "a, b, c",
+            &[
+                ("a", "true", "false"),
+                ("b", "true", "false"),
+                ("c", "!a & !b", "false"),
+            ],
+            "",
+            "c",
+        );
+        for _ in 0..8 {
+            let ans = Depth1System::new(&complete).unwrap().completability();
+            assert_eq!(ans.moves, Some(vec![Depth1Move::Add(0)]));
+            let ans = Depth1System::new(&stuck).unwrap().semisoundness();
+            assert_eq!(ans.verdict, Verdict::Fails);
+            assert_eq!(ans.moves, Some(vec![Depth1Move::Add(0)]));
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! or confirm completability before any state is built. The screener
 //! combines three ingredients:
 //!
-//! 1. **Rule enablement graph** ([`idar_core::deps`]): which schema nodes
-//!    each guard depends on, inverted into a worklist relation — when a
-//!    label becomes addable, only the rules depending on it are
-//!    re-examined.
+//! 1. **Wake lists**: which schema nodes each `add` guard depends on
+//!    ([`idar_core::deps::GuardDeps`], read off the guards the screener
+//!    normalises once), inverted into a worklist relation — when a label
+//!    becomes addable, only the rules depending on it are re-examined.
 //! 2. **May/must abstract interpretation**: a fixpoint over schema nodes.
 //!    `may` over-approximates the nodes that can appear in *some*
 //!    reachable instance (upper bound); `must` under-approximates the
@@ -53,6 +53,10 @@
 //! and (the initial instance being reachable and incompletable)
 //! semi-soundness `Fails` too.
 //!
+//! An abstraction that constant folding leaves open is decided by trying
+//! all `2^k` assignments when it has at most 8 atoms (exact, no budget),
+//! and by the budgeted CDCL engine on its Tseitin encoding otherwise.
+//!
 //! ## Dead rules
 //!
 //! After the fixpoint, a rule is **dead** when it can never fire: its
@@ -63,14 +67,25 @@
 //! pruned exploration visits the same states in the same order and
 //! returns bit-identical verdicts and statistics. Inconclusive screens
 //! still hand the explorer this smaller rule table.
+//!
+//! Most of these verdicts are already known when the fixpoint stops
+//! because `must` is stable: its last round ran under the final sets. An
+//! `add` rule whose target joined the may-set is live (the abstraction
+//! only gains models as `may` grows); one whose parent is in the may-set
+//! but whose target is not was re-checked after its last dependency
+//! changed, and was UNSAT then; the `del` rules of initially present root
+//! children are dead exactly when their node is in the must-set. Only the
+//! `add` rules of edges present in the initial instance (which the
+//! fixpoint never checks) and the other `del` rules are decided afresh.
+//! If the round cap stops the fixpoint instead, every rule is re-checked.
 
 use crate::satengine::solve_abstraction_budgeted;
 use crate::verdict::Verdict;
-use idar_core::deps::{EnablementGraph, RuleId};
+use idar_core::deps::{GuardDeps, RuleId};
 use idar_core::formula::StepFormula;
 use idar_core::{Formula, GuardedForm, InstNodeId, Right, Schema, SchemaNodeId, Update};
 use idar_logic::prop::PropFormula;
-use idar_logic::Engine;
+use idar_logic::{Assignment, Engine, Var};
 use std::collections::HashMap;
 
 /// Counters from one screener pass (polynomial everything).
@@ -78,7 +93,10 @@ use std::collections::HashMap;
 pub struct ScreenStats {
     /// Outer may/must alternation rounds until the fixpoint stabilised.
     pub rounds: usize,
-    /// CDCL consultations on guard/completion abstractions.
+    /// Guard/completion abstractions that constant folding left open,
+    /// each decided by evaluation (at most 8 atoms) or by CDCL. Dead-rule
+    /// detection reuses the fixpoint's last decisions, so this counts each
+    /// rule about once.
     pub sat_checks: usize,
     /// Schema nodes in the final may-set (including the root).
     pub may_size: usize,
@@ -132,32 +150,38 @@ pub struct ScreenReport {
 /// "inconclusive"/"live", never to a wrong verdict.
 const SCREEN_SAT_BUDGET: u64 = 20_000;
 
+/// Abstractions of at most this many atoms are decided by evaluating
+/// every assignment (at most 256): exact, with no conflict budget, and
+/// cheaper than a Tseitin encoding and a fresh CDCL solver.
+const SCREEN_EVAL_MAX_ATOMS: usize = 8;
+
 /// Screen `form` statically. Zero states are expanded; the only concrete
 /// object ever built is the greedy chase's single growing instance
 /// (bounded by one sibling per (node, schema edge), as in Thm 5.5).
 pub fn screen(form: &GuardedForm) -> ScreenReport {
+    screen_with_sets(form).0
+}
+
+/// [`screen`], also returning the final may- and must-sets.
+fn screen_with_sets(form: &GuardedForm) -> (ScreenReport, Vec<bool>, Vec<bool>) {
     let schema = form.schema().clone();
-    let graph = EnablementGraph::build(&schema, form.rules());
     let mut stats = ScreenStats::default();
 
-    // Pre-normalise every guard once (evaluated at the edge's parent).
+    // Normalise every guard once (evaluated at the edge's parent).
     let n = schema.node_count();
-    let mut add_guards: Vec<Option<StepFormula>> = vec![None; n];
-    let mut del_guards: Vec<Option<StepFormula>> = vec![None; n];
-    for e in schema.edge_ids() {
-        add_guards[e.index()] = Some(StepFormula::from_formula(form.rules().get(Right::Add, e)));
-        del_guards[e.index()] = Some(StepFormula::from_formula(form.rules().get(Right::Del, e)));
-    }
+    let add_guards = normalised(form, Right::Add);
+    let del_guards = normalised(form, Right::Del);
+    let wake = wake_lists(&schema, &add_guards);
 
     // Alternating may/must fixpoint. `must` only grows (more constants
     // fold, more del-guards go UNSAT), `may` only shrinks; both are sound
     // at every round, so the first stable pair is the answer.
     let initial_present = initially_present(form);
     let mut must = vec![false; n];
-    let mut may;
-    loop {
+    let (mut may, mut add_unsat);
+    let settled = loop {
         stats.rounds += 1;
-        may = compute_may(form, &schema, &graph, &add_guards, &must, &mut stats);
+        (may, add_unsat) = compute_may(form, &schema, &wake, &add_guards, &must, &mut stats);
         let new_must = compute_must(
             &schema,
             &initial_present,
@@ -166,22 +190,31 @@ pub fn screen(form: &GuardedForm) -> ScreenReport {
             &must,
             &mut stats,
         );
-        if new_must == must || stats.rounds > n + 1 {
-            must = new_must;
-            break;
-        }
+        let settled = new_must == must;
         must = new_must;
-    }
+        if settled || stats.rounds > n + 1 {
+            break settled;
+        }
+    };
     stats.may_size = may.iter().filter(|&&b| b).count();
     stats.must_size = must.iter().filter(|&&b| b).count();
 
-    // Dead rules: structurally impossible or guard abstraction UNSAT.
+    // Dead rules: structurally impossible or guard abstraction UNSAT. Once
+    // `must` has settled, the last rounds of `compute_may` and
+    // `compute_must` ran under the final sets, so their verdicts are
+    // reused; only the rules they never checked are decided here.
+    if !settled {
+        add_unsat.fill(None);
+    }
     let mut dead_rules = Vec::new();
     for e in schema.edge_ids() {
         let p = schema.parent(e).expect("edges have parents");
         if *form.rules().get(Right::Add, e) != Formula::False {
             let guard = add_guards[e.index()].as_ref().expect("prenormalised");
-            if !may[p.index()] || guard_unsat(&schema, p, guard, &may, &must, &mut stats) {
+            if !may[p.index()]
+                || add_unsat[e.index()]
+                    .unwrap_or_else(|| guard_unsat(&schema, p, guard, &may, &must, &mut stats))
+            {
                 dead_rules.push(RuleId {
                     right: Right::Add,
                     edge: e,
@@ -190,7 +223,15 @@ pub fn screen(form: &GuardedForm) -> ScreenReport {
         }
         if *form.rules().get(Right::Del, e) != Formula::False {
             let guard = del_guards[e.index()].as_ref().expect("prenormalised");
-            if !may[e.index()] || guard_unsat(&schema, p, guard, &may, &must, &mut stats) {
+            // `compute_must` checked the initially present root children.
+            let checked = settled && p == SchemaNodeId::ROOT && initial_present[e.index()];
+            if !may[e.index()]
+                || if checked {
+                    must[e.index()]
+                } else {
+                    guard_unsat(&schema, p, guard, &may, &must, &mut stats)
+                }
+            {
                 dead_rules.push(RuleId {
                     right: Right::Del,
                     edge: e,
@@ -247,12 +288,13 @@ pub fn screen(form: &GuardedForm) -> ScreenReport {
         ScreenOutcome::Inconclusive
     };
 
-    ScreenReport {
+    let report = ScreenReport {
         completability,
         semisoundness,
         dead_rules,
         stats,
-    }
+    };
+    (report, may, must)
 }
 
 /// Rewrite every dead rule's guard to the constant `false`. The returned
@@ -289,20 +331,56 @@ fn initially_present(form: &GuardedForm) -> Vec<bool> {
     present
 }
 
+/// Every guard of `right` in step normal form, indexed by its edge (the
+/// root has none).
+fn normalised(form: &GuardedForm, right: Right) -> Vec<Option<StepFormula>> {
+    let mut guards = vec![None; form.schema().node_count()];
+    for e in form.schema().edge_ids() {
+        guards[e.index()] = Some(StepFormula::from_formula(form.rules().get(right, e)));
+    }
+    guards
+}
+
+/// `wake[d]`: the edges whose `add` guard reads the may-bit of schema node
+/// `d` ([`GuardDeps`], the rule enablement relation inverted). Only add
+/// rules are re-examined by [`compute_may`], so delete guards are not
+/// walked.
+fn wake_lists(schema: &Schema, add_guards: &[Option<StepFormula>]) -> Vec<Vec<SchemaNodeId>> {
+    let mut wake = vec![Vec::new(); schema.node_count()];
+    for e in schema.edge_ids() {
+        let p = schema.parent(e).expect("edges have parents");
+        let guard = add_guards[e.index()].as_ref().expect("prenormalised");
+        for d in GuardDeps::of_step(schema, p, guard).all() {
+            wake[d.index()].push(e);
+        }
+    }
+    wake
+}
+
 /// The may-fixpoint: starting from the initially present nodes, add the
 /// target of every `add` rule whose parent is reachable and whose guard
-/// abstraction is satisfiable, to exhaustion. The enablement graph keeps
-/// the worklist sparse: a node joining the may-set only re-queues the
-/// rules depending on it and the edges below it.
+/// abstraction is satisfiable, to exhaustion. The wake lists keep the
+/// worklist sparse: a node joining the may-set only re-queues the rules
+/// depending on it and the edges below it.
+///
+/// Also returns, per edge, the last verdict of its `add` guard
+/// ([`decide_guard`]; `Some(true)` is UNSAT), which holds under the
+/// returned set too. An edge left out of a may-set that holds its parent
+/// was re-queued after every change it depends on, so its last check ran
+/// under that set. An edge that joined was satisfiable under a subset of
+/// it, and the abstraction only gains models as `may` grows; unless a
+/// budget ran out, which leaves the verdict `None`, as for edges never
+/// checked (initially present ones, and those whose parent never joined).
 fn compute_may(
     form: &GuardedForm,
     schema: &Schema,
-    graph: &EnablementGraph,
+    wake: &[Vec<SchemaNodeId>],
     add_guards: &[Option<StepFormula>],
     must: &[bool],
     stats: &mut ScreenStats,
-) -> Vec<bool> {
+) -> (Vec<bool>, Vec<Option<bool>>) {
     let mut may = initially_present(form);
+    let mut unsat = vec![None; schema.node_count()];
     // Seed: every edge is worth one look.
     let mut pending: Vec<SchemaNodeId> = schema.edge_ids().collect();
     let mut queued = vec![true; schema.node_count()];
@@ -316,25 +394,22 @@ fn compute_may(
             continue;
         }
         let guard = add_guards[e.index()].as_ref().expect("prenormalised");
-        if guard_unsat(schema, p, guard, &may, must, stats) {
+        let verdict = decide_guard(schema, p, guard, &may, must, stats);
+        unsat[e.index()] = verdict;
+        if verdict == Some(true) {
             continue;
         }
         may[e.index()] = true;
         // Re-examine rules whose guards depend on the new node, and the
         // edges whose parent just became reachable.
-        let wake = graph
-            .rules_affected_by(e)
-            .filter(|r| r.right == Right::Add)
-            .map(|r| r.edge)
-            .chain(schema.children(e).iter().copied());
-        for w in wake {
+        for &w in wake[e.index()].iter().chain(schema.children(e)) {
             if !may[w.index()] && !queued[w.index()] {
                 queued[w.index()] = true;
                 pending.push(w);
             }
         }
     }
-    may
+    (may, unsat)
 }
 
 /// The must-set: root children that are initially present and whose `del`
@@ -372,6 +447,20 @@ fn guard_unsat(
     must: &[bool],
     stats: &mut ScreenStats,
 ) -> bool {
+    decide_guard(schema, at, f, may, must, stats) == Some(true)
+}
+
+/// Decide the abstraction of `f`, evaluated at schema node `at`:
+/// `Some(true)` is UNSAT, `Some(false)` satisfiable, and `None` means a
+/// conflict budget ran out on the way (inconclusive, read as satisfiable).
+fn decide_guard(
+    schema: &Schema,
+    at: SchemaNodeId,
+    f: &StepFormula,
+    may: &[bool],
+    must: &[bool],
+    stats: &mut ScreenStats,
+) -> Option<bool> {
     let mut tr = Translator {
         schema,
         may,
@@ -379,10 +468,23 @@ fn guard_unsat(
         atoms: HashMap::new(),
         implications: Vec::new(),
         sat_checks: 0,
+        exhausted: false,
     };
     let unsat = tr.unsat(at, f);
     stats.sat_checks += tr.sat_checks;
-    unsat
+    (unsat || !tr.exhausted).then_some(unsat)
+}
+
+/// Is `f`, over variables `0..k`, satisfied by one of the `2^k`
+/// assignments?
+fn satisfiable_by_evaluation(f: &PropFormula, k: usize) -> bool {
+    let mut a = Assignment::all_false(k);
+    (0..1u32 << k).any(|bits| {
+        for i in 0..k {
+            a.set(Var(i as u32), (bits >> i) & 1 == 1);
+        }
+        f.eval(&a)
+    })
 }
 
 /// Eval-point-aware translation of a step formula into a propositional
@@ -396,6 +498,8 @@ struct Translator<'a> {
     atoms: HashMap<(SchemaNodeId, StepFormula), usize>,
     implications: Vec<PropFormula>,
     sat_checks: usize,
+    /// A conflict budget ran out in some decision.
+    exhausted: bool,
 }
 
 impl Translator<'_> {
@@ -417,10 +521,16 @@ impl Translator<'_> {
             return !b;
         }
         self.sat_checks += 1;
-        matches!(
-            solve_abstraction_budgeted(&folded, n_atoms, Engine::Cdcl, SCREEN_SAT_BUDGET),
-            Some(None)
-        )
+        if n_atoms <= SCREEN_EVAL_MAX_ATOMS {
+            return !satisfiable_by_evaluation(&folded, n_atoms);
+        }
+        match solve_abstraction_budgeted(&folded, n_atoms, Engine::Cdcl, SCREEN_SAT_BUDGET) {
+            Some(model) => model.is_none(),
+            None => {
+                self.exhausted = true;
+                false
+            }
+        }
     }
 
     fn var_for(&mut self, at: SchemaNodeId, atom: &StepFormula) -> PropFormula {
@@ -704,6 +814,130 @@ mod tests {
         assert_eq!(r.completability.verdict(), Some(Verdict::Holds));
         assert_eq!(r.stats.chase_steps, 1);
         assert!(r.stats.rounds >= 1);
+    }
+
+    /// The reused verdicts are the ones a fresh decision gives: on
+    /// generated forms of every fragment and on the named scenarios,
+    /// `dead_rules` equals a direct check of every rule's abstraction
+    /// under the final may/must sets.
+    #[test]
+    fn dead_rules_equal_a_direct_recheck() {
+        use idar_gen::scenario::named_scenarios;
+        use idar_gen::{generate, generate_stream, FragmentSpec, GenConfig};
+        let mut forms: Vec<GuardedForm> = named_scenarios()
+            .into_iter()
+            .map(|n| n.scenario.form)
+            .collect();
+        for fragment in FragmentSpec::ALL {
+            let cfg = GenConfig::new(fragment);
+            let seeds = generate_stream(&cfg, 0x5C4EE, 60);
+            forms.extend(seeds.into_iter().map(|seed| generate(&cfg, seed)));
+        }
+        let mut dead = 0;
+        for g in &forms {
+            let (report, may, must) = screen_with_sets(g);
+            let schema = g.schema();
+            let mut stats = ScreenStats::default();
+            let mut expected = Vec::new();
+            for e in schema.edge_ids() {
+                let p = schema.parent(e).unwrap();
+                // An add rule needs its parent, a delete rule its node.
+                for (right, needs) in [(Right::Add, p), (Right::Del, e)] {
+                    let guard = g.rules().get(right, e);
+                    let step = StepFormula::from_formula(guard);
+                    if *guard != Formula::False
+                        && (!may[needs.index()]
+                            || guard_unsat(schema, p, &step, &may, &must, &mut stats))
+                    {
+                        expected.push(RuleId { right, edge: e });
+                    }
+                }
+            }
+            assert_eq!(report.dead_rules, expected);
+            dead += expected.len();
+        }
+        assert!(dead > 0, "the forms exercise dead rules");
+    }
+
+    /// Random formulas over `k` variables: a random tree, or for a third
+    /// of them an over-constrained 3-CNF (mostly UNSAT).
+    fn random_formula(rng: &mut u64, k: u32, depth: u32) -> PropFormula {
+        let mut below = |n: u64| {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng % n
+        };
+        if depth == 0 {
+            return match below(8) {
+                0 => PropFormula::Const(below(2) == 0),
+                _ => PropFormula::var(below(k as u64) as u32),
+            };
+        }
+        match below(6) {
+            0 => random_formula(rng, k, depth - 1).not(),
+            1 | 2 => {
+                let n = 2 + below(3);
+                PropFormula::conj((0..n).map(|_| random_formula(rng, k, depth - 1)))
+            }
+            3 | 4 => {
+                let n = 2 + below(3);
+                PropFormula::disj((0..n).map(|_| random_formula(rng, k, depth - 1)))
+            }
+            _ => PropFormula::conj((0..6 * k).map(|_| {
+                PropFormula::disj((0..3).map(|_| {
+                    let v = PropFormula::var(below(k as u64) as u32);
+                    if below(2) == 0 {
+                        v
+                    } else {
+                        v.not()
+                    }
+                }))
+            })),
+        }
+    }
+
+    /// Evaluating every assignment decides each small abstraction exactly
+    /// as Tseitin + CDCL does.
+    #[test]
+    fn evaluation_agrees_with_cdcl_on_small_abstractions() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut sat, mut unsat) = (0, 0);
+        for i in 0..600 {
+            let k = 1 + i % SCREEN_EVAL_MAX_ATOMS as u32;
+            let f = random_formula(&mut rng, k, 4);
+            let by_eval = satisfiable_by_evaluation(&f, k as usize);
+            let by_cdcl =
+                solve_abstraction_budgeted(&f, k as usize, Engine::Cdcl, SCREEN_SAT_BUDGET)
+                    .expect("small formulas stay within the budget")
+                    .is_some();
+            assert_eq!(by_eval, by_cdcl, "{f}");
+            if by_eval {
+                sat += 1;
+            } else {
+                unsat += 1;
+            }
+        }
+        assert!(sat > 100 && unsat > 100, "{sat} SAT, {unsat} UNSAT");
+    }
+
+    #[test]
+    fn wake_lists_invert_add_guard_dependencies() {
+        let g = form(
+            "a(x, y), b, c",
+            &[("a", "true"), ("b", "a"), ("c", "a & !b"), ("a/x", "..[c]")],
+            "",
+            "c",
+        );
+        let s = g.schema();
+        let [a, b, c, x] = ["a", "b", "c", "a/x"].map(|l| s.resolve(l).unwrap());
+        let wake = wake_lists(s, &normalised(&g, Right::Add));
+        assert_eq!(wake[a.index()], [b, c]);
+        // A negative occurrence wakes too: adding b can disable c's guard.
+        assert_eq!(wake[b.index()], [c]);
+        // `..[c]` at `a` re-anchors at the root.
+        assert_eq!(wake[c.index()], [x]);
+        assert!(wake[x.index()].is_empty());
     }
 
     /// A guard and a completion formula of 20,000 operands each are
