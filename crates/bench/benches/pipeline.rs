@@ -33,7 +33,7 @@ fn symmetry_modes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("reduced", n), &w, |b, w| {
             b.iter(|| {
                 let g = Explorer::new(&w.form, limits).graph();
-                assert!(g.stats.closed);
+                assert!(g.exact());
                 assert_eq!(g.state_count(), 1 << n);
             })
         });
@@ -42,7 +42,7 @@ fn symmetry_modes(c: &mut Criterion) {
                 let g = Explorer::new(&w.form, limits)
                     .with_symmetry(SymmetryMode::Plain)
                     .graph();
-                assert!(g.stats.closed);
+                assert!(g.exact());
                 assert!(g.state_count() > 1 << n);
             })
         });

@@ -7,7 +7,9 @@
 //!   explorer (`idar_solver::reference`), in both symmetry modes:
 //!   bit-identical `SearchStats` and edge counts for the exhaustive
 //!   search, a depth-limited run exercising the frontier exhaustiveness
-//!   probe, and the completion goal search, plus equal BFS goal depth;
+//!   probe, and the completion goal search, plus equal BFS goal depth —
+//!   the goal search also resumed from the root of a graph truncated at
+//!   half the exhaustive state count;
 //! * **(e) symmetry** — symmetry-reduced exploration (canonical
 //!   isomorphism quotient, the default) against plain ordered-tree
 //!   exploration: the reduced space can never exceed the plain one, and
@@ -57,7 +59,7 @@
 //!   chains exercise every analysis kind engine-vs-oracle and cached-vs-cold;
 //! * **(g, incremental) incremental-vs-cold** — a random edit sequence
 //!   driven through two `FormManager`s on the same form, one answering
-//!   from its retained `SessionGraph` (graph hits + frontier
+//!   from its retained `StateGraph` (graph hits + frontier
 //!   extensions), one forced cold (`max_retained_states = 0`): at every
 //!   step the per-update vet verdicts and the whole safe-update set must
 //!   agree, and the reported divergence carries the minimal edit prefix
@@ -603,20 +605,25 @@ fn report_failure(opts: &Options, ctx: &CaseCtx, err: &str, shrunk: Option<Guard
 /// and for the completion goal search, whose BFS goal depth must also
 /// agree and whose witness run must replay to a complete state.
 fn check_engines(form: &GuardedForm) -> Result<(), String> {
-    use idar_solver::{reference, SymmetryMode};
+    use idar_solver::{reference, StateId, SymmetryMode};
     let limits = fuzz_limits();
     let shallow = ExploreLimits {
         max_depth: 3,
         ..limits
     };
     for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
+        let mut half = limits;
         for (what, lim) in [("exhaustive", limits), ("depth-limited", shallow)] {
             let graph = Explorer::new(form, lim).with_symmetry(symmetry).graph();
+            if lim == limits {
+                half.max_states = (graph.state_count() / 2).max(1);
+            }
             let oracle = reference::explore(form, &lim, symmetry, |_| false);
-            if graph.stats != oracle.stats {
+            if graph.build_stats() != oracle.stats {
                 return Err(format!(
                     "{symmetry} {what} stats differ: engine {:?} vs oracle {:?}",
-                    graph.stats, oracle.stats
+                    graph.build_stats(),
+                    oracle.stats
                 ));
             }
             if graph.edge_count() != oracle.edges {
@@ -650,6 +657,25 @@ fn check_engines(form: &GuardedForm) -> Result<(), String> {
                     "{symmetry} goal run does not replay to a complete state"
                 ));
             }
+        }
+        let mut truncated = Explorer::new(form, half).with_symmetry(symmetry).graph();
+        let resumed = Explorer::new(form, limits).with_symmetry(symmetry).resume(
+            &mut truncated,
+            StateId(0),
+            |i| form.is_complete(i),
+        );
+        if resumed.stats != found.stats || resumed.stats != oracle.stats {
+            return Err(format!(
+                "{symmetry} resume from a graph capped at {} states: stats {:?} vs cold {:?} vs oracle {:?}",
+                half.max_states, resumed.stats, found.stats, oracle.stats
+            ));
+        }
+        let depth = resumed.goal_run.as_ref().map(Vec::len);
+        if depth != oracle.goal_depth {
+            return Err(format!(
+                "{symmetry} resumed goal depth {depth:?} vs oracle {:?}",
+                oracle.goal_depth
+            ));
         }
     }
     Ok(())
@@ -749,9 +775,9 @@ fn check_symmetry(form: &GuardedForm) -> Result<(), String> {
     // When both closed, the quotient must partition the plain space: every
     // plain state's class is present in the reduced store, and closed-space
     // goal verdicts coincide.
-    if reduced.stats.closed && plain.stats.closed {
+    if reduced.build_stats().closed && plain.build_stats().closed {
         for i in 0..plain.state_count() {
-            if reduced.store.lookup(plain.state(i)).is_none() {
+            if reduced.lookup(plain.state(i)).is_none() {
                 return Err(format!("plain state {i} has no class in the reduced store"));
             }
         }
@@ -1253,7 +1279,7 @@ fn incremental_limits() -> ExploreLimits {
     }
 }
 
-/// **(g, incremental)** Drive one warm manager (retained `SessionGraph`)
+/// **(g, incremental)** Drive one warm manager (retained `StateGraph`)
 /// and one forced-cold manager (`max_retained_states = 0`) through the
 /// same random edit sequence, requiring per-update vet agreement and
 /// safe-update-set equality after every edit. Bounded exploration is

@@ -268,7 +268,7 @@ mod tests {
         let w = subset_lattice(6);
         let graph = Explorer::new(&w.form, ExploreLimits::small()).graph();
         assert_eq!(graph.state_count(), 64); // 2^6 subsets
-        assert!(graph.stats.closed);
+        assert!(graph.build_stats().closed);
         let r = completability(&w.form, &CompletabilityOptions::default());
         assert_eq!(r.verdict, Verdict::Holds);
         // The only complete state is the full set, at depth n.
@@ -318,7 +318,7 @@ mod tests {
         let plain = Explorer::new(&w.form, limits)
             .with_symmetry(SymmetryMode::Plain)
             .graph();
-        assert!(reduced.stats.closed && plain.stats.closed);
+        assert!(reduced.build_stats().closed && plain.build_stats().closed);
         assert_eq!(reduced.state_count(), 256);
         assert!(plain.state_count() > reduced.state_count());
     }

@@ -11,7 +11,7 @@
 //! schema node are constants. The resulting map
 //!
 //! ```text
-//!   rule (right, e)  ↦  { (schema node, polarity) … }
+//!   rule (right, e)  ↦  { schema node … }
 //! ```
 //!
 //! is the *guard dependency relation*; inverted, it says which rules an
@@ -25,7 +25,6 @@
 use crate::formula::StepFormula;
 use crate::guarded::Right;
 use crate::schema::{Schema, SchemaNodeId};
-use std::collections::BTreeSet;
 
 /// Identifies one access rule: a right and the schema edge it governs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,56 +41,29 @@ impl std::fmt::Display for RuleId {
     }
 }
 
-/// The schema nodes a single guard depends on, split by the polarity of
-/// the occurrence (under an even or odd number of negations).
+/// The schema nodes `guard` (already in step normal form) depends on
+/// when evaluated at schema node `at`, ascending and each once.
 ///
-/// A guard can only change truth value when a node mapped to one of these
-/// schema nodes is added or deleted; `pos`/`neg` additionally record the
-/// direction: adding a `pos` node can turn the guard true, adding a `neg`
-/// node can turn it false (and dually for deletions). Occurrences under
-/// both polarities appear in both sets.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GuardDeps {
-    /// Nodes occurring positively (an addition can enable the guard).
-    pub pos: BTreeSet<SchemaNodeId>,
-    /// Nodes occurring negatively (an addition can disable the guard).
-    pub neg: BTreeSet<SchemaNodeId>,
+/// The guard can only change truth value when a node mapped to one of
+/// them is added or deleted — in either direction, since an occurrence
+/// under a negation flips with the node's presence too.
+pub fn guard_deps(schema: &Schema, at: SchemaNodeId, guard: &StepFormula) -> Vec<SchemaNodeId> {
+    let mut deps = Vec::new();
+    collect(schema, at, guard, &mut deps);
+    deps.sort_unstable();
+    deps.dedup();
+    deps
 }
 
-impl GuardDeps {
-    /// The dependencies of `guard` (already in step normal form) when
-    /// evaluated at schema node `at`.
-    pub fn of_step(schema: &Schema, at: SchemaNodeId, guard: &StepFormula) -> GuardDeps {
-        let mut deps = GuardDeps::default();
-        collect(schema, at, guard, false, &mut deps);
-        deps
-    }
-
-    /// All dependencies, regardless of polarity.
-    pub fn all(&self) -> BTreeSet<SchemaNodeId> {
-        self.pos.union(&self.neg).copied().collect()
-    }
-
-    /// Does the guard depend on `node` (under either polarity)?
-    pub fn depends_on(&self, node: SchemaNodeId) -> bool {
-        self.pos.contains(&node) || self.neg.contains(&node)
-    }
-}
-
-fn collect(schema: &Schema, at: SchemaNodeId, f: &StepFormula, neg: bool, out: &mut GuardDeps) {
+fn collect(schema: &Schema, at: SchemaNodeId, f: &StepFormula, out: &mut Vec<SchemaNodeId>) {
     match f {
         StepFormula::True | StepFormula::False | StepFormula::Parent => {}
-        StepFormula::Child(l) => {
-            if let Some(c) = schema.child_by_label(at, l) {
-                record(out, c, neg);
-            }
-        }
+        StepFormula::Child(l) => out.extend(schema.child_by_label(at, l)),
         StepFormula::ChildSat(l, inner) => {
             if let Some(c) = schema.child_by_label(at, l) {
-                record(out, c, neg);
-                // Atoms inside the residual are evaluated at the child;
-                // `l[ψ]` is monotone in `ψ`, so polarity passes through.
-                collect(schema, c, inner, neg, out);
+                out.push(c);
+                // Atoms inside the residual are evaluated at the child.
+                collect(schema, c, inner, out);
             }
         }
         StepFormula::ParentSat(inner) => {
@@ -99,21 +71,13 @@ fn collect(schema: &Schema, at: SchemaNodeId, f: &StepFormula, neg: bool, out: &
             // truth never changes under updates), only the residual's
             // atoms — re-anchored at the parent — are dependencies.
             if let Some(p) = schema.parent(at) {
-                collect(schema, p, inner, neg, out);
+                collect(schema, p, inner, out);
             }
         }
-        StepFormula::Not(g) => collect(schema, at, g, !neg, out),
+        StepFormula::Not(g) => collect(schema, at, g, out),
         StepFormula::And(fs) | StepFormula::Or(fs) => {
-            fs.iter().for_each(|g| collect(schema, at, g, neg, out))
+            fs.iter().for_each(|g| collect(schema, at, g, out))
         }
-    }
-}
-
-fn record(out: &mut GuardDeps, node: SchemaNodeId, neg: bool) {
-    if neg {
-        out.neg.insert(node);
-    } else {
-        out.pos.insert(node);
     }
 }
 
@@ -127,25 +91,27 @@ mod tests {
         Arc::new(Schema::parse("a(x, y), b, c").unwrap())
     }
 
+    fn deps(s: &Schema, at: SchemaNodeId, guard: &str) -> Vec<SchemaNodeId> {
+        guard_deps(
+            s,
+            at,
+            &StepFormula::from_formula(&Formula::parse(guard).unwrap()),
+        )
+    }
+
     #[test]
     fn bare_labels_resolve_to_children() {
         let s = schema();
-        let at = SchemaNodeId::ROOT;
-        let g = StepFormula::from_formula(&Formula::parse("a & !b").unwrap());
-        let d = GuardDeps::of_step(&s, at, &g);
         let a = s.resolve("a").unwrap();
         let b = s.resolve("b").unwrap();
-        assert!(d.pos.contains(&a));
-        assert!(d.neg.contains(&b));
-        assert!(!d.depends_on(s.resolve("c").unwrap()));
+        // Negated atoms count too; `c` does not occur.
+        assert_eq!(deps(&s, SchemaNodeId::ROOT, "a & !b"), [a, b]);
     }
 
     #[test]
     fn unresolvable_labels_are_constants() {
         let s = schema();
-        let g = StepFormula::from_formula(&Formula::parse("zz").unwrap());
-        let d = GuardDeps::of_step(&s, SchemaNodeId::ROOT, &g);
-        assert!(d.pos.is_empty() && d.neg.is_empty());
+        assert!(deps(&s, SchemaNodeId::ROOT, "zz").is_empty());
     }
 
     #[test]
@@ -155,21 +121,20 @@ mod tests {
         let x = s.resolve("a/x").unwrap();
         let b = s.resolve("b").unwrap();
         // Evaluated at the root: a[x] depends on both a and a/x.
-        let g = StepFormula::from_formula(&Formula::parse("a[x]").unwrap());
-        let d = GuardDeps::of_step(&s, SchemaNodeId::ROOT, &g);
-        assert!(d.pos.contains(&a) && d.pos.contains(&x));
+        assert_eq!(deps(&s, SchemaNodeId::ROOT, "a[x]"), [a, x]);
         // Evaluated at `a`: ..[b] re-anchors the residual at the root.
-        let g = StepFormula::from_formula(&Formula::parse("..[!b]").unwrap());
-        let d = GuardDeps::of_step(&s, a, &g);
-        assert!(d.neg.contains(&b) && d.pos.is_empty());
+        assert_eq!(deps(&s, a, "..[!b]"), [b]);
     }
 
     #[test]
     fn double_negation_restores_polarity() {
         let s = schema();
-        let g = StepFormula::from_formula(&Formula::parse("!!a").unwrap());
-        let d = GuardDeps::of_step(&s, SchemaNodeId::ROOT, &g);
-        assert!(d.pos.contains(&s.resolve("a").unwrap()));
-        assert!(d.neg.is_empty());
+        let a = s.resolve("a").unwrap();
+        assert_eq!(deps(&s, SchemaNodeId::ROOT, "!!a"), [a]);
+        // Repeated occurrences are listed once.
+        assert_eq!(
+            deps(&s, SchemaNodeId::ROOT, "a | !a & a[y]"),
+            [a, s.resolve("a/y").unwrap()]
+        );
     }
 }

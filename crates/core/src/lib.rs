@@ -44,7 +44,7 @@ pub mod schema;
 pub mod serialize;
 
 pub use canon::Canonicalized;
-pub use deps::{GuardDeps, RuleId};
+pub use deps::{guard_deps, RuleId};
 pub use error::CoreError;
 pub use formula::{Formula, PathExpr, PathStep};
 pub use fragment::{DepthClass, Fragment, Polarity};

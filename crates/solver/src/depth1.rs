@@ -17,12 +17,13 @@
 //! alone, so each guard evaluation during search is a handful of bit tests
 //! instead of a tree walk.
 
+use crate::session::backward_reach;
 use crate::verdict::{SearchStats, Verdict};
 use idar_core::{
     Formula, GuardedForm, InstNodeId, Instance, PathExpr, PathStep, Right, SchemaNodeId, Update,
 };
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Why a guarded form cannot be handled by the depth-1 solver.
@@ -251,30 +252,12 @@ impl Depth1System {
         // Backward reachability from complete states within `reach`.
         let states = reach.states();
         let index: HashMap<u64, usize> = states.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        // Reverse adjacency.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); states.len()];
-        for (i, &s) in states.iter().enumerate() {
-            for (_, t) in self.successors(s) {
-                let j = index[&t];
-                rev[j].push(i);
-            }
-        }
-        let mut completable = vec![false; states.len()];
-        let mut queue = VecDeque::new();
-        for (i, &s) in states.iter().enumerate() {
-            if self.is_complete_state(s) {
-                completable[i] = true;
-                queue.push_back(i);
-            }
-        }
-        while let Some(j) = queue.pop_front() {
-            for &i in &rev[j] {
-                if !completable[i] {
-                    completable[i] = true;
-                    queue.push_back(i);
-                }
-            }
-        }
+        let complete = states.iter().map(|&s| self.is_complete_state(s)).collect();
+        let edges = states
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &s)| self.successors(s).into_iter().map(move |(_, t)| (i, t)));
+        let completable = backward_reach(complete, edges.map(|(i, t)| (i, index[&t])));
         match (0..states.len()).find(|&i| !completable[i]) {
             None => Depth1Answer {
                 verdict: Verdict::Holds,

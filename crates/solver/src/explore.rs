@@ -23,18 +23,20 @@
 //! `Store` trait and monomorphised per store:
 //!
 //! * the flat [`StateStore`] keeps each state's instance, canonical words
-//!   and provenance resident — [`Explorer::find`], [`Explorer::graph`]
-//!   and [`Explorer::build_session`] run on it;
+//!   and provenance resident — [`Explorer::find`] and [`Explorer::graph`]
+//!   run on it;
 //! * the out-of-core `SpillStore` ([`crate::spill`]) keeps only the
 //!   frontier's instances, with delta-compressed words that spill to disk
 //!   under a [`MemoryBudget`] — the capacity engine behind
 //!   [`Explorer::find_spilled`], [`Explorer::find_frontier_only`] and
 //!   budgeted `find`s.
 //!
-//! The driver owns the FIFO queue, the depth-limit probe and the
-//! goal-before-state-cap sequencing. One expansion step owns
-//! prune → probe → materialize for a single state, and
-//! [`SessionGraph`] resumes call the same step.
+//! The driver owns the FIFO queue, the goal check at the root, the
+//! depth-limit probe, the goal-before-state-cap sequencing and the prune
+//! bookkeeping. One expansion step owns prune → probe → materialize for a
+//! single state. [`Explorer::resume`] runs the same driver over a view of
+//! a retained [`StateGraph`] (see [`crate::session`]) that replays logged
+//! expansions and calls the same step for the rest.
 //!
 //! State ids follow discovery order, so a search is deterministic: both
 //! stores report bit-identical [`SearchStats`] and the same goal state.
@@ -54,9 +56,9 @@
 //! state ids and [`SearchStats`] are unchanged. The layout and its word
 //! buffers belong to the driver and are reused across expansions.
 
-use crate::session::{ExpandEvent, ExpansionLog, SessionGraph};
+use crate::session::{ExpandEvent, ExpansionLog, StateGraph};
 use crate::spill::{MemoryBudget, SpillReport, SpillStore};
-use crate::store::{StateId, StateStore, SuccessorTable, SymmetryMode};
+use crate::store::{StateId, StateStore, SymmetryMode};
 use crate::verdict::{LimitKind, SearchStats};
 use idar_core::{GuardedForm, Instance, KeyLayout, Update};
 use std::collections::VecDeque;
@@ -110,58 +112,6 @@ pub struct ExploreOutcome {
     pub goal_run: Option<Vec<Update>>,
     /// Search statistics; `stats.closed` reports exhaustiveness.
     pub stats: SearchStats,
-}
-
-/// The reachable state graph produced by [`Explorer::graph`]: the
-/// hash-consed [`StateStore`] (states, provenance) plus the compact CSR
-/// successor table.
-#[derive(Debug, Clone)]
-pub struct StateGraph {
-    /// The interned states with BFS provenance; index 0 is the initial
-    /// instance.
-    pub store: StateStore,
-    /// CSR successor adjacency.
-    pub succ: SuccessorTable,
-    /// Search statistics.
-    pub stats: SearchStats,
-}
-
-impl StateGraph {
-    /// Number of explored states.
-    pub fn state_count(&self) -> usize {
-        self.store.len()
-    }
-
-    /// The state instances, indexed by state id (index 0 = initial).
-    pub fn states(&self) -> &[Instance] {
-        self.store.states()
-    }
-
-    /// The instance of state `i`.
-    pub fn state(&self, i: usize) -> &Instance {
-        self.store.get(StateId(i as u32))
-    }
-
-    /// BFS depth of state `i`.
-    pub fn depth_of(&self, i: usize) -> usize {
-        self.store.depth(StateId(i as u32))
-    }
-
-    /// Outgoing `(update, successor)` edges of state `i`.
-    pub fn successors(&self, i: usize) -> &[(Update, StateId)] {
-        self.succ.successors(StateId(i as u32))
-    }
-
-    /// Total number of explored edges.
-    pub fn edge_count(&self) -> usize {
-        self.succ.edge_count()
-    }
-
-    /// Reconstruct the update sequence leading from the initial instance to
-    /// state `i` (replayable via [`GuardedForm::replay`]).
-    pub fn run_to(&self, i: usize) -> Vec<Update> {
-        self.store.run_to(StateId(i as u32))
-    }
 }
 
 /// The host's available parallelism (1 if unknown). Explorations are
@@ -237,10 +187,10 @@ impl<'a> Explorer<'a> {
     /// under the budget. It visits exactly the same states with the same
     /// [`SearchStats`] as the flat store.
     ///
-    /// [`Explorer::graph`] and [`Explorer::build_session`] ignore the
-    /// budget: retained graphs hand out `&Instance`/run-to views that
-    /// require the flat store, and their retention is bounded separately
-    /// by the session manager's eviction budget.
+    /// [`Explorer::graph`] ignores the budget: a retained graph hands
+    /// out `&Instance`/run-to views that require the flat store, and its
+    /// retention is bounded separately by the session manager's eviction
+    /// budget.
     pub fn with_memory_budget(mut self, memory: MemoryBudget) -> Self {
         self.memory = memory;
         self
@@ -307,42 +257,33 @@ impl<'a> Explorer<'a> {
         self.run_capacity(goal, true)
     }
 
-    /// Exhaustively (within limits) build the reachable state graph.
-    pub fn graph(&self) -> StateGraph {
-        let mut store = StateStore::new(self.symmetry);
-        let mut edges = Vec::new();
-        let (stats, _) = bfs(self.form, &self.limits, &mut store, |_| false, &mut edges);
-        let succ = SuccessorTable::from_triples(store.len(), &edges);
-        StateGraph { store, succ, stats }
-    }
-
-    /// The **build phase** of the incremental split: explore exhaustively
-    /// (within limits) and retain everything — states, edges, and the
-    /// per-state [`ExpansionLog`] — as a [`SessionGraph`] that later
+    /// The **build phase**: explore exhaustively (within limits) and
+    /// keep everything — states, provenance and the per-state expansion
+    /// log, which is also the edge set — as a [`StateGraph`] that later
     /// queries [`resume`](Explorer::resume) from.
-    pub fn build_session(&self) -> SessionGraph {
+    pub fn graph(&self) -> StateGraph {
         let mut store = StateStore::new(self.symmetry);
         let mut log = ExpansionLog::default();
         let (stats, _) = bfs(self.form, &self.limits, &mut store, |_| false, &mut log);
-        SessionGraph::from_build(store, stats, log, self.limits)
+        StateGraph::from_build(store, stats, log, self.limits)
     }
 
-    /// The **query phase**: re-seed the BFS at a state already interned
-    /// in `session` and search for `goal` under *this* explorer's
-    /// limits, reusing every retained state, provenance pointer, and
-    /// logged expansion. Equivalent — in verdict, goal depth, and
+    /// The **query phase**: run the BFS from a state already interned
+    /// in `graph` and search for `goal` under *this* explorer's limits,
+    /// reusing every retained state, provenance pointer, and logged
+    /// expansion. Equivalent — in verdict, goal depth, and
     /// [`SearchStats`] — to a cold [`Explorer::find`] on the form
     /// re-rooted at that state's instance; see the [`crate::session`]
     /// docs for the exact contract. New states discovered past the
-    /// retained frontier are interned into the session, growing it for
+    /// retained frontier are interned into the graph, growing it for
     /// subsequent queries.
     pub fn resume(
         &self,
-        session: &mut SessionGraph,
+        graph: &mut StateGraph,
         from: StateId,
         goal: impl FnMut(&Instance) -> bool,
     ) -> ExploreOutcome {
-        session.resume_with(self.form, self.limits, from, goal)
+        graph.resume(self.form, &self.limits, from, goal)
     }
 
     /// The capacity engine: the BFS driver over a [`SpillStore`].
@@ -362,14 +303,16 @@ impl<'a> Explorer<'a> {
     }
 }
 
-/// A state store the BFS driver runs over: the flat [`StateStore`] or
-/// the out-of-core [`SpillStore`]. Ids are dense and assigned in
-/// discovery order; the root is id 0.
-pub(crate) trait Store {
+/// A state store the BFS driver runs over: the flat [`StateStore`], the
+/// out-of-core [`SpillStore`], or a resume's view of a [`StateGraph`].
+/// Ids are dense and assigned in discovery order; the stores' root is
+/// id 0.
+pub(crate) trait Store: Sized {
     /// A queued state: its id plus whatever the store needs to expand it.
     type Item;
-    /// Intern the initial instance.
-    fn root(&mut self, initial: Instance) -> Self::Item;
+    /// The state the search starts from: the form's initial instance,
+    /// interned.
+    fn root(&mut self, form: &GuardedForm) -> Self::Item;
     /// The id of a queued state.
     fn id(item: &Self::Item) -> StateId;
     /// The BFS depth of a queued state.
@@ -391,13 +334,30 @@ pub(crate) trait Store {
     ) -> (StateId, Option<Self::Item>);
     /// The driver is about to expand the first state of BFS layer `depth`.
     fn begin_layer(&mut self, _depth: usize) {}
+    /// Expand `item`, handing every outcome to `visit`: the one
+    /// expansion step, [`expand`].
+    ///
+    /// This and [`expand`] are always inlined: left to the compiler, one
+    /// of the two stays out of line in the driver, and the flat and
+    /// spilled searches lose a few percent of their states per second.
+    #[inline(always)]
+    fn expand<B>(
+        &mut self,
+        form: &GuardedForm,
+        limits: &ExploreLimits,
+        layout: &mut KeyLayout,
+        item: &Self::Item,
+        visit: impl FnMut(&mut Self, ExpandEvent, Option<Self::Item>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        expand(form, limits, self, layout, item, visit)
+    }
 }
 
 impl Store for StateStore {
     type Item = StateId;
 
-    fn root(&mut self, initial: Instance) -> StateId {
-        self.intern(initial, None).0
+    fn root(&mut self, form: &GuardedForm) -> StateId {
+        self.intern(form.initial().clone(), None).0
     }
 
     fn id(item: &StateId) -> StateId {
@@ -436,7 +396,8 @@ impl Store for StateStore {
 impl Store for SpillStore {
     type Item = (StateId, usize, Instance);
 
-    fn root(&mut self, initial: Instance) -> Self::Item {
+    fn root(&mut self, form: &GuardedForm) -> Self::Item {
+        let initial = form.initial().clone();
         let key = self.key_of(&initial);
         let (id, _) = self.intern(key.fingerprint(), key.words(), None, 0);
         (StateId(id), 0, initial)
@@ -480,8 +441,8 @@ impl Store for SpillStore {
     }
 }
 
-/// Where the driver reports each expansion: nowhere (goal searches), an
-/// edge list (graphs), or an [`ExpansionLog`] (session builds).
+/// Where the driver reports each expansion: nowhere (goal searches and
+/// resumes) or an [`ExpansionLog`] (graph builds).
 pub(crate) trait Journal {
     /// Expansion of state `i` starts.
     fn begin(&mut self, _i: StateId) {}
@@ -493,19 +454,12 @@ pub(crate) trait Journal {
 
 impl Journal for () {}
 
-impl Journal for Vec<(StateId, Update, StateId)> {
-    fn push(&mut self, i: StateId, ev: ExpandEvent) {
-        if let ExpandEvent::Edge(u, j) = ev {
-            Vec::push(self, (i, u, j));
-        }
-    }
-}
-
-/// The one BFS driver: a FIFO queue over `store` from the form's initial
-/// instance. The goal is checked on the root and then on each newly
-/// discovered state, before the state cap; a depth-limited search probes
-/// the unexpanded frontier for successors to decide whether it closed.
-/// Returns the statistics and the goal state found, if any.
+/// The one BFS driver: a FIFO queue over `store` from its root (the
+/// form's initial instance, or a resume's seed). The goal is checked on
+/// the root and then on each newly discovered state, before the state
+/// cap; a depth-limited search probes the unexpanded frontier for
+/// successors to decide whether it closed. Returns the statistics and
+/// the goal state found, if any.
 pub(crate) fn bfs<S: Store>(
     form: &GuardedForm,
     limits: &ExploreLimits,
@@ -517,7 +471,7 @@ pub(crate) fn bfs<S: Store>(
         states: 1,
         ..SearchStats::default()
     };
-    let root = store.root(form.initial().clone());
+    let root = store.root(form);
     if goal(store.instance(&root)) {
         stats.closed = true;
         return (stats, Some(S::id(&root)));
@@ -548,7 +502,7 @@ pub(crate) fn bfs<S: Store>(
         }
         let i = S::id(&item);
         journal.begin(i);
-        let flow = expand(form, limits, store, &mut layout, &item, |store, ev, new| {
+        let flow = store.expand(form, limits, &mut layout, &item, |store, ev, new| {
             stats.transitions += 1;
             journal.push(i, ev);
             if let ExpandEvent::Pruned(k) = ev {
@@ -587,6 +541,7 @@ pub(crate) fn bfs<S: Store>(
 /// `visit`, which may stop the expansion. `layout` is the caller's
 /// scratch, reused across expansions; it is laid out from `item` at the
 /// first update that is not pruned.
+#[inline(always)]
 pub(crate) fn expand<S: Store, B>(
     form: &GuardedForm,
     limits: &ExploreLimits,
@@ -639,10 +594,9 @@ fn pruned_by(limits: &ExploreLimits, inst: &Instance, u: Update) -> Option<Limit
     }
 }
 
-/// The depth-limit exhaustiveness probe shared by the driver and
-/// [`SessionGraph`] resumes: does this unexpanded frontier state still
-/// have any successor?
-pub(crate) fn has_successor(form: &GuardedForm, inst: &Instance) -> bool {
+/// The driver's depth-limit exhaustiveness probe: does this unexpanded
+/// frontier state still have any successor?
+fn has_successor(form: &GuardedForm, inst: &Instance) -> bool {
     !form.allowed_updates(inst).is_empty()
 }
 
@@ -686,7 +640,7 @@ mod tests {
         let g = toggle_form();
         let graph = Explorer::new(&g, ExploreLimits::small()).graph();
         assert_eq!(graph.state_count(), 4); // {}, {a}, {b}, {a,b}
-        assert!(graph.stats.closed);
+        assert!(graph.build_stats().closed);
         // Every non-initial state's reconstructed run replays.
         for i in 1..graph.state_count() {
             let run = graph.run_to(i);
@@ -712,8 +666,8 @@ mod tests {
             ..ExploreLimits::small()
         };
         let graph = Explorer::new(&g, lim).graph();
-        assert!(!graph.stats.closed);
-        assert_eq!(graph.stats.limit_hit, Some(LimitKind::States));
+        assert!(!graph.build_stats().closed);
+        assert_eq!(graph.build_stats().limit_hit, Some(LimitKind::States));
     }
 
     /// The capacity engine (tiny spill budget) is verdict-, depth- and
@@ -794,8 +748,8 @@ mod tests {
             multiplicity_cap: None,
         };
         let graph = Explorer::new(&g, lim).graph();
-        assert!(!graph.stats.closed);
-        assert_eq!(graph.stats.limit_hit, Some(LimitKind::StateSize));
+        assert!(!graph.build_stats().closed);
+        assert_eq!(graph.build_stats().limit_hit, Some(LimitKind::StateSize));
         // 16 states: 0..=15 copies of `a` … plus none beyond the cap.
         assert_eq!(graph.state_count(), 16);
     }
@@ -812,8 +766,8 @@ mod tests {
         };
         let graph = Explorer::new(&g, lim).graph();
         assert_eq!(graph.state_count(), 4); // 0,1,2,3 copies
-        assert!(!graph.stats.closed);
-        assert_eq!(graph.stats.limit_hit, Some(LimitKind::Multiplicity));
+        assert!(!graph.build_stats().closed);
+        assert_eq!(graph.build_stats().limit_hit, Some(LimitKind::Multiplicity));
     }
 
     #[test]
@@ -833,7 +787,7 @@ mod tests {
         let graph = Explorer::new(&g, lim).graph();
         // initial + {a} + {b}; {a,b} is at depth 2.
         assert_eq!(graph.state_count(), 3);
-        assert!(!graph.stats.closed);
+        assert!(!graph.build_stats().closed);
     }
 
     /// With the symmetry reduction off (plain mode), sibling permutations
@@ -848,7 +802,7 @@ mod tests {
             .graph();
         assert_eq!(reduced.state_count(), 4);
         assert_eq!(plain.state_count(), 5); // {}, a, b, ab, ba
-        assert!(reduced.stats.closed && plain.stats.closed);
+        assert!(reduced.build_stats().closed && plain.build_stats().closed);
         // Goal search agrees on existence and BFS depth.
         let rf = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
         let pf = Explorer::new(&g, ExploreLimits::small())

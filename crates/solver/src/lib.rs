@@ -56,13 +56,11 @@ pub use completability::{
     completability, select_method, CompletabilityOptions, CompletabilityResult,
 };
 pub use depth1::Depth1System;
-pub use explore::{
-    default_threads, split_threads, ExploreLimits, ExploreOutcome, Explorer, StateGraph,
-};
+pub use explore::{default_threads, split_threads, ExploreLimits, ExploreOutcome, Explorer};
 pub use invariants::{check_invariant, check_invariants, InvariantResult};
 pub use screen::{prune, screen, ScreenOutcome, ScreenReport, ScreenStats};
 pub use semisound::{semisoundness, SemisoundnessOptions, SemisoundnessResult};
-pub use session::{ExpandEvent, ExpansionLog, SessionGraph};
+pub use session::StateGraph;
 pub use spill::{MemoryBudget, SpillReport};
-pub use store::{StateId, StateStore, SuccessorTable, SymmetryMode};
+pub use store::{StateId, StateStore, SymmetryMode};
 pub use verdict::{LimitKind, Method, Verdict};

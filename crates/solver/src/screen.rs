@@ -7,7 +7,7 @@
 //! combines three ingredients:
 //!
 //! 1. **Wake lists**: which schema nodes each `add` guard depends on
-//!    ([`idar_core::deps::GuardDeps`], read off the guards the screener
+//!    ([`idar_core::deps::guard_deps`], read off the guards the screener
 //!    normalises once), inverted into a worklist relation — when a label
 //!    becomes addable, only the rules depending on it are re-examined.
 //! 2. **May/must abstract interpretation**: a fixpoint over schema nodes.
@@ -81,7 +81,7 @@
 
 use crate::satengine::solve_abstraction_budgeted;
 use crate::verdict::Verdict;
-use idar_core::deps::{GuardDeps, RuleId};
+use idar_core::deps::{guard_deps, RuleId};
 use idar_core::formula::StepFormula;
 use idar_core::{Formula, GuardedForm, InstNodeId, Right, Schema, SchemaNodeId, Update};
 use idar_logic::prop::PropFormula;
@@ -305,13 +305,9 @@ pub fn prune(form: &GuardedForm, dead: &[RuleId]) -> GuardedForm {
         return form.clone();
     }
     let mut rules = form.rules().clone();
-    rules.map_guards(form.schema(), |right, edge, g| {
-        if dead.contains(&RuleId { right, edge }) {
-            Formula::False
-        } else {
-            g.clone()
-        }
-    });
+    for rule in dead {
+        rules.set(rule.right, rule.edge, Formula::False);
+    }
     GuardedForm::new(
         form.schema().clone(),
         rules,
@@ -342,7 +338,7 @@ fn normalised(form: &GuardedForm, right: Right) -> Vec<Option<StepFormula>> {
 }
 
 /// `wake[d]`: the edges whose `add` guard reads the may-bit of schema node
-/// `d` ([`GuardDeps`], the rule enablement relation inverted). Only add
+/// `d` ([`guard_deps`], the rule enablement relation inverted). Only add
 /// rules are re-examined by [`compute_may`], so delete guards are not
 /// walked.
 fn wake_lists(schema: &Schema, add_guards: &[Option<StepFormula>]) -> Vec<Vec<SchemaNodeId>> {
@@ -350,7 +346,7 @@ fn wake_lists(schema: &Schema, add_guards: &[Option<StepFormula>]) -> Vec<Vec<Sc
     for e in schema.edge_ids() {
         let p = schema.parent(e).expect("edges have parents");
         let guard = add_guards[e.index()].as_ref().expect("prenormalised");
-        for d in GuardDeps::of_step(schema, p, guard).all() {
+        for d in guard_deps(schema, p, guard) {
             wake[d.index()].push(e);
         }
     }
@@ -789,6 +785,18 @@ mod tests {
                 .get(Right::Add, g.schema().resolve("zz").unwrap()),
             Formula::False
         );
+        // Only the dead guards change.
+        for e in g.schema().edge_ids() {
+            for right in [Right::Add, Right::Del] {
+                let dead = r.dead_rules.contains(&RuleId { right, edge: e });
+                let want = if dead {
+                    &Formula::False
+                } else {
+                    g.rules().get(right, e)
+                };
+                assert_eq!(pruned.rules().get(right, e), want, "{right} {e}");
+            }
+        }
         // Same allowed updates from the initial instance.
         assert_eq!(
             g.allowed_updates(g.initial()),

@@ -87,34 +87,10 @@ fn bounded_semisoundness(form: &GuardedForm, budget: &Budget) -> SemisoundnessRe
     };
 
     let mut any_unknown = false;
-    // States whose completability we have already established, keyed by
-    // graph index. A state that *is* complete, or can reach a known-
-    // completable state, is completable — we exploit the graph edges to
-    // avoid re-running the oracle where possible (reverse BFS from
-    // complete states).
-    let n = graph.state_count();
-    let mut completable = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    for (i, s) in graph.states().iter().enumerate() {
-        if form.is_complete(s) {
-            completable[i] = true;
-            queue.push_back(i);
-        }
-    }
-    // Reverse edges within the enumerated subgraph.
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, _, j) in graph.succ.iter() {
-        rev[j.index()].push(i.index());
-    }
-    while let Some(j) = queue.pop_front() {
-        for &i in &rev[j] {
-            if !completable[i] {
-                completable[i] = true;
-                queue.push_back(i);
-            }
-        }
-    }
-
+    // A state that is complete, or can reach one within the enumerated
+    // subgraph, is completable; the oracle runs only for the rest.
+    let complete = graph.states().iter().map(|s| form.is_complete(s)).collect();
+    let completable = graph.can_reach(complete);
     for (i, &ok) in completable.iter().enumerate() {
         if ok {
             continue;
@@ -132,14 +108,14 @@ fn bounded_semisoundness(form: &GuardedForm, budget: &Budget) -> SemisoundnessRe
                     verdict: Verdict::Fails,
                     method: Method::ReachableEnumeration,
                     counterexample: Some(graph.run_to(i)),
-                    stats: graph.stats,
+                    stats: graph.build_stats(),
                 };
             }
             Verdict::Unknown => any_unknown = true,
         }
     }
 
-    let verdict = if graph.stats.closed && !any_unknown {
+    let verdict = if graph.exact() && !any_unknown {
         Verdict::Holds
     } else {
         Verdict::Unknown
@@ -148,7 +124,7 @@ fn bounded_semisoundness(form: &GuardedForm, budget: &Budget) -> SemisoundnessRe
         verdict,
         method: Method::ReachableEnumeration,
         counterexample: None,
-        stats: graph.stats,
+        stats: graph.build_stats(),
     }
 }
 

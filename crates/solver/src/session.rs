@@ -1,40 +1,42 @@
-//! The explored state graph as a **persistent session artifact**: the
-//! build/query split behind incremental re-analysis.
+//! The explored state graph, [`StateGraph`]: the one artifact every
+//! state-graph analysis reads, and the build/query split behind
+//! incremental re-analysis.
 //!
-//! The bounded explorer historically treated every analysis as a cold
-//! start: build a [`StateStore`], answer one question, drop everything.
-//! The online form manager (Sec. 3.5) pays for that discard on every
-//! vet — the successor it asks about is usually *already interned*, with
-//! its reachable subgraph intact, in the store the previous call just
-//! threw away.
-//!
-//! A [`SessionGraph`] keeps that work. It retains
+//! [`Explorer::graph`](crate::Explorer::graph) explores a form (within its
+//! limits) and keeps
 //!
 //! * the hash-consed [`StateStore`] (states, provenance, depths),
-//! * the CSR [`SuccessorTable`],
-//! * an [`ExpansionLog`] — for every *expanded* state, the exact ordered
-//!   outcome of enumerating its allowed updates ([`ExpandEvent`]s), which
-//!   is what makes warm queries **bit-compatible** with cold runs, and
+//! * an expansion log — for every *expanded* state, the exact ordered
+//!   outcome of enumerating its allowed updates: an edge to the
+//!   successor, or a prune by a per-expansion limit. The log is the
+//!   graph's edge set, and it is what makes warm queries
+//!   **bit-compatible** with cold runs, and
 //! * per-state completability verdict annotations when the build
 //!   *closed* (explored the entire reachable space).
 //!
+//! Semi-soundness (Def. 3.14), the workflow graph and the Sec. 3.5 form
+//! manager all ask the same question of it — which states can reach a
+//! complete one — and [`StateGraph::can_reach`] answers it.
+//!
 //! # Resume semantics contract
 //!
-//! [`Explorer::resume`](crate::Explorer::resume) re-runs the BFS **as if** it had been
-//! started cold from an already-interned state: same goal-check order,
-//! same prune bookkeeping, same truncation behaviour, and therefore the
-//! same [`SearchStats`] and verdict a cold `Explorer::find` from that
-//! instance would report. States whose expansion is fully logged are
-//! *replayed* from the log (no `allowed_updates` calls, no instance
-//! clones); frontier states — never expanded, or cut short by the build's
-//! state cap — are expanded directly, interned into the retained store,
-//! and their spans completed, so the session graph *grows monotonically*
-//! under query traffic.
+//! [`Explorer::resume`](crate::Explorer::resume) runs the explorer's one
+//! BFS driver from an already-interned state, through a view of the graph
+//! as a state store: same goal-check order, same prune bookkeeping, same
+//! truncation behaviour, and therefore the same [`SearchStats`] and
+//! verdict a cold `Explorer::find` from that instance would report. The
+//! view replays states whose expansion is fully logged (no
+//! `allowed_updates` calls, no instance clones). It expands frontier
+//! states — never expanded, or cut short by the build's state cap — in
+//! full with the explorer's expansion step, interning new successors into
+//! the retained store and logging the completed span before the driver
+//! visits its events, so the graph *grows monotonically* under query
+//! traffic.
 //!
 //! Replaying a logged span is only valid when the per-expansion limits
 //! (`max_state_size`, `multiplicity_cap`) match the ones the span was
-//! recorded under; a resume under different limits falls back to direct
-//! expansion without touching the log.
+//! recorded under; a resume under different limits expands every state
+//! directly without touching the log.
 //!
 //! # Exactness
 //!
@@ -46,11 +48,10 @@
 //! ([`Verdict::Holds`]/[`Verdict::Fails`], never
 //! [`Verdict::Unknown`]), and a lookup replaces the whole solve.
 
-use crate::explore::{expand, has_successor, ExploreLimits, ExploreOutcome, Journal};
-use crate::store::{StateId, StateStore, SuccessorTable};
+use crate::explore::{self, bfs, ExploreLimits, ExploreOutcome, Journal, Store};
+use crate::store::{StateId, StateStore, SymmetryMode};
 use crate::verdict::{LimitKind, SearchStats, Verdict};
 use idar_core::{GuardedForm, Instance, KeyLayout, Update};
-use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
 
 /// One logged outcome of enumerating a single allowed update while
@@ -61,7 +62,7 @@ use std::ops::ControlFlow;
 /// enumeration order — which is why replaying a span reproduces a cold
 /// run's `transitions` count and truncation points bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExpandEvent {
+pub(crate) enum ExpandEvent {
     /// The update applied; its successor interned as the given state.
     Edge(Update, StateId),
     /// The update was pruned before application by a resource limit.
@@ -72,20 +73,17 @@ pub enum ExpandEvent {
 #[derive(Debug, Clone, Default)]
 struct Span {
     events: Vec<ExpandEvent>,
-    /// `false` while the build/extension was cut short mid-enumeration
-    /// (state cap, goal found): the events are a valid prefix but the
-    /// state must be re-expanded before its span can be replayed.
+    /// `false` while the build was cut short mid-enumeration (state cap):
+    /// the events are a valid prefix but the state must be re-expanded
+    /// before its span can be replayed.
     complete: bool,
 }
 
-/// Per-state expansion journal of a session build: `spans[i]` records
-/// how state `i` expanded, `None` if it never did (frontier states).
-///
-/// The log is both the replay source for [`Explorer::resume`](crate::Explorer::resume) and the
-/// authoritative edge set — the CSR [`SuccessorTable`] is rebuilt from
-/// it after the graph grows.
+/// Per-state expansion journal of a build: `spans[i]` records how state
+/// `i` expanded, `None` if it never did (frontier states). It is both the
+/// replay source for resumes and the graph's edge set.
 #[derive(Debug, Clone, Default)]
-pub struct ExpansionLog {
+pub(crate) struct ExpansionLog {
     spans: Vec<Option<Span>>,
 }
 
@@ -97,20 +95,16 @@ impl ExpansionLog {
         &mut self.spans[i.index()]
     }
 
-    fn get(&self, i: StateId) -> Option<&Span> {
-        self.spans.get(i.index()).and_then(|s| s.as_ref())
-    }
-
-    /// Number of states with a *complete* span.
-    pub fn expanded_states(&self) -> usize {
-        self.spans
-            .iter()
-            .filter(|s| s.as_ref().is_some_and(|sp| sp.complete))
-            .count()
+    /// The events of `i`'s expansion, if it ran to the end.
+    fn complete(&self, i: StateId) -> Option<&[ExpandEvent]> {
+        match self.spans.get(i.index()) {
+            Some(Some(span)) if span.complete => Some(&span.events),
+            _ => None,
+        }
     }
 
     /// Approximate resident bytes of the journal.
-    pub fn approx_bytes(&self) -> usize {
+    fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<ExpansionLog>()
             + self.spans.capacity() * size_of::<Option<Span>>()
@@ -121,22 +115,9 @@ impl ExpansionLog {
                 .map(|sp| sp.events.capacity() * size_of::<ExpandEvent>())
                 .sum::<usize>()
     }
-
-    fn triples(&self) -> Vec<(StateId, Update, StateId)> {
-        let mut out = Vec::new();
-        for (i, span) in self.spans.iter().enumerate() {
-            let Some(span) = span else { continue };
-            for ev in &span.events {
-                if let ExpandEvent::Edge(u, j) = *ev {
-                    out.push((StateId(i as u32), u, j));
-                }
-            }
-        }
-        out
-    }
 }
 
-/// The session build's journal: one span per expanded state.
+/// The build's journal: one span per expanded state.
 impl Journal for ExpansionLog {
     /// Open (or replace) the span of `i`: its expansion is starting.
     fn begin(&mut self, i: StateId) {
@@ -161,14 +142,13 @@ impl Journal for ExpansionLog {
     }
 }
 
-/// The retained build artifact of one exploration: states, edges,
-/// expansion journal, bookkeeping — everything a later query needs to
-/// continue where the build stopped. See the module docs for the
-/// build/query contract.
+/// The explored state graph of one exploration: states, edges, expansion
+/// journal, bookkeeping — everything a later query needs to continue
+/// where the build stopped. See the module docs for the build/query
+/// contract.
 #[derive(Debug, Clone)]
-pub struct SessionGraph {
+pub struct StateGraph {
     store: StateStore,
-    succ: SuccessorTable,
     log: ExpansionLog,
     /// Stats of the original build (not mutated by queries).
     stats: SearchStats,
@@ -176,27 +156,27 @@ pub struct SessionGraph {
     /// matching per-expansion limits.
     limits: ExploreLimits,
     /// Exact completability verdict per build state; populated by
-    /// [`SessionGraph::annotate`] on closed builds only.
+    /// [`StateGraph::annotate`] on closed builds only.
     verdicts: Option<Vec<Verdict>>,
-    /// Set when resume grew the graph since `succ` was last rebuilt.
-    succ_stale: bool,
+    /// Bumped whenever a resume expands a state, the only way a built
+    /// graph grows.
+    generation: u64,
 }
 
-impl SessionGraph {
+impl StateGraph {
     pub(crate) fn from_build(
         store: StateStore,
         stats: SearchStats,
         log: ExpansionLog,
         limits: ExploreLimits,
     ) -> Self {
-        SessionGraph {
-            succ: SuccessorTable::from_triples(store.len(), &log.triples()),
+        StateGraph {
             store,
             log,
             stats,
             limits,
             verdicts: None,
-            succ_stale: false,
+            generation: 0,
         }
     }
 
@@ -211,19 +191,62 @@ impl SessionGraph {
     }
 
     /// Number of retained states (the session's memory-budget metric).
-    pub fn retained_states(&self) -> usize {
+    pub fn state_count(&self) -> usize {
         self.store.len()
     }
 
-    /// Approximate resident bytes of the whole session artifact: store,
-    /// CSR successor table, expansion journal, and verdict column. The
-    /// byte-denominated retention budgets (workflow manager, server) are
-    /// enforced against this figure.
+    /// The state instances, indexed by state id (index 0 = initial).
+    pub fn states(&self) -> &[Instance] {
+        self.store.states()
+    }
+
+    /// The instance of state `i`.
+    pub fn state(&self, i: usize) -> &Instance {
+        self.store.get(StateId(i as u32))
+    }
+
+    /// Reconstruct the update sequence leading from the initial instance to
+    /// state `i` (replayable via [`GuardedForm::replay`]).
+    pub fn run_to(&self, i: usize) -> Vec<Update> {
+        self.store.run_to(StateId(i as u32))
+    }
+
+    /// Outgoing `(update, successor)` edges of state `i`, in enumeration
+    /// order.
+    pub fn successors(&self, i: usize) -> impl Iterator<Item = (Update, StateId)> + '_ {
+        self.log
+            .spans
+            .get(i)
+            .into_iter()
+            .flatten()
+            .flat_map(|span| &span.events)
+            .filter_map(|ev| match *ev {
+                ExpandEvent::Edge(u, j) => Some((u, j)),
+                ExpandEvent::Pruned(_) => None,
+            })
+    }
+
+    /// Every explored edge `(from, update, to)`, by source state.
+    pub fn edges(&self) -> impl Iterator<Item = (StateId, Update, StateId)> + '_ {
+        (0..self.log.spans.len()).flat_map(|i| {
+            self.successors(i)
+                .map(move |(u, j)| (StateId(i as u32), u, j))
+        })
+    }
+
+    /// Total number of explored edges.
+    pub fn edge_count(&self) -> usize {
+        self.edges().count()
+    }
+
+    /// Approximate resident bytes of the whole graph: store, expansion
+    /// journal, and verdict column. The byte-denominated retention
+    /// budgets (workflow manager, server) are enforced against this
+    /// figure.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        size_of::<SessionGraph>()
+        size_of::<StateGraph>()
             + self.store.approx_bytes()
-            + self.succ.approx_bytes()
             + self.log.approx_bytes()
             + self
                 .verdicts
@@ -231,18 +254,20 @@ impl SessionGraph {
                 .map_or(0, |v| v.capacity() * size_of::<Verdict>())
     }
 
+    /// Changes whenever the graph grows (a resume expanded a state), so
+    /// figures derived from it, like [`StateGraph::approx_bytes`], can be
+    /// memoised on it.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Statistics of the original build.
     pub fn build_stats(&self) -> SearchStats {
         self.stats
     }
 
-    /// The limits the build ran under.
-    pub fn build_limits(&self) -> ExploreLimits {
-        self.limits
-    }
-
     /// Did the build cover the entire reachable space? When true, the
-    /// graph is successor-closed and [`SessionGraph::verdict_of`]
+    /// graph is successor-closed and [`StateGraph::verdict_of`]
     /// answers completability without any search.
     pub fn exact(&self) -> bool {
         self.stats.closed
@@ -254,23 +279,11 @@ impl SessionGraph {
         self.store.lookup(inst)
     }
 
-    /// States that were never fully expanded — the frontier a resume
-    /// continues from. Empty exactly when the build closed.
-    pub fn frontier(&self) -> Vec<StateId> {
-        (0..self.store.len())
-            .map(|i| StateId(i as u32))
-            .filter(|&i| !self.log.get(i).is_some_and(|s| s.complete))
-            .collect()
-    }
-
-    /// The CSR successor table, rebuilt from the expansion log if
-    /// queries have grown the graph since the last rebuild.
-    pub fn successor_table(&mut self) -> &SuccessorTable {
-        if self.succ_stale {
-            self.succ = SuccessorTable::from_triples(self.store.len(), &self.log.triples());
-            self.succ_stale = false;
-        }
-        &self.succ
+    /// `can_reach(target)[i]`: state `i` reaches a state marked in
+    /// `target` (indexed by state id) along explored edges; every target
+    /// reaches itself. Exact when the graph is.
+    pub fn can_reach(&self, target: Vec<bool>) -> Vec<bool> {
+        backward_reach(target, self.edges().map(|(i, _, j)| (i.index(), j.index())))
     }
 
     /// Annotate every build state with its exact completability verdict
@@ -280,199 +293,190 @@ impl SessionGraph {
         if !self.exact() {
             return;
         }
-        let n = self.store.len();
-        let goal: Vec<bool> = (0..n)
-            .map(|i| form.is_complete(self.store.get(StateId(i as u32))))
-            .collect();
-        // Backward reachability from complete states over logged edges.
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, u_j) in self.log.spans.iter().enumerate() {
-            let Some(span) = u_j else { continue };
-            for ev in &span.events {
-                if let ExpandEvent::Edge(_, j) = *ev {
-                    rev[j.index()].push(i as u32);
-                }
-            }
-        }
-        let mut reach = goal.clone();
-        let mut queue: VecDeque<u32> = goal
-            .iter()
-            .enumerate()
-            .filter(|(_, &g)| g)
-            .map(|(i, _)| i as u32)
-            .collect();
-        while let Some(j) = queue.pop_front() {
-            for &i in &rev[j as usize] {
-                if !reach[i as usize] {
-                    reach[i as usize] = true;
-                    queue.push_back(i);
-                }
-            }
-        }
+        let complete = self.states().iter().map(|s| form.is_complete(s)).collect();
         self.verdicts = Some(
-            reach
-                .iter()
-                .map(|&r| if r { Verdict::Holds } else { Verdict::Fails })
+            self.can_reach(complete)
+                .into_iter()
+                .map(|r| if r { Verdict::Holds } else { Verdict::Fails })
                 .collect(),
         );
     }
 
     /// The annotated completability verdict of a build state: `Some` only
-    /// after [`SessionGraph::annotate`] on an exact graph, and only for
+    /// after [`StateGraph::annotate`] on an exact graph, and only for
     /// states that existed at annotation time.
     pub fn verdict_of(&self, id: StateId) -> Option<Verdict> {
         self.verdicts.as_ref()?.get(id.index()).copied()
     }
 
-    /// The query phase: continue the BFS from an already-interned state,
-    /// mirroring a cold run from that instance event for
-    /// event. Called through [`Explorer::resume`](crate::Explorer::resume).
-    pub(crate) fn resume_with(
+    /// The query phase: the explorer's BFS driver from an
+    /// already-interned state, over a [`Resume`] view of this graph.
+    /// Called through [`Explorer::resume`](crate::Explorer::resume).
+    pub(crate) fn resume(
         &mut self,
         form: &GuardedForm,
-        limits: ExploreLimits,
+        limits: &ExploreLimits,
         from: StateId,
-        mut goal: impl FnMut(&Instance) -> bool,
+        goal: impl FnMut(&Instance) -> bool,
     ) -> ExploreOutcome {
-        let mut stats = SearchStats {
-            states: 1,
-            ..SearchStats::default()
-        };
-
-        // Mirror of the cold root check: goal at the seed closes.
-        if goal(self.store.get(from)) {
-            stats.closed = true;
-            return ExploreOutcome {
-                goal_run: Some(Vec::new()),
-                stats,
-            };
-        }
-
-        // Spans replay only under the per-expansion limits they were
-        // recorded with; otherwise expand directly (and leave the log
-        // untouched — it stays valid for the build limits).
-        let replay_ok = limits.max_state_size == self.limits.max_state_size
+        let replay = limits.max_state_size == self.limits.max_state_size
             && limits.multiplicity_cap == self.limits.multiplicity_cap;
-
-        // Local BFS bookkeeping: "locally new" is exactly what a cold
-        // run's intern `is_new` would report, and the local depth of a
-        // state equals its cold BFS depth from the seed.
-        let mut depth: HashMap<StateId, usize> = HashMap::new();
-        let mut parent: HashMap<StateId, (StateId, Update)> = HashMap::new();
-        depth.insert(from, 0);
-        let mut queue: VecDeque<StateId> = VecDeque::new();
-        queue.push_back(from);
-        let mut layout = KeyLayout::default();
-        let mut pruned = false;
-
-        while let Some(i) = queue.pop_front() {
-            let d = depth[&i];
-            if d >= limits.max_depth {
-                // Cold-run depth probe: exhaustiveness is lost iff any
-                // frontier state still has a successor.
-                if std::iter::once(i)
-                    .chain(queue.drain(..))
-                    .any(|j| has_successor(form, self.store.get(j)))
-                {
-                    pruned = true;
-                    stats.limit_hit = Some(LimitKind::Depth);
-                }
-                break;
-            }
-            let events = self.expansion_of(form, i, limits, replay_ok, &mut layout);
-            for ev in events {
-                stats.transitions += 1;
-                match ev {
-                    ExpandEvent::Pruned(k) => {
-                        pruned = true;
-                        stats.limit_hit = Some(k);
-                    }
-                    ExpandEvent::Edge(u, j) => {
-                        if depth.contains_key(&j) {
-                            continue;
-                        }
-                        depth.insert(j, d + 1);
-                        parent.insert(j, (i, u));
-                        stats.states += 1;
-                        if goal(self.store.get(j)) {
-                            // Cold contract: goal mid-search returns
-                            // without setting `closed`.
-                            return ExploreOutcome {
-                                goal_run: Some(reconstruct(&parent, from, j)),
-                                stats,
-                            };
-                        }
-                        if stats.states >= limits.max_states {
-                            stats.limit_hit = Some(LimitKind::States);
-                            return ExploreOutcome {
-                                goal_run: None,
-                                stats,
-                            };
-                        }
-                        queue.push_back(j);
-                    }
-                }
-            }
-        }
-
-        stats.closed = !pruned;
+        let mut view = Resume {
+            reached: vec![None; self.store.len()],
+            graph: self,
+            seed: from,
+            replay,
+            events: Vec::new(),
+        };
+        let (stats, hit) = bfs(form, limits, &mut view, goal, &mut ());
         ExploreOutcome {
-            goal_run: None,
+            goal_run: hit.map(|j| view.run_to(j)),
             stats,
         }
     }
+}
 
-    /// The expansion events of `i`: replayed from a complete logged span
-    /// when valid, otherwise produced by the explorer's expansion step,
-    /// which interns any new successors into the retained store; when
-    /// the limits match the build's, the completed span is recorded.
-    fn expansion_of(
-        &mut self,
-        form: &GuardedForm,
-        i: StateId,
-        limits: ExploreLimits,
-        replay_ok: bool,
-        layout: &mut KeyLayout,
-    ) -> Vec<ExpandEvent> {
-        if replay_ok {
-            if let Some(span) = self.log.get(i) {
-                if span.complete {
-                    return span.events.clone();
-                }
+/// Backward reachability: `reach` marks the target states on entry; on
+/// return it also marks every state with a path along `edges` (`(from,
+/// to)` index pairs) to a target. The one routine behind every "can it
+/// still complete?" question of the crate.
+pub(crate) fn backward_reach(
+    mut reach: Vec<bool>,
+    edges: impl IntoIterator<Item = (usize, usize)>,
+) -> Vec<bool> {
+    let mut rev: Vec<Vec<u32>> = vec![Vec::new(); reach.len()];
+    for (i, j) in edges {
+        rev[j].push(i as u32);
+    }
+    let mut stack: Vec<u32> = (0..reach.len() as u32)
+        .filter(|&i| reach[i as usize])
+        .collect();
+    while let Some(j) = stack.pop() {
+        for &i in &rev[j as usize] {
+            if !reach[i as usize] {
+                reach[i as usize] = true;
+                stack.push(i);
             }
         }
-        let mut events = Vec::new();
-        let _ = expand::<_, ()>(form, &limits, &mut self.store, layout, &i, |_, ev, _| {
-            events.push(ev);
-            ControlFlow::Continue(())
-        });
-        if replay_ok {
-            self.log.begin(i);
-            for &ev in &events {
-                self.log.push(i, ev);
-            }
-            self.log.seal(i);
-            self.succ_stale = true;
+    }
+    reach
+}
+
+/// A resume's view of a [`StateGraph`] as a BFS [`Store`], seeded at an
+/// interned state. Queue items carry the state's depth from the seed;
+/// "new" is new *to this resume*, which is exactly what a cold run's
+/// intern would report.
+struct Resume<'g> {
+    graph: &'g mut StateGraph,
+    seed: StateId,
+    /// Replay complete logged spans (the per-expansion limits match the
+    /// build's)?
+    replay: bool,
+    /// `reached[j]`: the edge this resume first reached state `j` by;
+    /// `None` for the seed and for states not reached yet.
+    reached: Vec<Option<(StateId, Update)>>,
+    /// Scratch: the events of the expansion being visited.
+    events: Vec<ExpandEvent>,
+}
+
+impl Resume<'_> {
+    /// The update sequence from the seed to `j` along first-reached edges.
+    fn run_to(&self, mut j: StateId) -> Vec<Update> {
+        let mut run = Vec::new();
+        while j != self.seed {
+            let (i, u) = self.reached[j.index()].expect("reached states have a parent");
+            run.push(u);
+            j = i;
         }
-        events
+        run.reverse();
+        run
     }
 }
 
-/// Rebuild the update sequence `from → j` out of the resume's local
-/// parent chain.
-fn reconstruct(
-    parent: &HashMap<StateId, (StateId, Update)>,
-    from: StateId,
-    mut j: StateId,
-) -> Vec<Update> {
-    let mut run = Vec::new();
-    while j != from {
-        let (i, u) = parent[&j];
-        run.push(u);
-        j = i;
+impl Store for Resume<'_> {
+    type Item = (StateId, usize);
+
+    fn root(&mut self, _form: &GuardedForm) -> Self::Item {
+        (self.seed, 0)
     }
-    run.reverse();
-    run
+
+    fn id(item: &Self::Item) -> StateId {
+        item.0
+    }
+
+    fn depth_of(&self, item: &Self::Item) -> usize {
+        item.1
+    }
+
+    fn instance<'s>(&'s self, item: &'s Self::Item) -> &'s Instance {
+        self.graph.store.get(item.0)
+    }
+
+    fn symmetry(&self) -> SymmetryMode {
+        self.graph.store.symmetry()
+    }
+
+    /// Intern into the retained store. Whether the successor is new to
+    /// this resume is decided when the expansion's events are visited.
+    fn successor(
+        &mut self,
+        form: &GuardedForm,
+        parent: &Self::Item,
+        u: Update,
+        fingerprint: u64,
+        words: &[u32],
+    ) -> (StateId, Option<Self::Item>) {
+        let (j, _) = self
+            .graph
+            .store
+            .successor(form, &parent.0, u, fingerprint, words);
+        (j, None)
+    }
+
+    /// Replay `item`'s complete logged span, or expand it in full (and
+    /// log the span when it can be replayed later); then visit the
+    /// events, handing over the successors this resume had not reached.
+    fn expand<B>(
+        &mut self,
+        form: &GuardedForm,
+        limits: &ExploreLimits,
+        layout: &mut KeyLayout,
+        item: &Self::Item,
+        mut visit: impl FnMut(&mut Self, ExpandEvent, Option<Self::Item>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let (i, depth) = *item;
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        match self.graph.log.complete(i) {
+            Some(span) if self.replay => events.extend_from_slice(span),
+            _ => {
+                let _ = explore::expand::<_, ()>(form, limits, self, layout, item, |_, ev, _| {
+                    events.push(ev);
+                    ControlFlow::Continue(())
+                });
+                if self.replay {
+                    *self.graph.log.slot(i) = Some(Span {
+                        events: events.clone(),
+                        complete: true,
+                    });
+                }
+                self.graph.generation += 1;
+                self.reached.resize(self.graph.store.len(), None);
+            }
+        }
+        let flow = events.iter().try_for_each(|&ev| {
+            let new = match ev {
+                ExpandEvent::Edge(u, j) if j != self.seed && self.reached[j.index()].is_none() => {
+                    self.reached[j.index()] = Some((i, u));
+                    Some((j, depth + 1))
+                }
+                _ => None,
+            };
+            visit(self, ev, new)
+        });
+        self.events = events;
+        flow
+    }
 }
 
 #[cfg(test)]
@@ -503,23 +507,22 @@ mod tests {
     #[test]
     fn closed_build_is_exact_and_annotates() {
         let g = toggle_form();
-        let mut s = Explorer::new(&g, ExploreLimits::small()).build_session();
+        let mut s = Explorer::new(&g, ExploreLimits::small()).graph();
         assert!(s.exact());
-        assert_eq!(s.retained_states(), 4);
-        assert!(s.frontier().is_empty());
+        assert_eq!(s.state_count(), 4);
         s.annotate(&g);
         // Every toggle state can still reach {a,b}: all Holds.
         for i in 0..4 {
             assert_eq!(s.verdict_of(StateId(i)), Some(Verdict::Holds));
         }
-        assert_eq!(s.successor_table().edge_count(), 8);
+        assert_eq!(s.edge_count(), 8);
     }
 
     #[test]
     fn resume_matches_cold_run_per_state() {
         let g = toggle_form();
-        let mut s = Explorer::new(&g, ExploreLimits::small()).build_session();
-        for i in 0..s.retained_states() {
+        let mut s = Explorer::new(&g, ExploreLimits::small()).graph();
+        for i in 0..s.state_count() {
             let id = StateId(i as u32);
             let warm =
                 Explorer::new(&g, ExploreLimits::small()).resume(&mut s, id, |x| g.is_complete(x));
@@ -544,21 +547,21 @@ mod tests {
             max_states: 2,
             ..ExploreLimits::small()
         };
-        let mut s = Explorer::new(&g, lim).build_session();
+        let mut s = Explorer::new(&g, lim).graph();
         assert!(!s.exact());
-        assert_eq!(s.retained_states(), 2);
+        assert_eq!(s.state_count(), 2);
         let out = Explorer::new(&g, ExploreLimits::small())
             .resume(&mut s, StateId(0), |x| g.is_complete(x));
         let run = out.goal_run.expect("goal reachable");
         assert_eq!(run.len(), 2);
         assert!(g.is_complete_run(&run));
-        assert!(s.retained_states() > 2, "resume interned new states");
+        assert!(s.state_count() > 2, "resume interned new states");
     }
 
     #[test]
     fn resume_respects_its_own_limits() {
         let g = toggle_form();
-        let mut s = Explorer::new(&g, ExploreLimits::small()).build_session();
+        let mut s = Explorer::new(&g, ExploreLimits::small()).graph();
         // A depth-0 resume from the root mirrors a cold depth-0 run:
         // the probe sees successors, so the search is not closed.
         let lim = ExploreLimits {

@@ -39,10 +39,8 @@
 //! alongside; callers needing the canonical *instance* can call
 //! `canonicalize()` on the representative.
 //!
-//! Successor adjacency is kept out of the store proper and finalised into
-//! a compact CSR table ([`SuccessorTable`]) once exploration ends — flat
-//! `(offset, data)` arrays instead of a `Vec<Vec<_>>` of tiny
-//! allocations.
+//! Successor adjacency is kept out of the store: the explorer's expansion
+//! log holds it ([`StateGraph`](crate::StateGraph)).
 
 use idar_core::{CanonKey, Instance, Update};
 use std::collections::HashMap;
@@ -324,88 +322,6 @@ impl StateStore {
     }
 }
 
-/// Compact successor adjacency in CSR form: one flat data array plus one
-/// offset array, replacing a `Vec<Vec<(Update, StateId)>>` of per-state
-/// allocations.
-#[derive(Debug, Clone, Default)]
-pub struct SuccessorTable {
-    off: Vec<u32>,
-    dat: Vec<(Update, StateId)>,
-}
-
-impl SuccessorTable {
-    /// An empty table over `n` states (every state has no successors) —
-    /// what goal searches that skip edge collection produce.
-    pub fn empty(n: usize) -> SuccessorTable {
-        SuccessorTable {
-            off: vec![0; n + 1],
-            dat: Vec::new(),
-        }
-    }
-
-    /// Build the CSR arrays from unordered `(from, update, to)` triples
-    /// (counting sort by source; within a source, triple order is kept).
-    pub fn from_triples(n: usize, triples: &[(StateId, Update, StateId)]) -> SuccessorTable {
-        let mut counts = vec![0u32; n + 1];
-        for &(from, _, _) in triples {
-            counts[from.index() + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let off = counts.clone();
-        let mut cursor = counts;
-        let mut dat = vec![
-            (
-                Update::Del {
-                    node: idar_core::InstNodeId::ROOT
-                },
-                StateId(0)
-            );
-            triples.len()
-        ];
-        for &(from, u, to) in triples {
-            let slot = cursor[from.index()] as usize;
-            dat[slot] = (u, to);
-            cursor[from.index()] += 1;
-        }
-        SuccessorTable { off, dat }
-    }
-
-    /// Outgoing `(update, successor)` edges of state `i`.
-    pub fn successors(&self, i: StateId) -> &[(Update, StateId)] {
-        &self.dat[self.off[i.index()] as usize..self.off[i.index() + 1] as usize]
-    }
-
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.dat.len()
-    }
-
-    /// Approximate resident bytes of the CSR arrays.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<SuccessorTable>()
-            + self.off.capacity() * size_of::<u32>()
-            + self.dat.capacity() * size_of::<(Update, StateId)>()
-    }
-
-    /// Number of states the table was built over.
-    pub fn state_count(&self) -> usize {
-        self.off.len().saturating_sub(1)
-    }
-
-    /// Iterate over all `(from, update, to)` edges.
-    pub fn iter(&self) -> impl Iterator<Item = (StateId, Update, StateId)> + '_ {
-        (0..self.state_count()).flat_map(move |i| {
-            let from = StateId(i as u32);
-            self.successors(from)
-                .iter()
-                .map(move |&(u, to)| (from, u, to))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,27 +395,5 @@ mod tests {
         assert_eq!(store.depth(two), 2);
         assert_eq!(store.run_to(two), vec![u1, u2]);
         assert_eq!(store.fingerprint(one), i1.canon_key().fingerprint());
-    }
-
-    #[test]
-    fn csr_from_triples() {
-        let u = Update::Del {
-            node: InstNodeId(1),
-        };
-        let triples = vec![
-            (StateId(1), u, StateId(0)),
-            (StateId(0), u, StateId(1)),
-            (StateId(0), u, StateId(2)),
-            (StateId(2), u, StateId(0)),
-        ];
-        let t = SuccessorTable::from_triples(3, &triples);
-        assert_eq!(t.edge_count(), 4);
-        assert_eq!(t.successors(StateId(0)).len(), 2);
-        assert_eq!(t.successors(StateId(1)), &[(u, StateId(0))]);
-        assert_eq!(t.successors(StateId(2)), &[(u, StateId(0))]);
-        assert_eq!(t.iter().count(), 4);
-        let empty = SuccessorTable::empty(3);
-        assert_eq!(empty.edge_count(), 0);
-        assert_eq!(empty.successors(StateId(2)), &[]);
     }
 }

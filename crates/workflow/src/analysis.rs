@@ -50,7 +50,7 @@ pub fn analyse(form: &GuardedForm, limits: ExploreLimits) -> Analysis {
     for i in 0..w.state_count() {
         for (u, j) in w.successors(i) {
             if w.is_completable_state(j.index()) {
-                live_events.insert(w.event_of(i, u));
+                live_events.insert(w.event_of(i, &u));
             }
         }
     }

@@ -30,8 +30,9 @@ pub mod petri;
 pub mod runs;
 
 use idar_core::{GuardedForm, Instance, Right, SchemaNodeId, Update};
-use idar_solver::explore::{ExploreLimits, Explorer, StateGraph};
+use idar_solver::explore::{ExploreLimits, Explorer};
 use idar_solver::store::StateId;
+use idar_solver::StateGraph;
 use std::fmt::Write as _;
 
 /// The reachability graph of a guarded form, with form-level conveniences
@@ -56,28 +57,8 @@ impl WorkflowGraph {
     /// Explore `form` within `limits` and annotate the result.
     pub fn build(form: &GuardedForm, limits: ExploreLimits) -> WorkflowGraph {
         let graph = Explorer::new(form, limits).graph();
-        let n = graph.state_count();
         let complete: Vec<bool> = graph.states().iter().map(|s| form.is_complete(s)).collect();
-        // Backward reachability from complete states.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, _, j) in graph.succ.iter() {
-            rev[j.index()].push(i.index());
-        }
-        let mut completable = complete.clone();
-        let mut queue: std::collections::VecDeque<usize> = complete
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .collect();
-        while let Some(j) = queue.pop_front() {
-            for &i in &rev[j] {
-                if !completable[i] {
-                    completable[i] = true;
-                    queue.push_back(i);
-                }
-            }
-        }
+        let completable = graph.can_reach(complete.clone());
         WorkflowGraph {
             graph,
             complete,
@@ -97,7 +78,7 @@ impl WorkflowGraph {
 
     /// Did the exploration cover the whole reachable space?
     pub fn closed(&self) -> bool {
-        self.graph.stats.closed
+        self.graph.exact()
     }
 
     /// The state instances (index 0 = initial).
@@ -116,7 +97,7 @@ impl WorkflowGraph {
     }
 
     /// Outgoing `(update, successor)` edges of state `i`.
-    pub fn successors(&self, i: usize) -> &[(Update, StateId)] {
+    pub fn successors(&self, i: usize) -> impl Iterator<Item = (Update, StateId)> + '_ {
         self.graph.successors(i)
     }
 
@@ -165,7 +146,7 @@ impl WorkflowGraph {
                 "  s{i} [label=\"{label}\", shape={shape}, style=filled, fillcolor={fill}];"
             );
         }
-        for (i, u, j) in self.graph.succ.iter() {
+        for (i, u, j) in self.graph.edges() {
             let ev = self.event_of(i.index(), &u);
             let _ = writeln!(
                 out,

@@ -17,7 +17,7 @@
 //!
 //! For forms the oracle would answer with bounded exploration (or the
 //! depth-1 canonical system), the manager retains the explored state
-//! graph as a [`SessionGraph`] across edits instead of re-solving cold:
+//! graph as a [`StateGraph`] across edits instead of re-solving cold:
 //! the *first* oracle call builds the graph once, and every later vet is
 //! either a **graph hit** (the successor is interned in an exact graph —
 //! its annotated verdict is a lookup) or a **frontier extension** (the
@@ -43,7 +43,7 @@ use idar_solver::cache::CacheStats;
 use idar_solver::verdict::SearchStats;
 use idar_solver::{
     analyze_keyed, rules_signature_of, select_method, AnalysisKind, AnalysisRequest, CachedVerdict,
-    CompletabilityOptions, Explorer, Method, RulesSignature, SessionDelta, SessionGraph, Verdict,
+    CompletabilityOptions, Explorer, Method, RulesSignature, SessionDelta, StateGraph, Verdict,
     VerdictCache,
 };
 use std::cell::{Cell, RefCell};
@@ -149,33 +149,31 @@ pub struct EvictionStats {
 /// The retained graph plus the cache entries it published.
 #[derive(Debug, Clone)]
 struct ActiveSession {
-    graph: SessionGraph,
+    graph: StateGraph,
     delta: SessionDelta,
-    /// Memoised `graph.approx_bytes()` and the state count it was
+    /// Memoised `graph.approx_bytes()` and the graph generation it was
     /// computed at — the byte walk is O(states), so it only reruns when
-    /// the graph grew.
+    /// the graph grew (new states or newly logged expansions).
     bytes: usize,
-    bytes_at: usize,
+    bytes_at: u64,
 }
 
 impl ActiveSession {
-    fn new(graph: SessionGraph) -> ActiveSession {
-        let bytes = graph.approx_bytes();
-        let bytes_at = graph.retained_states();
+    fn new(graph: StateGraph) -> ActiveSession {
         ActiveSession {
+            bytes: graph.approx_bytes(),
+            bytes_at: graph.generation(),
             graph,
             delta: SessionDelta::new(),
-            bytes,
-            bytes_at,
         }
     }
 
     /// Current approximate resident bytes, recomputed iff the graph grew.
     fn approx_bytes(&mut self) -> usize {
-        let n = self.graph.retained_states();
-        if n != self.bytes_at {
+        let generation = self.graph.generation();
+        if generation != self.bytes_at {
             self.bytes = self.graph.approx_bytes();
-            self.bytes_at = n;
+            self.bytes_at = generation;
         }
         self.bytes
     }
@@ -205,7 +203,7 @@ enum SessionState {
 /// the oracle per candidate update.
 ///
 /// On exploration-dispatched forms the manager additionally retains the
-/// explored [`SessionGraph`] across edits (see the module docs), so a
+/// explored [`StateGraph`] across edits (see the module docs), so a
 /// post-edit sweep is a set of graph lookups rather than solves;
 /// [`FormManager::recompute_stats`] reports the split.
 #[derive(Debug, Clone)]
@@ -228,7 +226,7 @@ pub struct FormManager {
     /// solves) once it holds more than this many states.
     max_retained_states: usize,
     /// Byte-denominated memory budget: evict once the graph's
-    /// approximate resident bytes ([`SessionGraph::approx_bytes`])
+    /// approximate resident bytes ([`StateGraph::approx_bytes`])
     /// exceed this. `None`: states-only budget.
     max_retained_bytes: Option<usize>,
     session: RefCell<SessionState>,
@@ -292,7 +290,7 @@ impl FormManager {
     }
 
     /// Cap the retained session graph at `max` approximate resident
-    /// **bytes** ([`SessionGraph::approx_bytes`]) — the byte-denominated
+    /// **bytes** ([`StateGraph::approx_bytes`]) — the byte-denominated
     /// counterpart of [`FormManager::with_max_retained_states`]; both
     /// caps apply when both are set. Exceeding it evicts the graph
     /// (retracting its published cache entries) and the session
@@ -322,7 +320,7 @@ impl FormManager {
     /// graph is active — ineligible method, not yet built, or evicted).
     pub fn retained_states(&self) -> Option<usize> {
         match &*self.session.borrow() {
-            SessionState::Active(a) => Some(a.graph.retained_states()),
+            SessionState::Active(a) => Some(a.graph.state_count()),
             _ => None,
         }
     }
@@ -475,13 +473,13 @@ impl FormManager {
         }
         let mut graph = Explorer::new(&self.form, self.oracle.limits)
             .with_symmetry(self.oracle.symmetry)
-            .build_session();
+            .graph();
         let build_bytes = if self.max_retained_bytes.is_some() {
             graph.approx_bytes()
         } else {
             0
         };
-        let build_over = graph.retained_states() > self.max_retained_states
+        let build_over = graph.state_count() > self.max_retained_states
             || self.max_retained_bytes.is_some_and(|b| build_bytes > b);
         *state = if build_over {
             self.record_eviction(if build_bytes == 0 {
@@ -504,7 +502,7 @@ impl FormManager {
 
     /// Is the retained graph over either memory budget?
     fn over_budget(&self, active: &mut ActiveSession) -> bool {
-        active.graph.retained_states() > self.max_retained_states
+        active.graph.state_count() > self.max_retained_states
             || self
                 .max_retained_bytes
                 .is_some_and(|b| active.approx_bytes() > b)
@@ -811,6 +809,44 @@ mod tests {
         assert_eq!(ev.evictions, 1);
         assert!(ev.evicted_bytes > 16);
         assert!(tiny.recompute_stats().cold_solves > 0);
+    }
+
+    /// A frontier extension that logs an expansion but interns no new
+    /// state still grows the graph, and the retained bytes follow it.
+    /// Under `a(b)` with `b` never addable there are two states, {} and
+    /// {a}; a build capped at two states never expands {a}, and the
+    /// resume from {a} expands it (one edge, back to the root) and stops
+    /// at the cap when it reaches the root.
+    #[test]
+    fn retained_bytes_follow_a_resume_that_only_logs() {
+        let schema = Arc::new(Schema::parse("a(b)").unwrap());
+        let a_edge = schema.resolve("a").unwrap();
+        let mut rules = AccessRules::new(&schema);
+        rules.set_both(a_edge, Formula::parse("!a").unwrap(), Formula::True);
+        let init = Instance::empty(schema.clone());
+        let form = GuardedForm::new(schema, rules, init, Formula::parse("a[b]").unwrap());
+        let mut oracle = CompletabilityOptions::with_limits(idar_solver::ExploreLimits {
+            max_states: 2,
+            ..idar_solver::ExploreLimits::small()
+        });
+        oracle.force_method = Some(Method::BoundedExploration);
+        let mgr = FormManager::new(form, oracle, UnknownPolicy::Accept);
+        let add_a = Update::Add {
+            parent: InstNodeId::ROOT,
+            edge: a_edge,
+        };
+        assert_eq!(mgr.vet(&add_a), Ok(()), "Unknown is accepted");
+        assert_eq!(mgr.recompute_stats().frontier_extends, 1);
+        assert_eq!(
+            mgr.retained_states(),
+            Some(2),
+            "the resume interned nothing"
+        );
+        let graph_bytes = match &*mgr.session.borrow() {
+            SessionState::Active(a) => a.graph.approx_bytes(),
+            _ => panic!("the truncated graph stays active"),
+        };
+        assert_eq!(mgr.retained_bytes(), Some(graph_bytes));
     }
 
     /// `reset` rewinds to the initial instance while keeping the

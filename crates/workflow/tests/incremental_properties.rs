@@ -4,7 +4,7 @@
 //! engines, on real form families from `idar-gen`:
 //!
 //! * **resume-equivalence** — `Explorer::resume` from *any* state
-//!   interned in a `SessionGraph` produces exactly the same
+//!   interned in a `StateGraph` produces exactly the same
 //!   `SearchStats` and goal depth as a cold run on the form re-rooted at
 //!   that state's instance, and as the naive reference explorer;
 //! * **eviction round-trip** — a `FormManager` whose retained graph is
@@ -21,7 +21,7 @@ use idar_workflow::manager::{FormManager, UnknownPolicy};
 use std::sync::Arc;
 
 /// The forms under test: all close under `ExploreLimits::small()`, so
-/// session builds are exact and every retained state is resumable.
+/// session builds under it are exact.
 fn closing_forms() -> Vec<(String, idar_core::GuardedForm)> {
     vec![
         ("subset_lattice(3)".into(), subset_lattice(3)),
@@ -38,48 +38,78 @@ fn closing_forms() -> Vec<(String, idar_core::GuardedForm)> {
 /// Resume from every retained state must match a cold run
 /// re-rooted at that state — exact `SearchStats` equality and equal goal
 /// depth — under both symmetry modes, and the reference explorer agrees
-/// with both.
+/// with both; a goal run replays from that state. Builds are exact or
+/// truncated by `max_states`; resumes run under the build's limits (logged
+/// expansions replay) or under a different `max_state_size` or
+/// `multiplicity_cap` (every state is expanded afresh).
 #[test]
 fn resume_equals_cold_run_from_every_state() {
     let limits = ExploreLimits::small();
+    let truncated = ExploreLimits {
+        max_states: 5,
+        ..limits
+    };
+    let runs = [
+        ("exact", limits, limits),
+        ("truncated", truncated, limits),
+        (
+            "state-size",
+            limits,
+            ExploreLimits {
+                max_state_size: 3,
+                ..limits
+            },
+        ),
+        (
+            "multiplicity",
+            truncated,
+            ExploreLimits {
+                multiplicity_cap: Some(1),
+                ..limits
+            },
+        ),
+    ];
     for (name, form) in closing_forms() {
         for mode in [SymmetryMode::Reduced, SymmetryMode::Plain] {
-            let mut session = Explorer::new(&form, limits)
-                .with_symmetry(mode)
-                .build_session();
-            assert!(session.exact(), "{name} {mode:?}: build must close");
-            let retained = session.retained_states();
-            for i in 0..retained {
-                let id = StateId(i as u32);
-                let warm = Explorer::new(&form, limits).with_symmetry(mode).resume(
-                    &mut session,
-                    id,
-                    |x| form.is_complete(x),
-                );
-                let rerooted = form.with_initial(session.store().get(id).clone());
-                let cold = Explorer::new(&rerooted, limits)
-                    .with_symmetry(mode)
-                    .find(|x| rerooted.is_complete(x));
-                assert_eq!(warm.stats, cold.stats, "{name} {mode:?} state {i}");
-                assert_eq!(
-                    warm.goal_run.as_ref().map(Vec::len),
-                    cold.goal_run.as_ref().map(Vec::len),
-                    "{name} {mode:?} state {i}: goal depth"
-                );
-                let oracle =
-                    reference::explore(&rerooted, &limits, mode, |x| rerooted.is_complete(x));
-                assert_eq!(
-                    warm.stats, oracle.stats,
-                    "{name} {mode:?} state {i}: oracle"
-                );
-                assert_eq!(
-                    warm.goal_run.as_ref().map(Vec::len),
-                    oracle.goal_depth,
-                    "{name} {mode:?} state {i}: oracle goal depth"
-                );
+            for (what, build, query) in runs {
+                let ctx = format!("{name} {mode:?} {what}");
+                let mut session = Explorer::new(&form, build).with_symmetry(mode).graph();
+                assert_eq!(session.exact(), build == limits, "{ctx}: build closes");
+                let retained = session.state_count();
+                for i in 0..retained {
+                    let id = StateId(i as u32);
+                    let warm = Explorer::new(&form, query).with_symmetry(mode).resume(
+                        &mut session,
+                        id,
+                        |x| form.is_complete(x),
+                    );
+                    let rerooted = form.with_initial(session.store().get(id).clone());
+                    let cold = Explorer::new(&rerooted, query)
+                        .with_symmetry(mode)
+                        .find(|x| rerooted.is_complete(x));
+                    assert_eq!(warm.stats, cold.stats, "{ctx} state {i}");
+                    assert_eq!(
+                        warm.goal_run.as_ref().map(Vec::len),
+                        cold.goal_run.as_ref().map(Vec::len),
+                        "{ctx} state {i}: goal depth"
+                    );
+                    let oracle =
+                        reference::explore(&rerooted, &query, mode, |x| rerooted.is_complete(x));
+                    assert_eq!(warm.stats, oracle.stats, "{ctx} state {i}: oracle");
+                    assert_eq!(
+                        warm.goal_run.as_ref().map(Vec::len),
+                        oracle.goal_depth,
+                        "{ctx} state {i}: oracle goal depth"
+                    );
+                    if let Some(run) = &warm.goal_run {
+                        assert!(rerooted.is_complete_run(run), "{ctx} state {i}: replay");
+                    }
+                }
+                if build == limits {
+                    // An exact session answers queries without growing.
+                    assert_eq!(session.state_count(), retained, "{ctx}");
+                }
             }
-            // An exact session answers queries without growing.
-            assert_eq!(session.retained_states(), retained, "{name} {mode:?}");
         }
     }
 }
@@ -94,7 +124,7 @@ fn truncated_session_converges_to_the_cold_space() {
         max_states: 5,
         ..ExploreLimits::small()
     };
-    let mut session = Explorer::new(&form, tight).build_session();
+    let mut session = Explorer::new(&form, tight).graph();
     assert!(!session.exact());
     let cold = Explorer::new(&form, ExploreLimits::small()).find(|x| form.is_complete(x));
     let warm = Explorer::new(&form, ExploreLimits::small())
@@ -104,7 +134,7 @@ fn truncated_session_converges_to_the_cold_space() {
         warm.goal_run.as_ref().map(Vec::len),
         cold.goal_run.as_ref().map(Vec::len)
     );
-    assert_eq!(session.retained_states(), cold.stats.states);
+    assert_eq!(session.state_count(), cold.stats.states);
 }
 
 /// Drive one manager with a retained graph and one whose graph was
@@ -199,10 +229,10 @@ fn annotation_agrees_with_resume_on_exact_graphs() {
     let form = subset_lattice(4);
     let limits = ExploreLimits::small();
     let explorer = Explorer::new(&form, limits);
-    let mut session = explorer.build_session();
+    let mut session = explorer.graph();
     session.annotate(&form);
     assert!(session.exact());
-    for i in 0..session.retained_states() {
+    for i in 0..session.state_count() {
         let id = StateId(i as u32);
         let annotated = session.verdict_of(id).expect("exact graph is annotated");
         let out = explorer.resume(&mut session, id, |x| form.is_complete(x));
