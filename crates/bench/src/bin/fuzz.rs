@@ -898,6 +898,26 @@ fn check_workflow(form: &GuardedForm) -> Result<(), String> {
         ));
     }
 
+    // A semi-soundness counterexample must replay to an incompletable
+    // state whether or not the enumeration closed.
+    let sopts = SemisoundnessOptions {
+        limits,
+        ..Default::default()
+    };
+    let s = semisoundness(form, &sopts);
+    if s.verdict == Verdict::Fails {
+        let cex = s
+            .counterexample
+            .ok_or_else(|| "Fails verdict without counterexample".to_string())?;
+        let replayed = form
+            .replay(&cex)
+            .map_err(|e| format!("counterexample does not replay: {e}"))?;
+        let stuck = form.with_initial(replayed.last().clone());
+        if completability(&stuck, &copts).verdict == Verdict::Holds {
+            return Err("counterexample's final state is completable after all".into());
+        }
+    }
+
     let wg = WorkflowGraph::build(form, limits);
     if wg.closed() {
         let any_complete = (0..wg.state_count()).any(|i| wg.is_complete_state(i));
@@ -919,11 +939,6 @@ fn check_workflow(form: &GuardedForm) -> Result<(), String> {
             _ => {}
         }
 
-        let sopts = SemisoundnessOptions {
-            limits,
-            ..Default::default()
-        };
-        let s = semisoundness(form, &sopts);
         let all_completable = (0..wg.state_count()).all(|i| wg.is_completable_state(i));
         match s.verdict {
             Verdict::Holds if !all_completable => {
@@ -938,18 +953,6 @@ fn check_workflow(form: &GuardedForm) -> Result<(), String> {
                 );
             }
             _ => {}
-        }
-        if s.verdict == Verdict::Fails {
-            let cex = s
-                .counterexample
-                .ok_or_else(|| "Fails verdict without counterexample".to_string())?;
-            let replayed = form
-                .replay(&cex)
-                .map_err(|e| format!("counterexample does not replay: {e}"))?;
-            let stuck = form.with_initial(replayed.last().clone());
-            if completability(&stuck, &copts).verdict == Verdict::Holds {
-                return Err("counterexample's final state is completable after all".into());
-            }
         }
     }
 

@@ -379,9 +379,7 @@ fn answered_in_time(addr: std::net::SocketAddr, name: &str, body: &str, kinds: &
 /// `<->` nest, and wide chains and a CNF whose labels all resolve in the
 /// schema, under all-`false` and under all-`true` rules. Each
 /// gets a 4xx, or a 200 within 2 s (release build), for every kind, and
-/// the server answers the next request. The one exception, semi-soundness
-/// under all-`true` rules, is
-/// `permissive_wide_semisoundness_is_answered_in_time`.
+/// the server answers the next request.
 #[test]
 fn hostile_formulas_are_answered_and_the_server_keeps_serving() {
     let handle = Server::start("127.0.0.1:0", ServerConfig::default()).expect("server start");
@@ -406,20 +404,17 @@ fn hostile_formulas_are_answered_and_the_server_keeps_serving() {
     for (name, body) in &cases {
         answered_in_time(addr, name, body, &KINDS);
     }
-    for (name, body) in wide_inputs("false") {
+    for (name, body) in wide_inputs("false").into_iter().chain(wide_inputs("true")) {
         answered_in_time(addr, &name, &body, &KINDS);
-    }
-    for (name, body) in wide_inputs("true") {
-        answered_in_time(addr, &name, &body, &["completability", "satisfiability"]);
     }
     handle.shutdown();
 }
 
-/// Semi-soundness of the wide inputs under all-`true` rules. Known to
-/// stall: it does not answer within 100 s (ROADMAP item 7), so the test
-/// is ignored until that item is done; `cargo test -- --ignored` runs it.
+/// Semi-soundness of the wide inputs under all-`true` rules. The
+/// reachable-state enumeration spends the whole state budget, so no
+/// per-state completability oracle may run after it: one oracle for each
+/// of its ~20,000 stuck states would hold the worker for minutes.
 #[test]
-#[ignore = "known stall, ROADMAP item 7"]
 fn permissive_wide_semisoundness_is_answered_in_time() {
     let handle = Server::start("127.0.0.1:0", ServerConfig::default()).expect("server start");
     for (name, body) in wide_inputs("true") {

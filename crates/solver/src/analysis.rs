@@ -60,7 +60,7 @@ impl fmt::Display for AnalysisKind {
 }
 
 /// The one budget struct every analysis shares — exploration limits,
-/// per-state oracle limits, method override, and the symmetry quotient.
+/// method override, and the symmetry quotient.
 ///
 /// This replaces the `ExploreLimits` plumbing that used to be copied
 /// across `CompletabilityOptions` and `SemisoundnessOptions`; those
@@ -74,11 +74,9 @@ impl fmt::Display for AnalysisKind {
 /// unbudgeted runs share cache entries.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
-    /// Resource limits for the bounded/NP code paths.
+    /// Resource limits for the bounded/NP code paths (semi-soundness
+    /// also caps enumerated states plus oracles asked at `max_states`).
     pub limits: ExploreLimits,
-    /// Limits for per-state completability oracles (semi-soundness);
-    /// defaults to `limits` when `None`.
-    pub oracle_limits: Option<ExploreLimits>,
     /// Skip the fragment dispatch and force a method (for ablations and
     /// differential tests). Only meaningful for completability.
     pub force_method: Option<Method>,
@@ -105,7 +103,6 @@ impl PartialEq for Budget {
         // `memory` and `skip_screen` intentionally omitted — see the
         // struct docs.
         self.limits == other.limits
-            && self.oracle_limits == other.oracle_limits
             && self.force_method == other.force_method
             && self.symmetry == other.symmetry
     }
@@ -118,7 +115,6 @@ impl std::hash::Hash for Budget {
         // `memory` and `skip_screen` intentionally omitted — must stay
         // consistent with `eq`.
         self.limits.hash(state);
-        self.oracle_limits.hash(state);
         self.force_method.hash(state);
         self.symmetry.hash(state);
     }
@@ -131,11 +127,6 @@ impl Budget {
             limits,
             ..Budget::default()
         }
-    }
-
-    /// The per-state oracle limits (falling back to the main limits).
-    pub fn oracle(&self) -> ExploreLimits {
-        self.oracle_limits.unwrap_or(self.limits)
     }
 }
 

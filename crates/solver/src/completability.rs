@@ -141,13 +141,8 @@ fn run_method(form: &GuardedForm, method: Method, budget: &Budget) -> Completabi
                 .with_symmetry(budget.symmetry)
                 .with_memory_budget(budget.memory)
                 .find(|i| form.is_complete(i));
-            let verdict = match (&out.goal_run, out.stats.closed) {
-                (Some(_), _) => Verdict::Holds,
-                (None, true) => Verdict::Fails, // space exhausted: exact
-                (None, false) => Verdict::Unknown,
-            };
             CompletabilityResult {
-                verdict,
+                verdict: out.verdict(),
                 method: Method::BoundedExploration,
                 witness_run: out.goal_run,
                 stats: out.stats,

@@ -22,7 +22,6 @@ use crate::verdict::{SearchStats, Verdict};
 use idar_core::{
     Formula, GuardedForm, InstNodeId, Instance, PathExpr, PathStep, Right, SchemaNodeId, Update,
 };
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -170,64 +169,69 @@ impl Depth1System {
     /// they cannot affect reachability (Lemma 4.3).
     pub fn successors(&self, s: u64) -> Vec<(Depth1Move, u64)> {
         let mut out = Vec::new();
+        self.for_each_move(s, |m, t| out.push((m, t)));
+        out
+    }
+
+    /// Visit the moves [`Depth1System::successors`] lists, in the same
+    /// order, without collecting them.
+    fn for_each_move(&self, s: u64, mut visit: impl FnMut(Depth1Move, u64)) {
         for i in 0..self.n() {
             let bit = 1u64 << i;
             if s & bit == 0 {
                 if self.add_guards[i].eval(s) {
-                    out.push((Depth1Move::Add(i as u8), s | bit));
+                    visit(Depth1Move::Add(i as u8), s | bit);
                 }
             } else if self.del_guards[i].eval(s) {
-                out.push((Depth1Move::Del(i as u8), s & !bit));
+                visit(Depth1Move::Del(i as u8), s & !bit);
             }
         }
-        out
     }
 
-    /// All states reachable from `from`, with BFS tree pointers for run
-    /// reconstruction.
+    /// All states reachable from `from`, with dense ids in BFS discovery
+    /// order, the BFS tree for run reconstruction, and every transition.
     pub fn reachable_from(&self, from: u64) -> Reachability {
-        let mut parent: HashMap<u64, Option<(u64, Depth1Move)>> = HashMap::new();
-        parent.insert(from, None);
+        let mut id = HashMap::from([(from, 0)]);
         // The BFS queue is the discovery order: nothing is ever removed.
         let mut order = vec![from];
+        let mut parent = vec![None];
+        let mut edges = Vec::new();
         let mut next = 0;
-        let mut transitions = 0usize;
         while let Some(&s) = order.get(next) {
+            let i = next as u32;
             next += 1;
-            for (m, t) in self.successors(s) {
-                transitions += 1;
-                if let Entry::Vacant(e) = parent.entry(t) {
-                    e.insert(Some((s, m)));
+            self.for_each_move(s, |m, t| {
+                let j = *id.entry(t).or_insert_with(|| {
                     order.push(t);
-                }
-            }
+                    parent.push(Some((i, m)));
+                    u32::try_from(order.len() - 1).expect("depth-1 state ids fit in u32")
+                });
+                edges.push((i, j));
+            });
         }
         Reachability {
-            parent,
-            order,
             stats: SearchStats {
-                states: 0,
-                transitions,
+                states: order.len(),
+                transitions: edges.len(),
                 closed: true,
                 limit_hit: None,
             },
+            id,
+            order,
+            parent,
+            edges,
         }
-        .with_state_count()
     }
 
     /// **Exact** completability (Def. 3.13) via Lemma 4.3.
     pub fn completability(&self) -> Depth1Answer {
         let reach = self.reachable_from(self.initial);
-        let goal = reach
-            .states()
-            .iter()
-            .copied()
-            .find(|&s| self.is_complete_state(s));
-        match goal {
-            Some(s) => Depth1Answer {
+        let states = reach.states();
+        match states.iter().position(|&s| self.is_complete_state(s)) {
+            Some(i) => Depth1Answer {
                 verdict: Verdict::Holds,
-                witness_state: Some(s),
-                moves: Some(reach.path_to(s)),
+                witness_state: Some(states[i]),
+                moves: Some(reach.run_to(i as u32)),
                 stats: reach.stats,
             },
             None => Depth1Answer {
@@ -251,14 +255,9 @@ impl Depth1System {
         let reach = self.reachable_from(self.initial);
         // Backward reachability from complete states within `reach`.
         let states = reach.states();
-        let index: HashMap<u64, usize> = states.iter().enumerate().map(|(i, &s)| (s, i)).collect();
         let complete = states.iter().map(|&s| self.is_complete_state(s)).collect();
-        let edges = states
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &s)| self.successors(s).into_iter().map(move |(_, t)| (i, t)));
-        let completable = backward_reach(complete, edges.map(|(i, t)| (i, index[&t])));
-        match (0..states.len()).find(|&i| !completable[i]) {
+        let edges = reach.edges.iter().map(|&(i, j)| (i as usize, j as usize));
+        match backward_reach(complete, edges).iter().position(|&ok| !ok) {
             None => Depth1Answer {
                 verdict: Verdict::Holds,
                 witness_state: None,
@@ -268,7 +267,7 @@ impl Depth1System {
             Some(i) => Depth1Answer {
                 verdict: Verdict::Fails,
                 witness_state: Some(states[i]),
-                moves: Some(reach.path_to(states[i])),
+                moves: Some(reach.run_to(i as u32)),
                 stats: reach.stats,
             },
         }
@@ -324,24 +323,26 @@ pub struct Depth1Answer {
     pub stats: SearchStats,
 }
 
-/// Forward-reachable set with BFS tree.
+/// Forward-reachable set with BFS tree and transitions, over dense state
+/// ids assigned in BFS discovery order.
 #[derive(Debug, Clone)]
 pub struct Reachability {
-    parent: HashMap<u64, Option<(u64, Depth1Move)>>,
-    /// The reachable states in BFS discovery order, so witnesses picked
-    /// from them do not depend on hash order.
+    /// The id of each reachable state.
+    id: HashMap<u64, u32>,
+    /// The reachable states, indexed by id, so witnesses picked from
+    /// them do not depend on hash order.
     order: Vec<u64>,
+    /// `parent[i]`: the state and move that first reached state `i`;
+    /// `None` for the origin.
+    parent: Vec<Option<(u32, Depth1Move)>>,
+    /// Every transition the search took, as `(from, to)` ids.
+    edges: Vec<(u32, u32)>,
     /// `closed` is always true: the depth-1 space is finite and explored
     /// exhaustively.
     pub stats: SearchStats,
 }
 
 impl Reachability {
-    fn with_state_count(mut self) -> Self {
-        self.stats.states = self.parent.len();
-        self
-    }
-
     /// The reachable states, in BFS discovery order.
     pub fn states(&self) -> &[u64] {
         &self.order
@@ -349,15 +350,21 @@ impl Reachability {
 
     /// Is `s` reachable?
     pub fn contains(&self, s: u64) -> bool {
-        self.parent.contains_key(&s)
+        self.id.contains_key(&s)
     }
 
-    /// The BFS move sequence from the origin to `s`.
-    pub fn path_to(&self, mut s: u64) -> Vec<Depth1Move> {
+    /// The BFS move sequence from the origin to `s`; empty when `s` is
+    /// not reachable.
+    pub fn path_to(&self, s: u64) -> Vec<Depth1Move> {
+        self.id.get(&s).map_or_else(Vec::new, |&i| self.run_to(i))
+    }
+
+    /// The BFS move sequence from the origin to state id `i`.
+    fn run_to(&self, mut i: u32) -> Vec<Depth1Move> {
         let mut rev = Vec::new();
-        while let Some(&Some((p, m))) = self.parent.get(&s) {
+        while let Some((p, m)) = self.parent[i as usize] {
             rev.push(m);
-            s = p;
+            i = p;
         }
         rev.reverse();
         rev

@@ -59,7 +59,7 @@
 use crate::session::{ExpandEvent, ExpansionLog, StateGraph};
 use crate::spill::{MemoryBudget, SpillReport, SpillStore};
 use crate::store::{StateId, StateStore, SymmetryMode};
-use crate::verdict::{LimitKind, SearchStats};
+use crate::verdict::{LimitKind, SearchStats, Verdict};
 use idar_core::{GuardedForm, Instance, KeyLayout, Update};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -112,6 +112,19 @@ pub struct ExploreOutcome {
     pub goal_run: Option<Vec<Update>>,
     /// Search statistics; `stats.closed` reports exhaustiveness.
     pub stats: SearchStats,
+}
+
+impl ExploreOutcome {
+    /// The verdict of a goal search: `Holds` on a goal run, `Fails` when
+    /// the search closed without one (the space is exhausted), `Unknown`
+    /// otherwise.
+    pub fn verdict(&self) -> Verdict {
+        match (&self.goal_run, self.stats.closed) {
+            (Some(_), _) => Verdict::Holds,
+            (None, true) => Verdict::Fails,
+            (None, false) => Verdict::Unknown,
+        }
+    }
 }
 
 /// The host's available parallelism (1 if unknown). Explorations are

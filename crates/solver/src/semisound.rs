@@ -2,29 +2,33 @@
 //! instance must be completable.
 //!
 //! * depth ≤ 1 → **exact** via the canonical-state system (Lemma 4.3 /
-//!   Thm 4.6 / Cor. 4.7): forward-reachable set ∩ backward-reachable set
-//!   of complete states.
-//! * deeper forms → bounded enumeration of reachable states (isomorphism
-//!   deduplication via the shared [`StateStore`](crate::store::StateStore))
-//!   with a per-state completability oracle; the oracle is exact whenever
-//!   the fragment offers one (`A+φ+`: Thm 5.5 saturation at any depth;
-//!   `A+φ−`: Thm 5.2). A counterexample (reachable + provably-incompletable
-//!   state) yields an exact `Fails` even when the enumeration itself is
-//!   bounded; `Holds` is exact only if the enumeration closed *and* every
-//!   per-state answer was exact.
+//!   Thm 4.6 / Cor. 4.7): one forward pass records the reachable states
+//!   and their transitions, and backward reachability from the complete
+//!   states over those transitions finds any incompletable one.
+//! * deeper forms → one bounded enumeration of the reachable states
+//!   (isomorphism deduplication via the shared
+//!   [`StateStore`](crate::store::StateStore)) and backward reachability
+//!   from its complete states. A closed enumeration is exact: its first
+//!   state that cannot reach a complete one is the counterexample. A
+//!   truncated one is decided only by an exact `Fails` of a per-state
+//!   completability oracle (exact when the fragment offers a method:
+//!   `A+φ+`, Thm 5.5 saturation at any depth; `A+φ−`, Thm 5.2), asked
+//!   in discovery order about at most as many stuck states as the state
+//!   budget has left; otherwise the answer is `Unknown`.
 //!
 //! [`semisoundness`] is a thin wrapper over the unified
 //! [`analysis`](crate::analysis) pipeline.
 
 use crate::analysis::Budget;
+use crate::completability::run_completability;
 use crate::depth1::Depth1System;
 use crate::explore::Explorer;
 use crate::verdict::{Method, SearchStats, Verdict};
 use idar_core::{GuardedForm, Update};
 
 /// Options for [`semisoundness`] — an alias of the pipeline-wide
-/// [`Budget`] (use `limits` for the reachable-state enumeration and
-/// `oracle_limits` for the per-state completability oracle).
+/// [`Budget`]: `limits` bounds the enumeration and each per-state oracle,
+/// and enumerated states plus oracles asked stay within `max_states`.
 pub type SemisoundnessOptions = Budget;
 
 /// The result of a semi-soundness query.
@@ -80,50 +84,39 @@ fn bounded_semisoundness(form: &GuardedForm, budget: &Budget) -> SemisoundnessRe
     let graph = Explorer::new(form, budget.limits)
         .with_symmetry(budget.symmetry)
         .graph();
-    let oracle_opts = Budget {
-        limits: budget.oracle(),
-        symmetry: budget.symmetry,
-        ..Budget::default()
-    };
-
-    let mut any_unknown = false;
     // A state that is complete, or can reach one within the enumerated
-    // subgraph, is completable; the oracle runs only for the rest.
+    // subgraph, is completable.
     let complete = graph.states().iter().map(|s| form.is_complete(s)).collect();
-    let completable = graph.can_reach(complete);
-    for (i, &ok) in completable.iter().enumerate() {
-        if ok {
-            continue;
-        }
-        // Not completable within the enumerated subgraph; ask the oracle
-        // (which can go beyond the enumeration's frontier).
-        let sub = form.with_initial(graph.state(i).clone());
-        let r = crate::completability::run_completability(&sub, &oracle_opts);
-        match r.verdict {
-            Verdict::Holds => { /* fine */ }
-            Verdict::Fails => {
-                // Exact incompletability of a genuinely reachable state:
-                // exact counterexample regardless of enumeration limits.
-                return SemisoundnessResult {
-                    verdict: Verdict::Fails,
-                    method: Method::ReachableEnumeration,
-                    counterexample: Some(graph.run_to(i)),
-                    stats: graph.build_stats(),
-                };
-            }
-            Verdict::Unknown => any_unknown = true,
-        }
-    }
-
-    let verdict = if graph.exact() && !any_unknown {
-        Verdict::Holds
+    let mut stuck = graph
+        .can_reach(complete)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, ok)| (!ok).then_some(i));
+    let trap = if graph.exact() {
+        // The subgraph is the whole reachable space: stuck is incompletable.
+        stuck.next()
     } else {
-        Verdict::Unknown
+        // The oracle can look past the enumeration's frontier; it gets the
+        // request's budget, but `force_method` is for completability.
+        let oracle = Budget {
+            force_method: None,
+            ..budget.clone()
+        };
+        let spare = budget.limits.max_states.saturating_sub(graph.state_count());
+        stuck.take(spare).find(|&i| {
+            let sub = form.with_initial(graph.state(i).clone());
+            run_completability(&sub, &oracle).verdict == Verdict::Fails
+        })
+    };
+    let verdict = match trap {
+        Some(_) => Verdict::Fails,
+        None if graph.exact() => Verdict::Holds,
+        None => Verdict::Unknown,
     };
     SemisoundnessResult {
         verdict,
         method: Method::ReachableEnumeration,
-        counterexample: None,
+        counterexample: trap.map(|i| graph.run_to(i)),
         stats: graph.build_stats(),
     }
 }
@@ -271,5 +264,50 @@ mod tests {
             replay.last(),
             &idar_core::Formula::parse("a[b]").unwrap()
         ));
+    }
+
+    /// The enumeration and the oracles share one state budget. In this
+    /// depth-2 form, adding `t` is a trap: it blocks every later update
+    /// and the completion needs `¬t`. Copies of `a` make the reachable
+    /// space infinite, so every enumeration is truncated.
+    #[test]
+    fn oracles_share_the_enumeration_state_budget() {
+        use idar_core::{AccessRules, Formula, Instance, Right, Schema};
+        use std::sync::Arc;
+        let schema = Arc::new(Schema::parse("a(b), t").unwrap());
+        let mut rules = AccessRules::new(&schema);
+        for (label, guard) in [("a", "!t"), ("a/b", "true"), ("t", "!t")] {
+            let edge = schema.resolve(label).unwrap();
+            rules.set(Right::Add, edge, Formula::parse(guard).unwrap());
+        }
+        let g = GuardedForm::new(
+            schema.clone(),
+            rules,
+            Instance::empty(schema),
+            Formula::parse("a[b] & !t").unwrap(),
+        );
+        let budget = |max_states, multiplicity_cap| SemisoundnessOptions {
+            limits: ExploreLimits {
+                max_states,
+                multiplicity_cap,
+                ..ExploreLimits::small()
+            },
+            ..SemisoundnessOptions::default()
+        };
+        // A multiplicity cap truncates the enumeration early: budget is
+        // left, and an oracle proves the trap incompletable.
+        let r = semisoundness(&g, &budget(100, Some(1)));
+        assert!(!r.stats.closed && r.stats.states < 100);
+        assert_eq!(r.verdict, Verdict::Fails);
+        let replay = g.replay(&r.counterexample.unwrap()).unwrap();
+        assert!(idar_core::formula::holds_at_root(
+            replay.last(),
+            &Formula::parse("t").unwrap()
+        ));
+        // The enumeration reaches the trap and spends the budget: no
+        // oracle may run, and the answer is an honest `Unknown`.
+        let r = semisoundness(&g, &budget(4, None));
+        assert_eq!(r.stats.states, 4);
+        assert_eq!(r.verdict, Verdict::Unknown);
     }
 }

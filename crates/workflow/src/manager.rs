@@ -532,11 +532,7 @@ impl FormManager {
         let out =
             Explorer::new(&self.form, self.oracle.limits)
                 .resume(&mut active.graph, id, |i| self.form.is_complete(i));
-        let verdict = match (out.goal_run.is_some(), out.stats.closed) {
-            (true, _) => Verdict::Holds,
-            (false, true) => Verdict::Fails,
-            (false, false) => Verdict::Unknown,
-        };
+        let verdict = out.verdict();
         self.bump(|r| r.frontier_extends += 1);
         // Same cacheability rule as the cold pipeline: never publish an
         // `Unknown` that merely reflects a resource limit.

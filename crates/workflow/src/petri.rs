@@ -205,19 +205,9 @@ impl PetriNet {
     /// Compare the net's reachability graph with the canonical-state
     /// system's (they must coincide — used as a law in tests).
     pub fn agrees_with_canonical_system(&self) -> bool {
-        let net: HashSet<Marking> = self.reachable_markings();
-        let mut canon = HashSet::new();
-        let mut queue = VecDeque::new();
-        canon.insert(self.system.initial_state());
-        queue.push_back(self.system.initial_state());
-        while let Some(s) = queue.pop_front() {
-            for (_, t) in self.system.successors(s) {
-                if canon.insert(t) {
-                    queue.push_back(t);
-                }
-            }
-        }
-        net == canon
+        let canon = self.system.reachable_from(self.system.initial_state());
+        let canon: HashSet<Marking> = canon.states().iter().copied().collect();
+        self.reachable_markings() == canon
     }
 
     /// Marking → label-set rendering for diagnostics.

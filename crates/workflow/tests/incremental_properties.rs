@@ -14,8 +14,7 @@
 use idar_gen::builders::subset_lattice;
 use idar_gen::scenario::{ChainSpec, ScenarioSpec};
 use idar_solver::{
-    reference, Budget, ExploreLimits, Explorer, Method, StateId, SymmetryMode, Verdict,
-    VerdictCache,
+    reference, Budget, ExploreLimits, Explorer, Method, StateId, SymmetryMode, VerdictCache,
 };
 use idar_workflow::manager::{FormManager, UnknownPolicy};
 use std::sync::Arc;
@@ -236,11 +235,6 @@ fn annotation_agrees_with_resume_on_exact_graphs() {
         let id = StateId(i as u32);
         let annotated = session.verdict_of(id).expect("exact graph is annotated");
         let out = explorer.resume(&mut session, id, |x| form.is_complete(x));
-        let resumed = match (out.goal_run.is_some(), out.stats.closed) {
-            (true, _) => Verdict::Holds,
-            (false, true) => Verdict::Fails,
-            (false, false) => Verdict::Unknown,
-        };
-        assert_eq!(annotated, resumed, "state {i}");
+        assert_eq!(annotated, out.verdict(), "state {i}");
     }
 }
