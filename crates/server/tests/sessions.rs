@@ -377,7 +377,9 @@ fn answered_in_time(addr: std::net::SocketAddr, name: &str, body: &str, kinds: &
 /// Hostile completion formulas: chains of every operator far longer than
 /// `MAX_NESTING`, a path past it, a long filter chain, an exponential
 /// `<->` nest, and wide chains and a CNF whose labels all resolve in the
-/// schema, under all-`false` and under all-`true` rules. Each
+/// schema, under all-`false` and under all-`true` rules; and a
+/// permissive 24-label depth-1 form, whose 2^24 reachable states are
+/// far past the budget's state cap. Each
 /// gets a 4xx, or a 200 within 2 s (release build), for every kind, and
 /// the server answers the next request.
 #[test]
@@ -407,6 +409,15 @@ fn hostile_formulas_are_answered_and_the_server_keeps_serving() {
     for (name, body) in wide_inputs("false").into_iter().chain(wide_inputs("true")) {
         answered_in_time(addr, &name, &body, &KINDS);
     }
+    let labels: Vec<String> = (0..24).map(|i| format!("l{i}")).collect();
+    let permissive = flat_form(&labels, "true", "l0 & !l1");
+    answered_in_time(addr, "24-label permissive form", &permissive, &KINDS);
+    // Its semi-soundness stops at the state cap with an honest `Unknown`.
+    let path = "/v1/analyze?kind=semisoundness";
+    let (status, _, reply) = exchange(addr, "POST", path, None, &permissive);
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.contains("\"verdict\":\"unknown\""), "{reply}");
+    assert!(reply.contains("\"states\":20000"), "{reply}");
     handle.shutdown();
 }
 

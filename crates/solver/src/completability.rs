@@ -6,7 +6,8 @@
 //! licenses:
 //!
 //! 1. `F(A+, φ+, ·)` → Thm 5.5 saturation (exact, polynomial).
-//! 2. depth ≤ 1      → Lemma 4.3 canonical-state search (exact, ≤ 2ⁿ states).
+//! 2. depth ≤ 1      → Lemma 4.3 canonical-state search (exact, ≤ 2ⁿ states;
+//!    `Unknown` when no complete state lies within `max_states`).
 //! 3. `F(A+, φ−, k)` → Thm 5.2 capped search (exact, NP).
 //! 4. otherwise      → bounded exploration (undecidable in general, Thm 4.1):
 //!    `Holds` on a found run, `Fails` only if the search *closed*, else
@@ -93,7 +94,7 @@ fn run_method(form: &GuardedForm, method: Method, budget: &Budget) -> Completabi
         },
         Method::Depth1Canonical => match Depth1System::new(form) {
             Ok(sys) => {
-                let ans = sys.completability();
+                let ans = sys.completability(budget.limits.max_states);
                 let witness_run = ans.moves.as_ref().map(|m| sys.concretize(form, m));
                 CompletabilityResult {
                     verdict: ans.verdict,

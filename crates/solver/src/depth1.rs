@@ -12,18 +12,29 @@
 //! depth-1 rows of Table 1.
 //!
 //! Guards and the completion formula are compiled once into Boolean
-//! expressions over the state bitset ([`Compiled`]): in a canonical depth-1
+//! functions of the state bitset ([`Compiled`]): in a canonical depth-1
 //! instance, a formula's value at any node is a function of the label set
-//! alone, so each guard evaluation during search is a handful of bit tests
-//! instead of a tree walk.
+//! alone. A function that reads at most 8 label bits becomes a 256-bit
+//! truth table over them, so evaluating it gathers those bits into an
+//! index and tests one table bit; a wider one keeps its expression tree
+//! and is evaluated by a walk of it.
+//!
+//! The forward pass interns at most `max_states` states (the caller's
+//! budget, e.g. `Budget::limits.max_states`). A pass cut short by the cap
+//! reports `closed: false` and [`LimitKind::States`]; completability then
+//! answers `Holds` only if a complete state was interned, and `Unknown`
+//! otherwise, and semi-soundness answers `Unknown`. Below the cap both are
+//! exact.
 
 use crate::session::backward_reach;
-use crate::verdict::{SearchStats, Verdict};
+use crate::verdict::{LimitKind, SearchStats, Verdict};
 use idar_core::{
     Formula, GuardedForm, InstNodeId, Instance, PathExpr, PathStep, Right, SchemaNodeId, Update,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Why a guarded form cannot be handled by the depth-1 solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,33 +199,54 @@ impl Depth1System {
         }
     }
 
-    /// All states reachable from `from`, with dense ids in BFS discovery
-    /// order, the BFS tree for run reconstruction, and every transition.
-    pub fn reachable_from(&self, from: u64) -> Reachability {
-        let mut id = HashMap::from([(from, 0)]);
+    /// The states reachable from `from`, with dense ids in BFS discovery
+    /// order, the BFS tree for run reconstruction, and every transition
+    /// between them. At most `max_states` states are interned (the origin
+    /// always is): the pass stops at the first state past the cap and
+    /// reports [`LimitKind::States`], and its ids are then a prefix of the
+    /// uncapped discovery order.
+    pub fn reachable_from(&self, from: u64, max_states: usize) -> Reachability {
+        let mut id = StateIds::default();
+        id.insert(from, 0);
         // The BFS queue is the discovery order: nothing is ever removed.
         let mut order = vec![from];
         let mut parent = vec![None];
         let mut edges = Vec::new();
+        let mut full = false;
         let mut next = 0;
         while let Some(&s) = order.get(next) {
             let i = next as u32;
             next += 1;
             self.for_each_move(s, |m, t| {
-                let j = *id.entry(t).or_insert_with(|| {
-                    order.push(t);
-                    parent.push(Some((i, m)));
-                    u32::try_from(order.len() - 1).expect("depth-1 state ids fit in u32")
-                });
+                if full {
+                    return;
+                }
+                let j = match id.entry(t) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(_) if order.len() >= max_states => {
+                        full = true;
+                        return;
+                    }
+                    Entry::Vacant(e) => {
+                        let j = u32::try_from(order.len()).expect("depth-1 state ids fit in u32");
+                        e.insert(j);
+                        order.push(t);
+                        parent.push(Some((i, m)));
+                        j
+                    }
+                };
                 edges.push((i, j));
             });
+            if full {
+                break;
+            }
         }
         Reachability {
             stats: SearchStats {
                 states: order.len(),
                 transitions: edges.len(),
-                closed: true,
-                limit_hit: None,
+                closed: !full,
+                limit_hit: full.then_some(LimitKind::States),
             },
             id,
             order,
@@ -223,9 +255,12 @@ impl Depth1System {
         }
     }
 
-    /// **Exact** completability (Def. 3.13) via Lemma 4.3.
-    pub fn completability(&self) -> Depth1Answer {
-        let reach = self.reachable_from(self.initial);
+    /// Completability (Def. 3.13) via Lemma 4.3, within `max_states`
+    /// canonical states: `Holds` with the first complete state in id
+    /// order, else `Fails` when the pass closed and `Unknown` when the
+    /// cap cut it short.
+    pub fn completability(&self, max_states: usize) -> Depth1Answer {
+        let reach = self.reachable_from(self.initial, max_states);
         let states = reach.states();
         match states.iter().position(|&s| self.is_complete_state(s)) {
             Some(i) => Depth1Answer {
@@ -235,7 +270,11 @@ impl Depth1System {
                 stats: reach.stats,
             },
             None => Depth1Answer {
-                verdict: Verdict::Fails,
+                verdict: if reach.stats.closed {
+                    Verdict::Fails
+                } else {
+                    Verdict::Unknown
+                },
                 witness_state: None,
                 moves: None,
                 stats: reach.stats,
@@ -243,20 +282,29 @@ impl Depth1System {
         }
     }
 
-    /// **Exact** semi-soundness (Def. 3.14): every reachable state can
-    /// reach a complete state. On failure the witness is a run to an
-    /// incompletable reachable state.
+    /// Semi-soundness (Def. 3.14) within `max_states` canonical states:
+    /// every reachable state can reach a complete state. On failure the
+    /// witness is a run to an incompletable reachable state. `Unknown`
+    /// when the cap cut the forward pass short.
     ///
     /// Implementation note: for any reachable `s`, `Reach(s) ⊆ Reach(I₀)`,
     /// so completability of all reachable states is a backward reachability
     /// problem *inside* the forward-reachable set — no need to touch the
     /// full `2^n` space.
-    pub fn semisoundness(&self) -> Depth1Answer {
-        let reach = self.reachable_from(self.initial);
+    pub fn semisoundness(&self, max_states: usize) -> Depth1Answer {
+        let reach = self.reachable_from(self.initial, max_states);
+        if !reach.stats.closed {
+            return Depth1Answer {
+                verdict: Verdict::Unknown,
+                witness_state: None,
+                moves: None,
+                stats: reach.stats,
+            };
+        }
         // Backward reachability from complete states within `reach`.
         let states = reach.states();
         let complete = states.iter().map(|&s| self.is_complete_state(s)).collect();
-        let edges = reach.edges.iter().map(|&(i, j)| (i as usize, j as usize));
+        let edges = || reach.edges.iter().map(|&(i, j)| (i as usize, j as usize));
         match backward_reach(complete, edges).iter().position(|&ok| !ok) {
             None => Depth1Answer {
                 verdict: Verdict::Holds,
@@ -312,7 +360,8 @@ impl Depth1System {
 /// Result of a depth-1 decision, with canonical witness.
 #[derive(Debug, Clone)]
 pub struct Depth1Answer {
-    /// Always `Holds` or `Fails` — this solver is exact.
+    /// `Holds` or `Fails` when decided; `Unknown` only when the state cap
+    /// cut the forward pass short before it decided.
     pub verdict: Verdict,
     /// For completability-`Holds`: a complete state. For
     /// semi-soundness-`Fails`: an incompletable reachable state.
@@ -323,12 +372,40 @@ pub struct Depth1Answer {
     pub stats: SearchStats,
 }
 
+/// The `u64 → u32` state-id map of a forward pass.
+type StateIds = HashMap<u64, u32, BuildHasherDefault<StateHasher>>;
+
+/// A multiplicative hash for the one `u64` a state key writes: the
+/// product by the golden-ratio constant, its high half folded into its
+/// low half so the bucket bits see every input bit. The keys are the
+/// canonical states of one form, and a pass holds at most `max_states`
+/// of them.
+#[derive(Debug, Default)]
+struct StateHasher(u64);
+
+impl Hasher for StateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Forward-reachable set with BFS tree and transitions, over dense state
 /// ids assigned in BFS discovery order.
 #[derive(Debug, Clone)]
 pub struct Reachability {
     /// The id of each reachable state.
-    id: HashMap<u64, u32>,
+    id: StateIds,
     /// The reachable states, indexed by id, so witnesses picked from
     /// them do not depend on hash order.
     order: Vec<u64>,
@@ -337,8 +414,7 @@ pub struct Reachability {
     parent: Vec<Option<(u32, Depth1Move)>>,
     /// Every transition the search took, as `(from, to)` ids.
     edges: Vec<(u32, u32)>,
-    /// `closed` is always true: the depth-1 space is finite and explored
-    /// exhaustively.
+    /// `closed` unless the state cap cut the pass short.
     pub stats: SearchStats,
 }
 
@@ -383,10 +459,25 @@ enum Ctx {
     Child(u8),
 }
 
-/// A compiled Boolean expression over the state bitset.
+/// A compiled Boolean function of the state bitset: a truth table over
+/// its dependency bits when it reads at most 8 of them, else its
+/// expression tree.
 #[derive(Debug, Clone)]
-pub struct Compiled {
-    expr: Bx,
+pub struct Compiled(Repr);
+
+/// Most label bits a [`Compiled`] truth table ranges over.
+const TABLE_BITS: usize = 8;
+
+#[derive(Debug, Clone)]
+enum Repr {
+    /// Bit `k` of a state's index is state bit `deps[k]`, for `k < len`
+    /// (`deps` ascending); the value at index `x` is bit `x` of `table`.
+    Table {
+        deps: [u8; TABLE_BITS],
+        len: u8,
+        table: [u64; 4],
+    },
+    Tree(Bx),
 }
 
 #[derive(Debug, Clone)]
@@ -417,18 +508,95 @@ impl Bx {
             _ => Bx::Or(ops),
         }
     }
+
+    /// Set the bit of every state bit `self` reads in `mask`.
+    fn deps(&self, mask: &mut u64) {
+        match self {
+            Bx::Const(_) => {}
+            Bx::Bit(i) => *mask |= 1 << i,
+            Bx::Not(x) => x.deps(mask),
+            Bx::And(xs) | Bx::Or(xs) => xs.iter().for_each(|x| x.deps(mask)),
+        }
+    }
+
+    /// The truth table of `self` over `deps`, which hold every bit it
+    /// reads: one walk over 256-bit columns, each operator a word op.
+    fn table(&self, deps: &[u8]) -> [u64; 4] {
+        match self {
+            Bx::Const(c) => [if *c { !0 } else { 0 }; 4],
+            Bx::Bit(i) => column(
+                deps.iter()
+                    .position(|d| d == i)
+                    .expect("bit is a dependency"),
+            ),
+            Bx::Not(x) => x.table(deps).map(|w| !w),
+            Bx::And(xs) => xs.iter().fold([!0; 4], |acc, x| {
+                let t = x.table(deps);
+                std::array::from_fn(|w| acc[w] & t[w])
+            }),
+            Bx::Or(xs) => xs.iter().fold([0; 4], |acc, x| {
+                let t = x.table(deps);
+                std::array::from_fn(|w| acc[w] | t[w])
+            }),
+        }
+    }
 }
 
 impl Compiled {
     fn compile(f: &Formula, ctx: Ctx, bits: &HashMap<&str, u8>) -> Compiled {
-        Compiled {
-            expr: compile_formula(f, ctx, bits),
+        Compiled::from_bx(compile_formula(f, ctx, bits))
+    }
+
+    /// Tabulate `b` when it reads at most [`TABLE_BITS`] state bits.
+    fn from_bx(b: Bx) -> Compiled {
+        let mut mask = 0u64;
+        b.deps(&mut mask);
+        if mask.count_ones() as usize > TABLE_BITS {
+            return Compiled(Repr::Tree(b));
         }
+        let mut deps = [0u8; TABLE_BITS];
+        let mut len = 0u8;
+        let mut rest = mask;
+        while rest != 0 {
+            deps[len as usize] = rest.trailing_zeros() as u8;
+            len += 1;
+            rest &= rest - 1;
+        }
+        let table = b.table(&deps[..len as usize]);
+        Compiled(Repr::Table { deps, len, table })
     }
 
     /// Evaluate against a state bitset.
+    #[inline]
     pub fn eval(&self, s: u64) -> bool {
-        eval_bx(&self.expr, s)
+        match &self.0 {
+            Repr::Table { deps, len, table } => {
+                let mut x = 0;
+                for (k, &d) in deps[..*len as usize].iter().enumerate() {
+                    x |= (s >> d & 1) << k;
+                }
+                table[(x >> 6) as usize] >> (x & 63) & 1 == 1
+            }
+            Repr::Tree(b) => eval_bx(b, s),
+        }
+    }
+}
+
+/// The truth-table column of index bit `k < 8` over 256 indices: bit `x`
+/// is bit `k` of `x`.
+fn column(k: usize) -> [u64; 4] {
+    const LOW: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    match k {
+        0..=5 => [LOW[k]; 4],
+        6 => [0, !0, 0, !0],
+        _ => [0, 0, !0, !0],
     }
 }
 
@@ -530,7 +698,7 @@ mod tests {
         );
         let sys = Depth1System::new(&g).unwrap();
         assert_eq!(sys.n(), 3);
-        let ans = sys.completability();
+        let ans = sys.completability(usize::MAX);
         assert_eq!(ans.verdict, Verdict::Holds);
         let moves = ans.moves.unwrap();
         assert_eq!(moves.len(), 3);
@@ -538,7 +706,7 @@ mod tests {
         let run = sys.concretize(&g, &moves);
         assert!(g.is_complete_run(&run));
         // And the form is semi-sound: any state can still finish.
-        assert_eq!(sys.semisoundness().verdict, Verdict::Holds);
+        assert_eq!(sys.semisoundness(usize::MAX).verdict, Verdict::Holds);
     }
 
     /// Both witnesses are the first in BFS order, so every build of the
@@ -564,12 +732,43 @@ mod tests {
             "c",
         );
         for _ in 0..8 {
-            let ans = Depth1System::new(&complete).unwrap().completability();
+            let ans = Depth1System::new(&complete)
+                .unwrap()
+                .completability(usize::MAX);
             assert_eq!(ans.moves, Some(vec![Depth1Move::Add(0)]));
-            let ans = Depth1System::new(&stuck).unwrap().semisoundness();
+            let ans = Depth1System::new(&stuck).unwrap().semisoundness(usize::MAX);
             assert_eq!(ans.verdict, Verdict::Fails);
             assert_eq!(ans.moves, Some(vec![Depth1Move::Add(0)]));
         }
+    }
+
+    /// Ids are a prefix of the uncapped discovery order: a complete
+    /// state inside the cap is the uncapped witness; past it, both
+    /// questions answer `Unknown`. A cap the space fits in binds nothing.
+    #[test]
+    fn state_cap_truncates_to_unknown() {
+        let free = ["a", "b", "c", "d"].map(|l| (l, "true", "true"));
+        let g = form("a, b, c, d", &free, "", "a & !b");
+        let sys = Depth1System::new(&g).unwrap();
+        let exact = sys.completability(usize::MAX);
+        assert_eq!(exact.stats.states, 16);
+        let capped = sys.completability(2);
+        assert_eq!(capped.verdict, Verdict::Holds);
+        assert_eq!(capped.moves, exact.moves);
+        let truncated = SearchStats {
+            states: 2,
+            transitions: 1,
+            closed: false,
+            limit_hit: Some(LimitKind::States),
+        };
+        assert_eq!(capped.stats, truncated);
+        assert_eq!(sys.completability(1).verdict, Verdict::Unknown);
+        let ss = sys.semisoundness(15);
+        assert_eq!((ss.verdict, ss.stats.states), (Verdict::Unknown, 15));
+        assert_eq!(ss.stats.limit_hit, Some(LimitKind::States));
+        let ss = sys.semisoundness(16);
+        assert_eq!(ss.verdict, Verdict::Holds);
+        assert_eq!(ss.stats, sys.semisoundness(usize::MAX).stats);
     }
 
     #[test]
@@ -582,9 +781,9 @@ mod tests {
             "c",
         );
         let sys = Depth1System::new(&g).unwrap();
-        assert_eq!(sys.completability().verdict, Verdict::Fails);
+        assert_eq!(sys.completability(usize::MAX).verdict, Verdict::Fails);
         // Not semi-sound either (the initial state itself is incompletable).
-        let ss = sys.semisoundness();
+        let ss = sys.semisoundness(usize::MAX);
         assert_eq!(ss.verdict, Verdict::Fails);
         assert_eq!(ss.moves.as_deref(), Some(&[][..]));
     }
@@ -600,8 +799,8 @@ mod tests {
             "g",
         );
         let sys = Depth1System::new(&g).unwrap();
-        assert_eq!(sys.completability().verdict, Verdict::Holds);
-        let ss = sys.semisoundness();
+        assert_eq!(sys.completability(usize::MAX).verdict, Verdict::Holds);
+        let ss = sys.semisoundness(usize::MAX);
         assert_eq!(ss.verdict, Verdict::Fails);
         // The counterexample is the state {t} (or {g,t} — any with t).
         let s = ss.witness_state.unwrap();
@@ -624,7 +823,7 @@ mod tests {
             "!a & b",
         );
         let sys = Depth1System::new(&g).unwrap();
-        let ans = sys.completability();
+        let ans = sys.completability(usize::MAX);
         assert_eq!(ans.verdict, Verdict::Holds);
         let run = sys.concretize(&g, &ans.moves.unwrap());
         assert!(g.is_complete_run(&run));
@@ -637,7 +836,7 @@ mod tests {
         // Canonical initial state has a single `a` bit…
         assert_eq!(sys.initial_state().count_ones(), 1);
         // …and deletion reaches ¬a by deleting all three copies.
-        let ans = sys.completability();
+        let ans = sys.completability(usize::MAX);
         assert_eq!(ans.verdict, Verdict::Holds);
         let run = sys.concretize(&g, &ans.moves.unwrap());
         assert_eq!(run.len(), 3); // one concrete delete per copy
@@ -661,40 +860,137 @@ mod tests {
     #[test]
     fn compiled_guards_match_interpreter() {
         // Differential check: compiled bitset evaluation agrees with the
-        // tree-walking evaluator on every state of a 5-label schema.
-        let schema = Arc::new(Schema::parse("a, b, c, d, e").unwrap());
-        let formulas = [
-            "a & !b | c[..[d]]",
-            "!(a | b) & (c | d[..[e & a]])",
-            "a[.. [b & c]] | !d",
-            "e & !e | a",
-            "..",
-            "a/..",
-            "zz | a", // unknown label
+        // tree-walking evaluator on every state of a 5-label schema (truth
+        // tables) and of a 10-label one (trees past 8 label bits).
+        let cases: [(&[&str], &[&str]); 2] = [
+            (
+                &["a", "b", "c", "d", "e"],
+                &[
+                    "a & !b | c[..[d]]",
+                    "!(a | b) & (c | d[..[e & a]])",
+                    "a[.. [b & c]] | !d",
+                    "e & !e | a",
+                    "..",
+                    "a/..",
+                    "zz | a", // unknown label
+                ],
+            ),
+            (
+                &["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"],
+                &[
+                    "a & !b | c[..[d & e]] | f & g & !h | i[..[j]]",
+                    "!(a | b | c | d | e | f | g | h | i | j)",
+                    "(a | b) & (c | d) & (e | f) & (g | h) & !(i & j)",
+                    "a & b & c & d & e & f & g & h",
+                ],
+            ),
         ];
-        let bit_of: HashMap<&str, u8> = ["a", "b", "c", "d", "e"]
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, i as u8))
-            .collect();
-        for ft in formulas {
-            let f = Formula::parse(ft).unwrap();
-            let compiled = Compiled::compile(&f, Ctx::Root, &bit_of);
-            for s in 0u64..32 {
-                // Materialise the canonical instance for state s.
-                let mut inst = Instance::empty(schema.clone());
-                for (i, l) in ["a", "b", "c", "d", "e"].iter().enumerate() {
-                    if s >> i & 1 == 1 {
-                        inst.add_child_by_label(InstNodeId::ROOT, l).unwrap();
+        for (labels, formulas) in cases {
+            let schema = Arc::new(Schema::parse(&labels.join(", ")).unwrap());
+            let bit_of: HashMap<&str, u8> = labels
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| (l, i as u8))
+                .collect();
+            for ft in formulas {
+                let f = Formula::parse(ft).unwrap();
+                let compiled = Compiled::compile(&f, Ctx::Root, &bit_of);
+                // Miri samples the 10-label states.
+                let step = if cfg!(miri) && labels.len() > 8 {
+                    61
+                } else {
+                    1
+                };
+                for s in (0u64..1 << labels.len()).step_by(step) {
+                    // Materialise the canonical instance for state s.
+                    let mut inst = Instance::empty(schema.clone());
+                    for (i, l) in labels.iter().enumerate() {
+                        if s >> i & 1 == 1 {
+                            inst.add_child_by_label(InstNodeId::ROOT, l).unwrap();
+                        }
                     }
+                    assert_eq!(
+                        compiled.eval(s),
+                        idar_core::formula::holds_at_root(&inst, &f),
+                        "mismatch for `{ft}` at state {s:b}"
+                    );
                 }
-                assert_eq!(
-                    compiled.eval(s),
-                    idar_core::formula::holds_at_root(&inst, &f),
-                    "mismatch for `{ft}` at state {s:b}"
-                );
             }
         }
+    }
+
+    /// A random expression over bits `0..n`, at most `depth` operators
+    /// deep; `next` is the random source.
+    fn random_bx(next: &mut impl FnMut() -> u64, n: u8, depth: u32) -> Bx {
+        match next() % if depth == 0 { 2 } else { 5 } {
+            0 if n > 0 => Bx::Bit((next() % u64::from(n)) as u8),
+            0 | 1 => Bx::Const(next() & 1 == 1),
+            2 => Bx::Not(Box::new(random_bx(next, n, depth - 1))),
+            k => {
+                let ops = (0..1 + next() % 4).map(|_| random_bx(next, n, depth - 1));
+                Bx::junction(ops, k == 3)
+            }
+        }
+    }
+
+    /// `bits` ANDed, each negated where `neg` has its bit set.
+    fn cube(bits: std::ops::Range<u8>, neg: u64) -> Bx {
+        Bx::junction(
+            bits.map(|i| match neg >> i & 1 {
+                1 => Bx::Not(Box::new(Bx::Bit(i))),
+                _ => Bx::Bit(i),
+            }),
+            true,
+        )
+    }
+
+    /// Truth-table evaluation equals the tree walk on every assignment
+    /// of random guards over 0–12 labels, constant guards and guards of
+    /// exactly 8 (a table) and 9 (a tree) dependency bits included.
+    #[test]
+    fn truth_tables_match_tree_evaluation() {
+        let mut x = 0x5EED_u64;
+        let mut next = move || {
+            // SplitMix64.
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let per_width = if cfg!(miri) { 2 } else { 24 };
+        let mut guards = vec![
+            Bx::Const(false),
+            Bx::Const(true),
+            cube(0..8, 0b1010_0110),
+            Bx::Or(vec![cube(1..9, 0), Bx::Not(Box::new(Bx::Bit(0)))]),
+            Bx::Or(vec![cube(0..5, 0b1), cube(4..9, 0b1_0000)]),
+        ];
+        for n in 0..=12u8 {
+            for _ in 0..per_width {
+                guards.push(random_bx(&mut next, n, 4));
+            }
+        }
+        let (mut tables, mut trees) = (0, 0);
+        for b in guards {
+            let mut mask = 0;
+            b.deps(&mut mask);
+            let compiled = Compiled::from_bx(b.clone());
+            match compiled.0 {
+                Repr::Table { .. } => tables += 1,
+                Repr::Tree(_) => trees += 1,
+            }
+            assert_eq!(
+                matches!(compiled.0, Repr::Table { .. }),
+                mask.count_ones() <= 8,
+                "{b:?}"
+            );
+            // Every assignment of the bits up to the highest one read.
+            let span = 64 - mask.leading_zeros();
+            for s in 0u64..1 << span {
+                assert_eq!(compiled.eval(s), eval_bx(&b, s), "{b:?} at {s:b}");
+            }
+        }
+        assert!(tables > 0 && trees > 0, "{tables} tables, {trees} trees");
     }
 
     #[test]
@@ -708,7 +1004,7 @@ mod tests {
         );
         let sys = Depth1System::new(&g).unwrap();
         assert_eq!(sys.n(), 0);
-        assert_eq!(sys.completability().verdict, Verdict::Holds);
-        assert_eq!(sys.semisoundness().verdict, Verdict::Holds);
+        assert_eq!(sys.completability(usize::MAX).verdict, Verdict::Holds);
+        assert_eq!(sys.semisoundness(usize::MAX).verdict, Verdict::Holds);
     }
 }

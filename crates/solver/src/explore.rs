@@ -470,9 +470,11 @@ impl Journal for () {}
 /// The one BFS driver: a FIFO queue over `store` from its root (the
 /// form's initial instance, or a resume's seed). The goal is checked on
 /// the root and then on each newly discovered state, before the state
-/// cap; a depth-limited search probes the unexpanded frontier for
-/// successors to decide whether it closed. Returns the statistics and
-/// the goal state found, if any.
+/// cap; the root counts against the cap, so a search visits at most
+/// `max_states` states (and always the root: a cap of 1 or 0 stops there,
+/// closed only when the root has no successor). A depth-limited search
+/// probes the unexpanded frontier for successors to decide whether it
+/// closed. Returns the statistics and the goal state found, if any.
 pub(crate) fn bfs<S: Store>(
     form: &GuardedForm,
     limits: &ExploreLimits,
@@ -488,6 +490,12 @@ pub(crate) fn bfs<S: Store>(
     if goal(store.instance(&root)) {
         stats.closed = true;
         return (stats, Some(S::id(&root)));
+    }
+    // The root fills a cap of 1 (or 0): stop unless the search would
+    // close at the root anyway.
+    if stats.states >= limits.max_states && has_successor(form, store.instance(&root)) {
+        stats.limit_hit = Some(LimitKind::States);
+        return (stats, None);
     }
     let mut queue = VecDeque::from([root]);
     let mut layout = KeyLayout::default();
@@ -681,6 +689,50 @@ mod tests {
         let graph = Explorer::new(&g, lim).graph();
         assert!(!graph.build_stats().closed);
         assert_eq!(graph.build_stats().limit_hit, Some(LimitKind::States));
+    }
+
+    /// The root counts against the state cap: a cap of 1 (or 0) visits
+    /// the root alone though it has successors, in every engine; a root
+    /// without successors still closes the search.
+    #[test]
+    fn state_cap_counts_the_root() {
+        let g = toggle_form();
+        // No rule allows anything: the root is the whole space.
+        let schema = g.schema().clone();
+        let rules = AccessRules::new(&schema);
+        let stuck = GuardedForm::new(
+            schema.clone(),
+            rules,
+            Instance::empty(schema),
+            Formula::False,
+        );
+        let capped = SearchStats {
+            states: 1,
+            transitions: 0,
+            closed: false,
+            limit_hit: Some(LimitKind::States),
+        };
+        for max_states in [0, 1] {
+            let lim = ExploreLimits {
+                max_states,
+                ..ExploreLimits::small()
+            };
+            let found = Explorer::new(&g, lim).find(|i| g.is_complete(i));
+            assert_eq!(found.stats, capped, "cap {max_states}");
+            assert!(found.goal_run.is_none());
+            let graph = Explorer::new(&g, lim).graph();
+            assert_eq!(graph.build_stats(), capped, "cap {max_states}");
+            assert_eq!(graph.state_count(), 1);
+            let oracle =
+                crate::reference::explore(&g, &lim, SymmetryMode::Reduced, |i| g.is_complete(i));
+            assert_eq!(oracle.stats, capped, "cap {max_states}");
+            let closed = Explorer::new(&stuck, lim).find(|_| false).stats;
+            assert_eq!(
+                (closed.states, closed.closed),
+                (1, true),
+                "cap {max_states}"
+            );
+        }
     }
 
     /// The capacity engine (tiny spill budget) is verdict-, depth- and

@@ -15,7 +15,7 @@
 //! |----------------------|-------------------------------------------------|----------------|
 //! | `F(A+, φ+, d)` any d | exact, P ([`positive`], Thm 5.5)                 | exact for d = 1; otherwise one bounded reachable enumeration, exact when it closes, else refuted only by exact per-state oracles within the state budget it left |
 //! | `F(A+, φ−, k)`       | exact, NP ([`np`], Thm 5.2)                      | bounded (Π^P_2k-hard, upper open) |
-//! | `F(A−, φ±, 1)`       | exact, PSPACE ([`depth1`], Lemma 4.3 + Thm 4.6)  | exact ([`depth1`], Cor. 4.7) |
+//! | `F(A−, φ±, 1)`       | exact, PSPACE ([`depth1`], Lemma 4.3 + Thm 4.6), within `max_states` | exact ([`depth1`], Cor. 4.7), within `max_states` |
 //! | `F(A−, φ±, ≥2)`      | bounded ([`explore`]) — undecidable (Thm 4.1)    | bounded |
 //!
 //! Every verdict is three-valued ([`Verdict`]): `Holds`, `Fails`, or

@@ -59,6 +59,10 @@ pub fn explore(
         out.goal_depth = Some(0);
         return out;
     }
+    if out.stats.states >= limits.max_states && !allowed_updates(form, &root).is_empty() {
+        out.stats.limit_hit = Some(LimitKind::States);
+        return out;
+    }
     let mut seen = HashSet::from([words(&root)]);
     let mut queue = VecDeque::from([(root, 0)]);
     let mut pruned = false;

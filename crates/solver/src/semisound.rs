@@ -4,7 +4,8 @@
 //! * depth ≤ 1 → **exact** via the canonical-state system (Lemma 4.3 /
 //!   Thm 4.6 / Cor. 4.7): one forward pass records the reachable states
 //!   and their transitions, and backward reachability from the complete
-//!   states over those transitions finds any incompletable one.
+//!   states over those transitions finds any incompletable one. A pass
+//!   that `max_states` cuts short answers `Unknown`.
 //! * deeper forms → one bounded enumeration of the reachable states
 //!   (isomorphism deduplication via the shared
 //!   [`StateStore`](crate::store::StateStore)) and backward reachability
@@ -67,7 +68,7 @@ pub fn semisoundness(form: &GuardedForm, options: &SemisoundnessOptions) -> Semi
 pub(crate) fn run_semisoundness(form: &GuardedForm, budget: &Budget) -> SemisoundnessResult {
     if form.schema().depth() <= 1 {
         if let Ok(sys) = Depth1System::new(form) {
-            let ans = sys.semisoundness();
+            let ans = sys.semisoundness(budget.limits.max_states);
             let counterexample = ans.moves.as_ref().map(|m| sys.concretize(form, m));
             return SemisoundnessResult {
                 verdict: ans.verdict,

@@ -283,7 +283,9 @@ impl StateGraph {
     /// `target` (indexed by state id) along explored edges; every target
     /// reaches itself. Exact when the graph is.
     pub fn can_reach(&self, target: Vec<bool>) -> Vec<bool> {
-        backward_reach(target, self.edges().map(|(i, _, j)| (i.index(), j.index())))
+        backward_reach(target, || {
+            self.edges().map(|(i, _, j)| (i.index(), j.index()))
+        })
     }
 
     /// Annotate every build state with its exact completability verdict
@@ -340,19 +342,34 @@ impl StateGraph {
 /// return it also marks every state with a path along `edges` (`(from,
 /// to)` index pairs) to a target. The one routine behind every "can it
 /// still complete?" question of the crate.
-pub(crate) fn backward_reach(
+///
+/// `edges` is called twice, and must list the same edges both times: the
+/// reverse adjacency is one CSR array, sized from the in-degrees of the
+/// first walk and filled, in edge order, by the second.
+pub(crate) fn backward_reach<I: Iterator<Item = (usize, usize)>>(
     mut reach: Vec<bool>,
-    edges: impl IntoIterator<Item = (usize, usize)>,
+    edges: impl Fn() -> I,
 ) -> Vec<bool> {
-    let mut rev: Vec<Vec<u32>> = vec![Vec::new(); reach.len()];
-    for (i, j) in edges {
-        rev[j].push(i as u32);
+    let n = reach.len();
+    // Sources into `j` end up at `from[start[j]..start[j + 1]]`: count
+    // them at `start[j + 2]`, sum, then fill with `start[j + 1]` as the
+    // cursor.
+    let mut start = vec![0usize; n + 2];
+    for (_, j) in edges() {
+        start[j + 2] += 1;
     }
-    let mut stack: Vec<u32> = (0..reach.len() as u32)
-        .filter(|&i| reach[i as usize])
-        .collect();
+    for k in 2..start.len() {
+        start[k] += start[k - 1];
+    }
+    let mut from = vec![0u32; start[n + 1]];
+    for (i, j) in edges() {
+        from[start[j + 1]] = i as u32;
+        start[j + 1] += 1;
+    }
+    let mut stack: Vec<u32> = (0..n as u32).filter(|&i| reach[i as usize]).collect();
     while let Some(j) = stack.pop() {
-        for &i in &rev[j as usize] {
+        let j = j as usize;
+        for &i in &from[start[j]..start[j + 1]] {
             if !reach[i as usize] {
                 reach[i as usize] = true;
                 stack.push(i);
@@ -556,6 +573,37 @@ mod tests {
         assert_eq!(run.len(), 2);
         assert!(g.is_complete_run(&run));
         assert!(s.state_count() > 2, "resume interned new states");
+    }
+
+    /// The CSR backward pass equals a naive fixpoint on random graphs
+    /// with duplicate edges, self-loops and isolated states.
+    #[test]
+    fn backward_reach_matches_naive_fixpoint() {
+        let mut x = 0xB4C4_u64;
+        let mut next = move |bound: u64| {
+            // SplitMix64, reduced to `0..bound`.
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for case in 0..200 {
+            let n = 1 + next(40) as usize;
+            // States `n - n / 4..` get no edges at all.
+            let linked = (n - n / 4) as u64;
+            let mut edges: Vec<(usize, usize)> = (0..next(3 * linked))
+                .map(|_| (next(linked) as usize, next(linked) as usize))
+                .collect();
+            edges.extend_from_within(..edges.len() / 3);
+            edges.extend((0..n).step_by(5).map(|i| (i, i)));
+            let target: Vec<bool> = (0..n).map(|_| next(6) == 0).collect();
+            let mut naive = target.clone();
+            while let Some(&(i, _)) = edges.iter().find(|&&(i, j)| naive[j] && !naive[i]) {
+                naive[i] = true;
+            }
+            let csr = backward_reach(target, || edges.iter().copied());
+            assert_eq!(csr, naive, "case {case}: {n} states, edges {edges:?}");
+        }
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub enum Method {
     PositiveSaturation,
     /// Thm 5.2 two-phase search — exact for `F(A+, φ−, k)` (NP).
     NpTwoPhase,
-    /// Lemma 4.3 canonical-state search — exact for depth-1 forms.
+    /// Lemma 4.3 canonical-state search — exact for depth-1 forms within
+    /// `max_states` canonical states; `Unknown` when the cap cuts it
+    /// short before it decides.
     Depth1Canonical,
     /// Bounded isomorphism-deduplicated exploration — semi-decision. Exact
     /// only when the exploration *closed* (every reachable state visited,

@@ -205,7 +205,9 @@ impl PetriNet {
     /// Compare the net's reachability graph with the canonical-state
     /// system's (they must coincide — used as a law in tests).
     pub fn agrees_with_canonical_system(&self) -> bool {
-        let canon = self.system.reachable_from(self.system.initial_state());
+        let canon = self
+            .system
+            .reachable_from(self.system.initial_state(), usize::MAX);
         let canon: HashSet<Marking> = canon.states().iter().copied().collect();
         self.reachable_markings() == canon
     }
