@@ -21,8 +21,7 @@
 //!   state records under a 4 KiB spill budget, see `idar_solver::spill`)
 //!   against the in-RAM goal search: identical `SearchStats`,
 //!   goal existence and BFS goal depth, and the spilled witness run must
-//!   replay; deletion-free forms additionally run in frontier-only mode,
-//!   which must reproduce the same stats with zero retained record bytes;
+//!   replay;
 //! * **(b) reductions** — deletion-elimination (Cor. 4.2) and the
 //!   reset/build completability→semi-soundness reduction (Cor. 4.7)
 //!   against direct solving, plus the Thm 5.1 / Thm 5.6 / Cor. 4.5 SAT
@@ -689,9 +688,7 @@ fn check_engines(form: &GuardedForm) -> Result<(), String> {
 /// engine. A 4 KiB arena budget forces page spills at fuzz sizes; the
 /// budgeted search must nevertheless visit exactly the same states
 /// (`SearchStats` compares field-for-field), agree on goal existence
-/// and BFS goal depth, and its witness run must replay. Deletion-free
-/// forms additionally run in frontier-only mode, which must reproduce
-/// the same stats while retaining zero record bytes and no provenance.
+/// and BFS goal depth, and its witness run must replay.
 fn check_capacity(form: &GuardedForm) -> Result<(), String> {
     use idar_solver::MemoryBudget;
     let limits = fuzz_limits();
@@ -727,26 +724,6 @@ fn check_capacity(form: &GuardedForm) -> Result<(), String> {
     if let Some(r) = &spilled.goal_run {
         if !form.is_complete_run(r) {
             return Err("spilled goal run does not replay to a complete state".into());
-        }
-    }
-    if form.is_deletion_free() {
-        let (fo, fo_report) = Explorer::new(form, limits)
-            .with_memory_budget(MemoryBudget::bytes(4 * 1024))
-            .find_frontier_only(|i| form.is_complete(i));
-        if fo.stats != ram.stats {
-            return Err(format!(
-                "frontier-only stats diverge from in-RAM: {:?} vs {:?}",
-                ram.stats, fo.stats
-            ));
-        }
-        if fo.goal_run.is_some() {
-            return Err("frontier-only run retained a goal-run provenance".into());
-        }
-        if fo_report.encoded_bytes != 0 {
-            return Err(format!(
-                "frontier-only run retained {} encoded record bytes",
-                fo_report.encoded_bytes
-            ));
         }
     }
     Ok(())

@@ -117,10 +117,9 @@ impl AccessRules {
 
     /// Is deletion statically impossible — every `del` guard (including
     /// the default, where an edge falls through to it) syntactically
-    /// `false`? In such a form node counts grow monotonically along every
-    /// run, so states at different BFS depths can never be isomorphic —
-    /// the soundness condition for the explorer's frontier-only capacity
-    /// mode (`idar-solver`'s `spill` module).
+    /// `false`? In such a form every reachable instance is the initial
+    /// instance plus additions — one condition of the static screener's
+    /// semi-soundness `Holds` rule (`idar-solver`'s `screen` module).
     pub fn deletion_free(&self, schema: &Schema) -> bool {
         schema
             .edge_ids()
@@ -368,8 +367,7 @@ impl GuardedForm {
     }
 
     /// Is this form deletion-free ([`AccessRules::deletion_free`])?
-    /// Deletion-free forms grow monotonically, which licenses the
-    /// solver's frontier-only capacity mode.
+    /// Deletion-free forms grow monotonically along every run.
     pub fn is_deletion_free(&self) -> bool {
         self.rules().deletion_free(self.schema())
     }

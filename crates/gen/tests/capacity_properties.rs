@@ -8,17 +8,12 @@
 //! * **spill equivalence** — a spill budget tiny enough to page out
 //!   almost every record must leave search results untouched: identical
 //!   `SearchStats` and goal depth against the flat in-RAM store and the
-//!   naive reference explorer, across `SymmetryMode::{Reduced, Plain}`;
-//! * **verdict equivalence** — `completability` under a memory-bounded
-//!   `Budget` answers exactly as the unbounded run (the budget moves
-//!   bytes, never answers).
+//!   naive reference explorer, across `SymmetryMode::{Reduced, Plain}`.
 
 use idar_core::delta;
 use idar_core::{GuardedForm, Instance};
 use idar_gen::{generate, FragmentSpec, GenConfig};
-use idar_solver::{
-    completability, reference, Budget, ExploreLimits, Explorer, MemoryBudget, SymmetryMode,
-};
+use idar_solver::{reference, ExploreLimits, Explorer, MemoryBudget, SymmetryMode};
 use proptest::prelude::*;
 
 fn spec_of(ix: usize) -> FragmentSpec {
@@ -177,28 +172,4 @@ proptest! {
         prop_assert_eq!(spilled.goal_run.as_ref().map(Vec::len), oracle.goal_depth);
     }
 
-    /// `completability` under a memory-bounded budget answers exactly as
-    /// the unbounded run — same verdict, same witness existence, same
-    /// resolved method — for every fragment (methods that never touch
-    /// the explorer simply ignore the budget).
-    #[test]
-    fn budgeted_completability_verdicts_match(
-        ix in 0usize..4,
-        seed in 0u64..1_000_000,
-    ) {
-        let form = generate(&GenConfig::new(spec_of(ix)), seed);
-        let unbounded = Budget::with_limits(limits());
-        let bounded = Budget {
-            memory: tiny_budget(),
-            ..unbounded.clone()
-        };
-        let a = completability(&form, &unbounded);
-        let b = completability(&form, &bounded);
-        prop_assert_eq!(a.verdict, b.verdict);
-        prop_assert_eq!(a.method, b.method);
-        prop_assert_eq!(a.witness_run.is_some(), b.witness_run.is_some());
-        if let Some(run) = &b.witness_run {
-            prop_assert!(form.is_complete_run(run), "budgeted witness replays");
-        }
-    }
 }

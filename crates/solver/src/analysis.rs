@@ -29,7 +29,6 @@
 use crate::cache::{CachedVerdict, VerdictCache};
 use crate::explore::ExploreLimits;
 use crate::satisfiability::{satisfiable, SatOptions, SatResult, WitnessTree};
-use crate::spill::MemoryBudget;
 use crate::store::SymmetryMode;
 use crate::verdict::{Method, SearchStats, Verdict};
 use idar_core::fragment::Fragment;
@@ -66,16 +65,14 @@ impl fmt::Display for AnalysisKind {
 /// across `CompletabilityOptions` and `SemisoundnessOptions`; those
 /// names are now aliases of `Budget`. Everything
 /// in the budget is verdict-affecting and therefore part of the
-/// [`VerdictCache`] key — except [`Budget::memory`] and
-/// [`Budget::skip_screen`], which are in the struct but excluded from
-/// the manual `PartialEq`/`Hash` impls below: the out-of-core store
-/// visits the same states and returns the same verdicts as the flat
-/// one — spilling moves bytes, never answers — so budgeted and
-/// unbudgeted runs share cache entries.
+/// [`VerdictCache`] key — except [`Budget::skip_screen`], which is in
+/// the struct but excluded from the manual `PartialEq`/`Hash` impls
+/// below.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     /// Resource limits for the bounded/NP code paths (semi-soundness
-    /// also caps enumerated states plus oracles asked at `max_states`).
+    /// also caps enumerated states plus the states its oracles visit at
+    /// `max_states`).
     pub limits: ExploreLimits,
     /// Skip the fragment dispatch and force a method (for ablations and
     /// differential tests). Only meaningful for completability.
@@ -83,25 +80,18 @@ pub struct Budget {
     /// The state-space quotient explicit-state searches run under
     /// (default: symmetry-reduced).
     pub symmetry: SymmetryMode,
-    /// Byte budget for explicit-state goal searches (default:
-    /// unbounded). Bounded budgets route bounded-exploration
-    /// completability through the out-of-core capacity engine
-    /// ([`crate::spill`]). **Not** verdict-affecting, hence not part of
-    /// the cache key.
-    pub memory: MemoryBudget,
     /// Skip the pre-exploration static screener ([`mod@crate::screen`]).
     /// The screener issues only sound verdicts and its dead-rule pruning
     /// preserves the reachable state graph, so this flag is **not**
-    /// verdict-affecting — excluded from `PartialEq`/`Hash` below like
-    /// `memory`, so screened and unscreened runs share cache entries.
+    /// verdict-affecting — excluded from `PartialEq`/`Hash` below, so
+    /// screened and unscreened runs share cache entries.
     /// (The screener is also bypassed whenever `force_method` is set.)
     pub skip_screen: bool,
 }
 
 impl PartialEq for Budget {
     fn eq(&self, other: &Self) -> bool {
-        // `memory` and `skip_screen` intentionally omitted — see the
-        // struct docs.
+        // `skip_screen` intentionally omitted — see the struct docs.
         self.limits == other.limits
             && self.force_method == other.force_method
             && self.symmetry == other.symmetry
@@ -112,8 +102,8 @@ impl Eq for Budget {}
 
 impl std::hash::Hash for Budget {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // `memory` and `skip_screen` intentionally omitted — must stay
-        // consistent with `eq`.
+        // `skip_screen` intentionally omitted — must stay consistent
+        // with `eq`.
         self.limits.hash(state);
         self.force_method.hash(state);
         self.symmetry.hash(state);

@@ -140,7 +140,6 @@ fn run_method(form: &GuardedForm, method: Method, budget: &Budget) -> Completabi
         Method::BoundedExploration | Method::ReachableEnumeration | Method::SatTableau => {
             let out = Explorer::new(form, budget.limits)
                 .with_symmetry(budget.symmetry)
-                .with_memory_budget(budget.memory)
                 .find(|i| form.is_complete(i));
             CompletabilityResult {
                 verdict: out.verdict(),

@@ -27,6 +27,7 @@
 //! exact.
 
 use crate::session::backward_reach;
+use crate::store::StateMap;
 use crate::verdict::{LimitKind, SearchStats, Verdict};
 use idar_core::{
     Formula, GuardedForm, InstNodeId, Instance, PathExpr, PathStep, Right, SchemaNodeId, Update,
@@ -34,7 +35,6 @@ use idar_core::{
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Why a guarded form cannot be handled by the depth-1 solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -372,33 +372,10 @@ pub struct Depth1Answer {
     pub stats: SearchStats,
 }
 
-/// The `u64 → u32` state-id map of a forward pass.
-type StateIds = HashMap<u64, u32, BuildHasherDefault<StateHasher>>;
-
-/// A multiplicative hash for the one `u64` a state key writes: the
-/// product by the golden-ratio constant, its high half folded into its
-/// low half so the bucket bits see every input bit. The keys are the
+/// The `u64 → u32` state-id map of a forward pass. The keys are the
 /// canonical states of one form, and a pass holds at most `max_states`
 /// of them.
-#[derive(Debug, Default)]
-struct StateHasher(u64);
-
-impl Hasher for StateHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+type StateIds = StateMap<u32>;
 
 /// Forward-reachable set with BFS tree and transitions, over dense state
 /// ids assigned in BFS discovery order.

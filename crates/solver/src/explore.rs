@@ -28,8 +28,10 @@
 //! * the out-of-core `SpillStore` ([`crate::spill`]) keeps only the
 //!   frontier's instances, with delta-compressed words that spill to disk
 //!   under a [`MemoryBudget`] — the capacity engine behind
-//!   [`Explorer::find_spilled`], [`Explorer::find_frontier_only`] and
-//!   budgeted `find`s.
+//!   [`Explorer::find_spilled`], its one entry.
+//!
+//! Both dedup through one fingerprint index, and
+//! [`SymmetryMode`] picks the key both are probed with.
 //!
 //! The driver owns the FIFO queue, the goal check at the root, the
 //! depth-limit probe, the goal-before-state-cap sequencing and the prune
@@ -193,25 +195,13 @@ impl<'a> Explorer<'a> {
         self
     }
 
-    /// Set the memory budget for goal searches. A bounded budget makes
-    /// [`Explorer::find`] run on the out-of-core store (see
-    /// [`crate::spill`]): delta-compressed state records that spill cold
-    /// pages to a temp file so the arena-resident encoded bytes stay
-    /// under the budget. It visits exactly the same states with the same
-    /// [`SearchStats`] as the flat store.
-    ///
-    /// [`Explorer::graph`] ignores the budget: a retained graph hands
-    /// out `&Instance`/run-to views that require the flat store, and its
-    /// retention is bounded separately by the session manager's eviction
-    /// budget.
+    /// Set the byte budget of [`Explorer::find_spilled`]'s paged arena
+    /// (see [`crate::spill`]): cold pages spill to a temp file so the
+    /// arena-resident encoded bytes stay under it. The other searches
+    /// run on the flat store and ignore it.
     pub fn with_memory_budget(mut self, memory: MemoryBudget) -> Self {
         self.memory = memory;
         self
-    }
-
-    /// The configured memory budget.
-    pub fn memory(&self) -> MemoryBudget {
-        self.memory
     }
 
     /// The configured symmetry mode.
@@ -223,9 +213,6 @@ impl<'a> Explorer<'a> {
     /// the space/limits are exhausted). Returns the shortest-in-BFS run to
     /// the goal, if found.
     pub fn find(&self, goal: impl FnMut(&Instance) -> bool) -> ExploreOutcome {
-        if self.memory.is_bounded() {
-            return self.run_capacity(goal, false).0;
-        }
         let mut store = StateStore::new(self.symmetry);
         let (stats, hit) = bfs(self.form, &self.limits, &mut store, goal, &mut ());
         ExploreOutcome {
@@ -234,40 +221,22 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// [`Explorer::find`] on the out-of-core store regardless of whether
-    /// the budget is bounded (an unbounded budget keeps every arena page
-    /// hot but still delta-encodes), returning the run's
-    /// [`SpillReport`] alongside the outcome. This is the entry point
-    /// the bench harness and the equivalence tests measure through.
+    /// The capacity engine: [`Explorer::find`] on the out-of-core
+    /// store, returning the run's [`SpillReport`] alongside the outcome.
+    /// Decoded instances live only in the BFS queue (a popped state's
+    /// instance is dropped once expanded), canonical words live as delta
+    /// records in the paged arena, and cold pages spill to disk under
+    /// the [`MemoryBudget`] (an unbounded budget keeps every page hot
+    /// but still delta-encodes). It visits the same states with the
+    /// same [`SearchStats`] as `find`.
     pub fn find_spilled(
         &self,
         goal: impl FnMut(&Instance) -> bool,
     ) -> (ExploreOutcome, SpillReport) {
-        self.run_capacity(goal, false)
-    }
-
-    /// The out-of-core store in **frontier-only** mode: closed-layer
-    /// words, records, and provenance are dropped entirely, so memory
-    /// scales with the widest BFS layer instead of the explored total.
-    ///
-    /// Sound only for deletion-free forms
-    /// ([`GuardedForm::is_deletion_free`]) — node counts then grow
-    /// monotonically along every run, so states at different BFS depths
-    /// are never isomorphic and per-layer dedup is exact. The outcome's
-    /// `goal_run` is always `None` (no provenance is retained); use it
-    /// for verdict kinds that only need existence/closure.
-    ///
-    /// # Panics
-    /// If the form has a deletion rule that is not syntactically `false`.
-    pub fn find_frontier_only(
-        &self,
-        goal: impl FnMut(&Instance) -> bool,
-    ) -> (ExploreOutcome, SpillReport) {
-        assert!(
-            self.form.is_deletion_free(),
-            "frontier-only exploration requires a deletion-free form"
-        );
-        self.run_capacity(goal, true)
+        let mut store = SpillStore::new(self.symmetry, self.memory);
+        let (stats, hit) = bfs(self.form, &self.limits, &mut store, goal, &mut ());
+        let goal_run = hit.map(|j| store.run_to(j));
+        (ExploreOutcome { goal_run, stats }, store.report())
     }
 
     /// The **build phase**: explore exhaustively (within limits) and
@@ -297,22 +266,6 @@ impl<'a> Explorer<'a> {
         goal: impl FnMut(&Instance) -> bool,
     ) -> ExploreOutcome {
         graph.resume(self.form, &self.limits, from, goal)
-    }
-
-    /// The capacity engine: the BFS driver over a [`SpillStore`].
-    /// Decoded instances live only in the BFS queue (a popped state's
-    /// instance is dropped once expanded), canonical words of closed
-    /// layers live as delta records in the paged arena, and cold pages
-    /// spill to disk under the [`MemoryBudget`].
-    fn run_capacity(
-        &self,
-        goal: impl FnMut(&Instance) -> bool,
-        frontier_only: bool,
-    ) -> (ExploreOutcome, SpillReport) {
-        let mut store = SpillStore::new(self.symmetry, self.memory, frontier_only);
-        let (stats, hit) = bfs(self.form, &self.limits, &mut store, goal, &mut ());
-        let goal_run = hit.and_then(|j| store.run_to(j.0));
-        (ExploreOutcome { goal_run, stats }, store.report())
     }
 }
 
@@ -411,9 +364,9 @@ impl Store for SpillStore {
 
     fn root(&mut self, form: &GuardedForm) -> Self::Item {
         let initial = form.initial().clone();
-        let key = self.key_of(&initial);
+        let key = (self.symmetry().keying().0)(&initial);
         let (id, _) = self.intern(key.fingerprint(), key.words(), None, 0);
-        (StateId(id), 0, initial)
+        (id, 0, initial)
     }
 
     fn id(item: &Self::Item) -> StateId {
@@ -441,8 +394,7 @@ impl Store for SpillStore {
         words: &[u32],
     ) -> (StateId, Option<Self::Item>) {
         let depth = parent.1 + 1;
-        let (j, is_new) = self.intern(fingerprint, words, Some((parent.0 .0, u)), depth as u32);
-        let j = StateId(j);
+        let (j, is_new) = self.intern(fingerprint, words, Some((parent.0, u)), depth as u32);
         (
             j,
             is_new.then(|| (j, depth, materialize(form, &parent.2, u))),
@@ -579,10 +531,8 @@ pub(crate) fn expand<S: Store, B>(
             continue;
         }
         if !laid_out {
-            match store.symmetry() {
-                SymmetryMode::Reduced => layout.build_canon(inst),
-                SymmetryMode::Plain => layout.build_ordered(inst),
-            }
+            let (_, lay_out) = store.symmetry().keying();
+            lay_out(layout, inst);
             laid_out = true;
         }
         let (fingerprint, words) = layout.splice(inst, &u);
@@ -757,46 +707,18 @@ mod tests {
         );
     }
 
-    /// A bounded memory budget routes `find` through the capacity
-    /// engine with unchanged exhaustive-search semantics.
+    /// The capacity engine under a zero-byte budget keeps the
+    /// exhaustive-search semantics of the flat store.
     #[test]
     fn budgeted_find_closes_finite_space() {
         let g = toggle_form();
         let seq = Explorer::new(&g, ExploreLimits::small()).find(|_| false);
-        let cap = Explorer::new(&g, ExploreLimits::small())
+        let (cap, _) = Explorer::new(&g, ExploreLimits::small())
             .with_memory_budget(MemoryBudget::bytes(0))
-            .find(|_| false);
+            .find_spilled(|_| false);
         assert_eq!(cap.stats, seq.stats);
         assert!(cap.stats.closed);
         assert_eq!(cap.stats.states, 4);
-    }
-
-    /// Frontier-only mode on a deletion-free form: same stats and goal
-    /// depth as the flat store, no retained records.
-    #[test]
-    fn frontier_only_matches_on_deletion_free_form() {
-        let schema = Arc::new(Schema::parse("a, b").unwrap());
-        let mut rules = AccessRules::new(&schema);
-        rules.set_both(
-            schema.resolve("a").unwrap(),
-            Formula::parse("!a").unwrap(),
-            Formula::False,
-        );
-        rules.set_both(
-            schema.resolve("b").unwrap(),
-            Formula::parse("!b").unwrap(),
-            Formula::False,
-        );
-        let init = Instance::empty(schema.clone());
-        let g = GuardedForm::new(schema, rules, init, Formula::parse("a & b").unwrap());
-        assert!(g.is_deletion_free());
-        let seq = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
-        let (fo, report) =
-            Explorer::new(&g, ExploreLimits::small()).find_frontier_only(|i| g.is_complete(i));
-        assert_eq!(fo.stats, seq.stats);
-        assert!(fo.goal_run.is_none(), "frontier-only keeps no provenance");
-        assert!(report.frontier_only);
-        assert_eq!(report.encoded_bytes, 0);
     }
 
     #[test]

@@ -14,8 +14,11 @@
 //!   truncated one is decided only by an exact `Fails` of a per-state
 //!   completability oracle (exact when the fragment offers a method:
 //!   `A+φ+`, Thm 5.5 saturation at any depth; `A+φ−`, Thm 5.2), asked
-//!   in discovery order about at most as many stuck states as the state
-//!   budget has left; otherwise the answer is `Unknown`.
+//!   in discovery order about its stuck states. The oracles share what
+//!   the enumeration left of `max_states`: each runs under the
+//!   remainder and spends the states it visits, so enumerated states
+//!   plus the states the oracles visit stay within `max_states`. Without
+//!   such a `Fails` the answer is `Unknown`.
 //!
 //! [`semisoundness`] is a thin wrapper over the unified
 //! [`analysis`](crate::analysis) pipeline.
@@ -29,7 +32,8 @@ use idar_core::{GuardedForm, Update};
 
 /// Options for [`semisoundness`] — an alias of the pipeline-wide
 /// [`Budget`]: `limits` bounds the enumeration and each per-state oracle,
-/// and enumerated states plus oracles asked stay within `max_states`.
+/// and enumerated states plus the states the oracles visit stay within
+/// `max_states`.
 pub type SemisoundnessOptions = Budget;
 
 /// The result of a semi-soundness query.
@@ -97,16 +101,24 @@ fn bounded_semisoundness(form: &GuardedForm, budget: &Budget) -> SemisoundnessRe
         // The subgraph is the whole reachable space: stuck is incompletable.
         stuck.next()
     } else {
-        // The oracle can look past the enumeration's frontier; it gets the
-        // request's budget, but `force_method` is for completability.
-        let oracle = Budget {
+        // The oracles can look past the enumeration's frontier. They
+        // share what the enumeration left of the state budget: each runs
+        // under the remainder and spends the states it visits (at least
+        // one). `force_method` is for completability, not for them.
+        let mut remaining = budget.limits.max_states.saturating_sub(graph.state_count());
+        let mut oracle = Budget {
             force_method: None,
             ..budget.clone()
         };
-        let spare = budget.limits.max_states.saturating_sub(graph.state_count());
-        stuck.take(spare).find(|&i| {
+        stuck.find(|&i| {
+            if remaining == 0 {
+                return false;
+            }
+            oracle.limits.max_states = remaining;
             let sub = form.with_initial(graph.state(i).clone());
-            run_completability(&sub, &oracle).verdict == Verdict::Fails
+            let answer = run_completability(&sub, &oracle);
+            remaining = remaining.saturating_sub(answer.stats.states.max(1));
+            answer.verdict == Verdict::Fails
         })
     };
     let verdict = match trap {
@@ -310,5 +322,65 @@ mod tests {
         let r = semisoundness(&g, &budget(4, None));
         assert_eq!(r.stats.states, 4);
         assert_eq!(r.verdict, Verdict::Unknown);
+    }
+
+    /// The oracles share the spare state budget: each runs under what
+    /// the enumeration and the earlier oracles left. Here adding `t` is
+    /// a trap that opens a closed 9-state space (`x` with any subset of
+    /// three `y`s) where the completion `a & ¬t` never holds. The
+    /// multiplicity cap truncates the enumeration at 20 states, so 5 of
+    /// the 25 are left; the first trap's oracle must expand all 9 states
+    /// of its space, which takes a cap above 9, so it cannot prove the
+    /// trap incompletable and the answer is `Unknown`. With 10 left it
+    /// can, and the answer is `Fails`.
+    #[test]
+    fn an_oracle_gets_only_the_states_left() {
+        use idar_core::{AccessRules, Formula, Instance, Right, Schema};
+        use std::sync::Arc;
+        let schema = Arc::new(Schema::parse("a, t, x(y1, y2, y3)").unwrap());
+        let mut rules = AccessRules::new(&schema);
+        let adds = [
+            ("a", "!t"),
+            ("t", "!t"),
+            ("x", "t & !x"),
+            ("x/y1", "!y1"),
+            ("x/y2", "!y2"),
+            ("x/y3", "!y3"),
+        ];
+        for (label, guard) in adds {
+            let edge = schema.resolve(label).unwrap();
+            rules.set(Right::Add, edge, Formula::parse(guard).unwrap());
+        }
+        for label in ["x", "x/y1", "x/y2", "x/y3"] {
+            rules.set(Right::Del, schema.resolve(label).unwrap(), Formula::True);
+        }
+        let g = GuardedForm::new(
+            schema.clone(),
+            rules,
+            Instance::empty(schema),
+            Formula::parse("a & !t").unwrap(),
+        );
+        let budget = |max_states| SemisoundnessOptions {
+            limits: ExploreLimits {
+                max_states,
+                multiplicity_cap: Some(1),
+                ..ExploreLimits::small()
+            },
+            skip_screen: true,
+            ..SemisoundnessOptions::default()
+        };
+        let short = semisoundness(&g, &budget(25));
+        assert_eq!(short.method, Method::ReachableEnumeration);
+        assert!(!short.stats.closed);
+        assert_eq!(short.stats.states, 20);
+        assert_eq!(short.verdict, Verdict::Unknown);
+        let enough = semisoundness(&g, &budget(30));
+        assert_eq!(enough.stats.states, 20);
+        assert_eq!(enough.verdict, Verdict::Fails);
+        let replay = g.replay(&enough.counterexample.unwrap()).unwrap();
+        assert!(idar_core::formula::holds_at_root(
+            replay.last(),
+            &Formula::parse("t").unwrap()
+        ));
     }
 }

@@ -29,38 +29,29 @@
 //!    window* — the BFS layers `d−1, d, d+1` when layer `d` is being
 //!    expanded — stay resident, because that is where almost every
 //!    duplicate lands (a single update moves one layer up or down).
-//!    Dedup buckets probe fingerprint-first and word-length-second, so a
-//!    spilled record is only faulted in on a true 64-bit fingerprint
-//!    match outside the hot window.
-//!
-//! **Frontier-only mode** goes further for deletion-free forms
-//! ([`GuardedForm::is_deletion_free`](idar_core::GuardedForm::is_deletion_free)):
-//! node counts grow monotonically along every run, so states at
-//! different BFS depths can never be isomorphic, and the dedup index for
-//! closed layers can be dropped outright — no arena, no records, no
-//! provenance. The trade: `run_to` witnesses are unavailable (the mode
-//! is for verdict kinds that never need them).
+//!    The dedup index is the flat store's
+//!    [`FingerprintIndex`](crate::store): it probes fingerprint-first,
+//!    and this store adds a word-length prefilter, so a spilled record
+//!    is only faulted in on a true 64-bit fingerprint match outside the
+//!    hot window.
 //!
 //! What the budget does and does not bound: the [`MemoryBudget`] caps
 //! the *arena-resident encoded bytes* (enforced after every append).
-//! The hot window, the dedup bucket index (~25 B/state), and the
-//! engine's frontier queue are pinned working state and scale with the
-//! frontier width, not the explored total.
+//! The hot window and the engine's frontier queue scale with the
+//! frontier width, the dedup index (~25 B/state) with the explored
+//! total; both are pinned working state outside the budget.
 
-use crate::store::SymmetryMode;
+use crate::store::{FingerprintIndex, StateId, SymmetryMode};
 use idar_core::delta::{self, read_varint, write_varint};
-use idar_core::{CanonKey, InstNodeId, Instance, SchemaNodeId, Update};
-use std::collections::{HashMap, VecDeque};
+use idar_core::{InstNodeId, SchemaNodeId, Update};
+use std::collections::VecDeque;
 use std::fs::File;
 
 /// A byte budget for the resident (non-spilled) part of the paged state
-/// arena. [`MemoryBudget::unbounded`] (the default) keeps every page
-/// hot; a bounded budget spills cold pages to a temp file.
-///
-/// The budget is deliberately **not** part of the verdict-cache key
-/// ([`crate::analysis::Budget`] excludes it from `Hash`/`Eq`): spilling
-/// changes where bytes live, never what the search visits or answers,
-/// so budgeted and unbudgeted runs share cache entries.
+/// arena of [`Explorer::find_spilled`](crate::explore::Explorer::find_spilled).
+/// [`MemoryBudget::unbounded`] (the default) keeps every page hot; a
+/// bounded budget spills cold pages to a temp file. Spilling changes
+/// where bytes live, never what the search visits or answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MemoryBudget {
     limit: Option<usize>,
@@ -77,37 +68,21 @@ impl MemoryBudget {
         MemoryBudget { limit: Some(n) }
     }
 
-    /// Is a byte limit set?
-    pub fn is_bounded(self) -> bool {
-        self.limit.is_some()
-    }
-
     /// The byte limit, if any.
     pub fn limit(self) -> Option<usize> {
         self.limit
     }
 }
 
-impl std::fmt::Display for MemoryBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.limit {
-            None => write!(f, "unbounded"),
-            Some(n) => write!(f, "{n} B"),
-        }
-    }
-}
-
 /// What a capacity-engine run did memory-wise — the observability side
-/// of the hierarchy, archived by the bench harness and surfaced in
-/// server metrics.
+/// of the hierarchy, which the bench harness reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillReport {
     /// Distinct states interned.
     pub states: usize,
     /// Raw canonical-word bytes that passed through (`4 × word count`).
     pub word_bytes: u64,
-    /// Encoded record bytes appended to the arena (0 in frontier-only
-    /// mode, which stores no records at all).
+    /// Encoded record bytes appended to the arena.
     pub encoded_bytes: u64,
     /// Full-word checkpoint records among them.
     pub checkpoints: u64,
@@ -119,8 +94,6 @@ pub struct SpillReport {
     pub faults: u64,
     /// Peak arena-resident bytes (what the [`MemoryBudget`] bounds).
     pub arena_peak_bytes: u64,
-    /// Did the run drop closed-layer words entirely?
-    pub frontier_only: bool,
 }
 
 // --- paged arena -------------------------------------------------------
@@ -333,6 +306,38 @@ impl PagedArena {
         let page = &self.cache.back().expect("just pushed").1;
         f(&page[off..off + len])
     }
+
+    /// Decode the words of state `id`, whose record address is
+    /// `recs[id]`: walk the BFS parent chain to the nearest checkpoint
+    /// (≤ K−1 steps), then replay deltas forward.
+    fn decode_words(&mut self, recs: &[EncRec], id: u32) -> Vec<u32> {
+        let mut chain = vec![id];
+        while !recs[*chain.last().expect("non-empty") as usize].is_checkpoint() {
+            let rec = recs[*chain.last().expect("non-empty") as usize];
+            let parent = self
+                .with_record(rec, |b| parse_header(b).0)
+                .expect("non-checkpoint record has a parent")
+                .0;
+            chain.push(parent);
+        }
+        let cp = chain.pop().expect("chain ends at a checkpoint");
+        let mut cur: Vec<u32> = Vec::new();
+        self.with_record(recs[cp as usize], |b| {
+            let (_, hdr) = parse_header(b);
+            delta::decode_full(&b[hdr..], &mut cur);
+        });
+        let mut nxt: Vec<u32> = Vec::new();
+        for &i in chain.iter().rev() {
+            nxt.clear();
+            let base = &cur;
+            self.with_record(recs[i as usize], |b| {
+                let (_, hdr) = parse_header(b);
+                delta::decode_delta(base, &b[hdr..], &mut nxt);
+            });
+            std::mem::swap(&mut cur, &mut nxt);
+        }
+        cur
+    }
 }
 
 // --- record header (provenance) ----------------------------------------
@@ -387,29 +392,19 @@ fn parse_header(bytes: &[u8]) -> (Option<(u32, Update)>, usize) {
 /// K−1 deltas from the nearest checkpoint ancestor.
 const CHECKPOINT_EVERY: u8 = 8;
 
-/// One fingerprint bucket. The overwhelmingly common singleton case is
-/// inline — no per-state `Vec` allocation.
-#[derive(Debug)]
-enum SpillBucket {
-    One(u32),
-    Many(Vec<u32>),
-}
-
 /// The spillable, delta-compressed state store the capacity engine runs
-/// on. Ids are dense `u32`s in discovery order (the BFS invariant the
-/// hot-window arithmetic relies on). See the module docs
-/// for the hierarchy.
+/// on. Ids are dense in discovery order (the BFS invariant the
+/// hot-window arithmetic relies on). See the module docs for the
+/// hierarchy.
 #[derive(Debug)]
 pub(crate) struct SpillStore {
     symmetry: SymmetryMode,
     budget: MemoryBudget,
-    frontier_only: bool,
     arena: PagedArena,
-    buckets: HashMap<u64, SpillBucket>,
-    /// Record address per state (empty in frontier-only mode).
+    index: FingerprintIndex,
+    /// Record address per state.
     recs: Vec<EncRec>,
-    /// Delta-chain distance from the nearest checkpoint (empty in
-    /// frontier-only mode).
+    /// Delta-chain distance from the nearest checkpoint.
     dists: Vec<u8>,
     /// Word count per state, saturated to `u16::MAX` — the cheap probe
     /// prefilter (unequal lengths can never be equal words).
@@ -422,7 +417,6 @@ pub(crate) struct SpillStore {
     /// contiguous id ranges).
     layer_start: Vec<u32>,
     count: u32,
-    collisions: u64,
     word_bytes: u64,
     encoded_bytes: u64,
     checkpoints: u64,
@@ -431,13 +425,12 @@ pub(crate) struct SpillStore {
 }
 
 impl SpillStore {
-    pub fn new(symmetry: SymmetryMode, budget: MemoryBudget, frontier_only: bool) -> SpillStore {
+    pub fn new(symmetry: SymmetryMode, budget: MemoryBudget) -> SpillStore {
         SpillStore {
             symmetry,
             budget,
-            frontier_only,
             arena: PagedArena::default(),
-            buckets: HashMap::new(),
+            index: FingerprintIndex::default(),
             recs: Vec::new(),
             dists: Vec::new(),
             wlens: Vec::new(),
@@ -445,7 +438,6 @@ impl SpillStore {
             hot_base: 0,
             layer_start: Vec::new(),
             count: 0,
-            collisions: 0,
             word_bytes: 0,
             encoded_bytes: 0,
             checkpoints: 0,
@@ -459,26 +451,16 @@ impl SpillStore {
         self.symmetry
     }
 
-    /// The dedup key of an instance under this store's symmetry mode.
-    pub fn key_of(&self, inst: &Instance) -> CanonKey {
-        match self.symmetry {
-            SymmetryMode::Reduced => inst.canon_key(),
-            SymmetryMode::Plain => inst.ordered_key(),
-        }
-    }
-
     /// Detected 64-bit fingerprint collisions.
     #[cfg(test)]
     pub fn collisions(&self) -> u64 {
-        self.collisions
+        self.index.collisions()
     }
 
     /// Advance the hot window when the engine starts expanding BFS layer
     /// `depth`: drop decoded words below layer `depth − 1` (duplicate
     /// confirms of a layer-`depth` expansion can land one layer down at
-    /// the deepest — a single deletion). In frontier-only mode also drop
-    /// the whole dedup index: on a deletion-free form, successors (layer
-    /// `depth + 1`) can only collide with each other.
+    /// the deepest — a single deletion).
     pub fn begin_layer(&mut self, depth: u32) {
         if depth == 0 {
             return;
@@ -492,9 +474,6 @@ impl SpillStore {
             self.hot.pop_front();
             self.hot_base += 1;
         }
-        if self.frontier_only {
-            self.buckets.clear();
-        }
     }
 
     /// Intern a state by its dedup key `(fingerprint, words)`: return its
@@ -506,161 +485,81 @@ impl SpillStore {
         &mut self,
         fp: u64,
         words: &[u32],
-        parent: Option<(u32, Update)>,
+        parent: Option<(StateId, Update)>,
         depth: u32,
-    ) -> (u32, bool) {
+    ) -> (StateId, bool) {
         let wlen = words.len().min(u16::MAX as usize) as u16;
-        // Fingerprint-first probe: touch words — possibly faulting a
-        // spilled page — only on a full 64-bit match that also passes
-        // the length prefilter.
-        let mut had_candidates = false;
-        let probe: Option<Result<u32, Vec<u32>>> = self.buckets.get(&fp).map(|b| match b {
-            SpillBucket::One(id) => Ok(*id),
-            SpillBucket::Many(ids) => Err(ids.clone()),
+        // Touch words — possibly faulting a spilled page — only on a
+        // full 64-bit fingerprint match that also passes the length
+        // prefilter. Hot-window states compare against pinned decoded
+        // words; older states decode their delta chain.
+        let (id, is_new) = self.index.intern(fp, StateId(self.count), |cand| {
+            let c = cand.0;
+            self.wlens[cand.index()] == wlen
+                && if c >= self.hot_base {
+                    *self.hot[(c - self.hot_base) as usize] == *words
+                } else {
+                    self.arena.decode_words(&self.recs, c) == words
+                }
         });
-        if let Some(probe) = probe {
-            let one;
-            let cands: &[u32] = match &probe {
-                Ok(id) => {
-                    one = [*id];
-                    &one
-                }
-                Err(ids) => ids,
-            };
-            for &cand in cands {
-                had_candidates = true;
-                if self.wlens[cand as usize] != wlen {
-                    continue;
-                }
-                if self.words_equal(cand, words) {
-                    return (cand, false);
-                }
-            }
-        }
-        if had_candidates {
-            self.collisions += 1;
+        if !is_new {
+            return (id, false);
         }
 
-        let id = self.count;
         self.count += 1;
         if depth as usize == self.layer_start.len() {
-            self.layer_start.push(id);
+            self.layer_start.push(id.0);
         }
         self.wlens.push(wlen);
         self.word_bytes += 4 * words.len() as u64;
 
-        if !self.frontier_only {
-            let dist = match parent {
-                Some((p, _)) => self.dists[p as usize].saturating_add(1),
-                None => CHECKPOINT_EVERY,
-            };
-            let checkpoint = dist >= CHECKPOINT_EVERY;
-            let mut enc = std::mem::take(&mut self.enc_buf);
-            enc.clear();
-            write_header(&mut enc, parent);
-            if checkpoint {
-                delta::encode_full(words, &mut enc);
-            } else {
-                let (p, _) = parent.expect("non-checkpoint state has a parent");
-                debug_assert!(p >= self.hot_base, "delta base parent must be hot");
-                let base = &self.hot[(p - self.hot_base) as usize];
-                delta::encode_delta(base, words, &mut enc);
-            }
-            assert!(
-                enc.len() <= LEN_MASK as usize,
-                "state encoding too large for the paged arena (max_state_size too big?)"
-            );
-            let (page, off) = self.arena.append(&enc);
-            self.recs.push(EncRec {
-                page,
-                off,
-                lenflag: enc.len() as u16 | if checkpoint { CHECKPOINT_FLAG } else { 0 },
-            });
-            self.dists.push(if checkpoint { 0 } else { dist });
-            self.encoded_bytes += enc.len() as u64;
-            if checkpoint {
-                self.checkpoints += 1;
-            }
-            self.enc_buf = enc;
-            if let Some(limit) = self.budget.limit() {
-                self.arena.enforce(limit);
-            }
-            self.arena_peak = self.arena_peak.max(self.arena.hot_bytes() as u64);
+        let parent = parent.map(|(p, u)| (p.0, u));
+        let dist = match parent {
+            Some((p, _)) => self.dists[p as usize].saturating_add(1),
+            None => CHECKPOINT_EVERY,
+        };
+        let checkpoint = dist >= CHECKPOINT_EVERY;
+        let mut enc = std::mem::take(&mut self.enc_buf);
+        enc.clear();
+        write_header(&mut enc, parent);
+        if checkpoint {
+            delta::encode_full(words, &mut enc);
+        } else {
+            let (p, _) = parent.expect("non-checkpoint state has a parent");
+            debug_assert!(p >= self.hot_base, "delta base parent must be hot");
+            let base = &self.hot[(p - self.hot_base) as usize];
+            delta::encode_delta(base, words, &mut enc);
         }
+        assert!(
+            enc.len() <= LEN_MASK as usize,
+            "state encoding too large for the paged arena (max_state_size too big?)"
+        );
+        let (page, off) = self.arena.append(&enc);
+        self.recs.push(EncRec {
+            page,
+            off,
+            lenflag: enc.len() as u16 | if checkpoint { CHECKPOINT_FLAG } else { 0 },
+        });
+        self.dists.push(if checkpoint { 0 } else { dist });
+        self.encoded_bytes += enc.len() as u64;
+        if checkpoint {
+            self.checkpoints += 1;
+        }
+        self.enc_buf = enc;
+        if let Some(limit) = self.budget.limit() {
+            self.arena.enforce(limit);
+        }
+        self.arena_peak = self.arena_peak.max(self.arena.hot_bytes() as u64);
 
         self.hot.push_back(words.into());
-        match self.buckets.entry(fp) {
-            std::collections::hash_map::Entry::Occupied(mut e) => match e.get_mut() {
-                SpillBucket::One(a) => {
-                    let a = *a;
-                    *e.get_mut() = SpillBucket::Many(vec![a, id]);
-                }
-                SpillBucket::Many(v) => v.push(id),
-            },
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(SpillBucket::One(id));
-            }
-        }
         (id, true)
-    }
-
-    /// Are state `id`'s words equal to `words`? Hot-window states
-    /// compare against pinned decoded words; older states decode their
-    /// delta chain (the only path that can fault spilled pages).
-    fn words_equal(&mut self, id: u32, words: &[u32]) -> bool {
-        if id >= self.hot_base {
-            return *self.hot[(id - self.hot_base) as usize] == *words;
-        }
-        debug_assert!(
-            !self.frontier_only,
-            "frontier-only buckets never hold out-of-window states"
-        );
-        self.decode_words(id) == words
-    }
-
-    /// Decode state `id`'s words: walk the BFS parent chain to the
-    /// nearest checkpoint (≤ K−1 steps), then replay deltas forward.
-    fn decode_words(&mut self, id: u32) -> Vec<u32> {
-        let mut chain = vec![id];
-        while !self.recs[*chain.last().expect("non-empty") as usize].is_checkpoint() {
-            let rec = self.recs[*chain.last().expect("non-empty") as usize];
-            let parent = self
-                .arena
-                .with_record(rec, |b| parse_header(b).0)
-                .expect("non-checkpoint record has a parent")
-                .0;
-            chain.push(parent);
-        }
-        let cp = chain.pop().expect("chain ends at a checkpoint");
-        let mut cur: Vec<u32> = Vec::new();
-        let rec = self.recs[cp as usize];
-        self.arena.with_record(rec, |b| {
-            let (_, hdr) = parse_header(b);
-            delta::decode_full(&b[hdr..], &mut cur);
-        });
-        let mut nxt: Vec<u32> = Vec::new();
-        for &i in chain.iter().rev() {
-            let rec = self.recs[i as usize];
-            nxt.clear();
-            let base = &cur;
-            self.arena.with_record(rec, |b| {
-                let (_, hdr) = parse_header(b);
-                delta::decode_delta(base, &b[hdr..], &mut nxt);
-            });
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        cur
     }
 
     /// Reconstruct the update sequence from the root to `id` out of the
     /// on-record provenance (replayable via `GuardedForm::replay`).
-    /// `None` in frontier-only mode, which stores no provenance.
-    pub fn run_to(&mut self, id: u32) -> Option<Vec<Update>> {
-        if self.frontier_only {
-            return None;
-        }
+    pub fn run_to(&mut self, id: StateId) -> Vec<Update> {
         let mut rev = Vec::new();
-        let mut i = id;
+        let mut i = id.0;
         loop {
             let rec = self.recs[i as usize];
             match self.arena.with_record(rec, |b| parse_header(b).0) {
@@ -672,7 +571,7 @@ impl SpillStore {
             }
         }
         rev.reverse();
-        Some(rev)
+        rev
     }
 
     /// The run's memory-hierarchy accounting.
@@ -686,7 +585,6 @@ impl SpillStore {
             spilled_bytes: self.arena.spilled_bytes,
             faults: self.arena.faults,
             arena_peak_bytes: self.arena_peak,
-            frontier_only: self.frontier_only,
         }
     }
 }
@@ -694,16 +592,16 @@ impl SpillStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idar_core::Schema;
+    use idar_core::{Instance, Schema};
     use std::sync::Arc;
 
     fn intern_inst(
         store: &mut SpillStore,
         inst: &Instance,
-        parent: Option<(u32, Update)>,
+        parent: Option<(StateId, Update)>,
         depth: u32,
-    ) -> (u32, bool) {
-        let key = store.key_of(inst);
+    ) -> (StateId, bool) {
+        let key = (store.symmetry().keying().0)(inst);
         store.intern(key.fingerprint(), key.words(), parent, depth)
     }
 
@@ -784,7 +682,7 @@ mod tests {
         // records grow with the instance, so the arena seals (and, at
         // budget 0, spills) multiple pages.
         const CHAIN: usize = 1500;
-        let mut store = SpillStore::new(SymmetryMode::Reduced, MemoryBudget::bytes(0), false);
+        let mut store = SpillStore::new(SymmetryMode::Reduced, MemoryBudget::bytes(0));
         let mut cur = Instance::empty(schema.clone());
         let (root_id, _) = intern_inst(&mut store, &cur, None, 0);
         let mut updates: Vec<Update> = Vec::new();
@@ -804,14 +702,14 @@ mod tests {
             }
             let (id, new) = intern_inst(&mut store, &cur, Some((prev, updates[k])), k as u32 + 1);
             assert!(new, "chain states are distinct");
-            assert_eq!(id, k as u32 + 1);
+            assert_eq!(id, StateId(k as u32 + 1));
             prev = id;
-            if id == 3 {
+            if id == StateId(3) {
                 probe = Some(cur.clone());
             }
         }
         // Provenance replays from on-record headers.
-        assert_eq!(store.run_to(prev), Some(updates.clone()));
+        assert_eq!(store.run_to(prev), updates);
         let spilled_before = store.report().spilled_pages;
         assert!(spilled_before > 0, "budget 0 spills sealed pages");
         // Push the hot window far past the chain, then re-intern an old
@@ -824,54 +722,29 @@ mod tests {
         }
         assert_eq!(store.hot_base, store.count);
         let probe = probe.expect("state 3 captured");
-        let (id, new) = intern_inst(&mut store, &probe, Some((0, updates[0])), 3);
+        let (id, new) = intern_inst(&mut store, &probe, Some((root_id, updates[0])), 3);
         assert!(!new, "old state is found through the cold path");
-        assert_eq!(id, 3);
+        assert_eq!(id, StateId(3));
         assert!(store.report().faults > 0, "cold confirm faulted pages in");
         assert_eq!(store.collisions(), 0);
     }
 
-    /// Frontier-only mode drops closed layers: no arena bytes, no
-    /// provenance, and per-layer dedup still catches within-layer
-    /// duplicates.
+    /// Two different word sequences under one fingerprint stay two
+    /// states: each probe compares words, and the second insert counts
+    /// one collision.
     #[test]
-    fn frontier_only_keeps_no_records() {
-        let schema = Arc::new(Schema::parse("a, b").unwrap());
-        let a = schema.resolve("a").unwrap();
-        let b = schema.resolve("b").unwrap();
-        let root = Instance::empty(schema.clone());
-        let mut ia = root.clone();
-        ia.add_child(InstNodeId::ROOT, a).unwrap();
-        let mut ib = root.clone();
-        ib.add_child(InstNodeId::ROOT, b).unwrap();
-        let mut iab = ia.clone();
-        iab.add_child(InstNodeId::ROOT, b).unwrap();
-        let mut iba = ib.clone();
-        iba.add_child(InstNodeId::ROOT, a).unwrap();
-
-        let mut store = SpillStore::new(SymmetryMode::Reduced, MemoryBudget::unbounded(), true);
-        let ua = Update::Add {
-            parent: InstNodeId::ROOT,
-            edge: a,
+    fn fingerprint_collisions_keep_distinct_ids() {
+        let mut store = SpillStore::new(SymmetryMode::Reduced, MemoryBudget::unbounded());
+        let u = Update::Del {
+            node: InstNodeId(1),
         };
-        let ub = Update::Add {
-            parent: InstNodeId::ROOT,
-            edge: b,
-        };
-        let (r, _) = intern_inst(&mut store, &root, None, 0);
-        let (x, _) = intern_inst(&mut store, &ia, Some((r, ua)), 1);
-        let (y, _) = intern_inst(&mut store, &ib, Some((r, ub)), 1);
-        assert_ne!(x, y);
-        store.begin_layer(1);
-        let (z, new_z) = intern_inst(&mut store, &iab, Some((x, ub)), 2);
-        assert!(new_z);
-        // {a,b} discovered again via the other parent: within-layer dedup.
-        let (z2, new_z2) = intern_inst(&mut store, &iba, Some((y, ua)), 2);
-        assert_eq!((z2, new_z2), (z, false));
-        let report = store.report();
-        assert_eq!(report.encoded_bytes, 0);
-        assert_eq!(report.checkpoints, 0);
-        assert!(report.frontier_only);
-        assert_eq!(store.run_to(z), None);
+        let (a, new_a) = store.intern(7, &[1, 2], None, 0);
+        let (b, new_b) = store.intern(7, &[3, 4], Some((a, u)), 1);
+        assert!(new_a && new_b);
+        assert_ne!(a, b);
+        assert_eq!(store.intern(7, &[1, 2], Some((b, u)), 2), (a, false));
+        assert_eq!(store.intern(7, &[3, 4], Some((a, u)), 1), (b, false));
+        assert_eq!(store.report().states, 2);
+        assert_eq!(store.collisions(), 1);
     }
 }

@@ -11,7 +11,11 @@
 //!   that indexes flat side tables. The interned canonical words and the
 //!   64-bit class fingerprint are kept per state, so dedup is a hash
 //!   probe plus (within a fingerprint bucket) a word `memcmp` — 64-bit
-//!   collisions are detected, never silently merged.
+//!   collisions are detected, never silently merged. The fingerprint →
+//!   id index is shared with the out-of-core store ([`crate::spill`]),
+//!   and every `u64`-keyed state map (this index, depth-1's state ids)
+//!   hashes with one multiply hasher, not SipHash: fingerprints and
+//!   depth-1 label sets need no further mixing.
 //! * **Symmetry reduction** — the store's [`SymmetryMode`] selects the
 //!   quotient: [`SymmetryMode::Reduced`] (the default) interns by the
 //!   canonical sorted encoding, collapsing all iso-value renamings of a
@@ -23,7 +27,7 @@
 //!   vs 109 601 plain).
 //! * **Probe before materialize** — the explorer hands the store each
 //!   successor's key spliced from the parent's
-//!   [`KeyLayout`](idar_core::KeyLayout), not the successor itself. The
+//!   [`KeyLayout`], not the successor itself. The
 //!   store probes with it and builds the instance (clone + apply) and
 //!   boxes the words only for a new state; a duplicate costs one hash
 //!   probe and one word compare.
@@ -42,8 +46,10 @@
 //! Successor adjacency is kept out of the store: the explorer's expansion
 //! log holds it ([`StateGraph`](crate::StateGraph)).
 
-use idar_core::{CanonKey, Instance, Update};
+use idar_core::{CanonKey, Instance, KeyLayout, Update};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Dense identifier of an interned state. Id 0 is always the initial
 /// instance of the exploration that filled the store.
@@ -89,12 +95,53 @@ impl std::fmt::Display for SymmetryMode {
     }
 }
 
+/// How a quotient keys a state: its dedup key and the [`KeyLayout`]
+/// build whose spliced successor keys equal that key.
+pub(crate) type Keying = (fn(&Instance) -> CanonKey, fn(&mut KeyLayout, &Instance));
+
+impl SymmetryMode {
+    /// This quotient's [`Keying`]: [`Instance::canon_key`] or
+    /// [`Instance::ordered_key`] with the matching layout build. Both
+    /// stores and the explorer's expansion step key through it.
+    pub(crate) fn keying(self) -> Keying {
+        match self {
+            SymmetryMode::Reduced => (Instance::canon_key, KeyLayout::build_canon),
+            SymmetryMode::Plain => (Instance::ordered_key, KeyLayout::build_ordered),
+        }
+    }
+}
+
+/// A `u64`-keyed state map under [`StateHasher`].
+pub(crate) type StateMap<V> = HashMap<u64, V, BuildHasherDefault<StateHasher>>;
+
+/// The hasher of every `u64`-keyed state map: the key times the
+/// golden-ratio constant, its high half folded into its low half so the
+/// bucket bits see every input bit. The keys (FNV fingerprints, depth-1
+/// label sets) need no further mixing; SipHash would only add cost.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct StateHasher(u64);
+
+impl Hasher for StateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One fingerprint bucket: ids of the (rarely > 1) distinct encodings
 /// sharing a 64-bit fingerprint. The singleton case — in practice all
-/// but a vanishing fraction of buckets — is stored inline: the dedup
-/// probe compares the 64-bit fingerprint (the map key) first and only
-/// touches interned words on a full match, and interning a fresh state
-/// allocates nothing beyond the map slot.
+/// but a vanishing fraction of buckets — is stored inline, so interning
+/// a fresh state allocates nothing beyond the map slot.
 #[derive(Debug, Clone)]
 enum Bucket {
     One(StateId),
@@ -109,12 +156,79 @@ impl Bucket {
             Bucket::Many(ids) => ids,
         }
     }
+}
 
-    fn push(&mut self, id: StateId) {
-        match self {
-            Bucket::One(a) => *self = Bucket::Many(vec![*a, id]),
-            Bucket::Many(ids) => ids.push(id),
+/// The dedup index under both state stores: fingerprint → the ids of
+/// the stored states with that fingerprint. The store owns the words;
+/// a probe compares the 64-bit fingerprint (the map key) first and asks
+/// the store to compare words only on a full match. 64-bit collisions
+/// are detected and counted, never silently merged.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FingerprintIndex {
+    buckets: StateMap<Bucket>,
+    collisions: u64,
+}
+
+impl FingerprintIndex {
+    /// The stored id under `fingerprint` whose words `same` accepts, if
+    /// any.
+    pub(crate) fn find(
+        &self,
+        fingerprint: u64,
+        mut same: impl FnMut(StateId) -> bool,
+    ) -> Option<StateId> {
+        let ids = self.buckets.get(&fingerprint)?.ids();
+        ids.iter().copied().find(|&id| same(id))
+    }
+
+    /// The stored id under `fingerprint` whose words `same` accepts,
+    /// with `false`; else record `next` under `fingerprint` and return
+    /// it with `true`.
+    #[inline]
+    pub(crate) fn intern(
+        &mut self,
+        fingerprint: u64,
+        next: StateId,
+        mut same: impl FnMut(StateId) -> bool,
+    ) -> (StateId, bool) {
+        match self.buckets.entry(fingerprint) {
+            Entry::Occupied(mut e) => {
+                if let Some(&id) = e.get().ids().iter().find(|&&id| same(id)) {
+                    return (id, false);
+                }
+                self.collisions += 1;
+                match e.get_mut() {
+                    Bucket::One(a) => *e.get_mut() = Bucket::Many(vec![*a, next]),
+                    Bucket::Many(ids) => ids.push(next),
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(Bucket::One(next));
+            }
         }
+        (next, true)
+    }
+
+    /// Detected 64-bit fingerprint collisions.
+    pub(crate) fn collisions(&self) -> u64 {
+        self.collisions
+    }
+
+    /// Approximate resident bytes: key + value + ~1 control byte per
+    /// capacity slot (capacity() underestimates the real table, but so
+    /// does any external count), plus the many-id buckets.
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let slots = self.buckets.capacity() * (size_of::<u64>() + size_of::<Bucket>() + 1);
+        let many: usize = self
+            .buckets
+            .values()
+            .map(|b| match b {
+                Bucket::One(_) => 0,
+                Bucket::Many(ids) => ids.capacity() * size_of::<StateId>(),
+            })
+            .sum();
+        slots + many
     }
 }
 
@@ -122,7 +236,7 @@ impl Bucket {
 #[derive(Debug, Clone, Default)]
 pub struct StateStore {
     symmetry: SymmetryMode,
-    buckets: HashMap<u64, Bucket>,
+    index: FingerprintIndex,
     /// Interned key words per state (canonical or ordered per `symmetry`).
     keys: Vec<Box<[u32]>>,
     /// The 64-bit key fingerprint per state. In `Reduced` mode this is
@@ -131,7 +245,6 @@ pub struct StateStore {
     states: Vec<Instance>,
     parents: Vec<Option<(StateId, Update)>>,
     depths: Vec<u32>,
-    collisions: u64,
 }
 
 impl StateStore {
@@ -148,20 +261,12 @@ impl StateStore {
         self.symmetry
     }
 
-    /// The dedup key of an instance under this store's symmetry mode.
-    pub fn key_of(&self, inst: &Instance) -> CanonKey {
-        match self.symmetry {
-            SymmetryMode::Reduced => inst.canon_key(),
-            SymmetryMode::Plain => inst.ordered_key(),
-        }
-    }
-
     /// Intern `inst`: return its dense id and whether it was new. On a
     /// new state, `parent` records the BFS tree edge that discovered it
     /// (`None` for the initial state) and the depth is derived from it.
     pub fn intern(&mut self, inst: Instance, parent: Option<(StateId, Update)>) -> (StateId, bool) {
-        let key = self.key_of(&inst);
-        self.intern_keyed(key, inst, parent)
+        let (key_of, _) = self.symmetry.keying();
+        self.intern_keyed(key_of(&inst), inst, parent)
     }
 
     /// [`StateStore::intern`] with the dedup key already computed (the
@@ -191,20 +296,13 @@ impl StateStore {
     where
         W: AsRef<[u32]> + Into<Box<[u32]>>,
     {
-        let id = StateId(self.states.len() as u32);
-        match self.buckets.entry(fingerprint) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                for &cand in e.get().ids() {
-                    if *self.keys[cand.index()] == *words.as_ref() {
-                        return (cand, false);
-                    }
-                }
-                self.collisions += 1;
-                e.get_mut().push(id);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Bucket::One(id));
-            }
+        let next = StateId(self.states.len() as u32);
+        let keys = &self.keys;
+        let (id, is_new) = self.index.intern(fingerprint, next, |cand| {
+            *keys[cand.index()] == *words.as_ref()
+        });
+        if !is_new {
+            return (id, false);
         }
         let depth = match parent {
             Some((p, _)) => self.depths[p.index()] + 1,
@@ -223,13 +321,11 @@ impl StateStore {
     /// intern/lookup fixpoint: after `intern(i, ..)`, `lookup(j)` returns
     /// the same id for every `j` the symmetry mode identifies with `i`.
     pub fn lookup(&self, inst: &Instance) -> Option<StateId> {
-        let key = self.key_of(inst);
-        self.buckets
-            .get(&key.fingerprint())?
-            .ids()
-            .iter()
-            .copied()
-            .find(|id| *self.keys[id.index()] == *key.words())
+        let (key_of, _) = self.symmetry.keying();
+        let key = key_of(inst);
+        self.index.find(key.fingerprint(), |id| {
+            *self.keys[id.index()] == *key.words()
+        })
     }
 
     /// The stored representative of state `id`.
@@ -272,7 +368,7 @@ impl StateStore {
     /// Detected 64-bit fingerprint collisions (distinct encodings sharing
     /// a fingerprint). Expected to stay 0 in practice.
     pub fn collisions(&self) -> u64 {
-        self.collisions
+        self.index.collisions()
     }
 
     /// Approximate resident bytes of the store: state instances, interned
@@ -281,16 +377,7 @@ impl StateStore {
     /// approximated), used for byte-denominated retention budgets.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut total = size_of::<StateStore>();
-        // Hash map: key + value + ~1 control byte per capacity slot
-        // (capacity() underestimates the real table, but so does any
-        // external count).
-        total += self.buckets.capacity() * (size_of::<u64>() + size_of::<Bucket>() + 1);
-        for b in self.buckets.values() {
-            if let Bucket::Many(ids) = b {
-                total += ids.capacity() * size_of::<StateId>();
-            }
-        }
+        let mut total = size_of::<StateStore>() + self.index.approx_bytes();
         total += self.keys.capacity() * size_of::<Box<[u32]>>();
         total += self
             .keys
@@ -395,5 +482,23 @@ mod tests {
         assert_eq!(store.depth(two), 2);
         assert_eq!(store.run_to(two), vec![u1, u2]);
         assert_eq!(store.fingerprint(one), i1.canon_key().fingerprint());
+    }
+
+    /// Two different word sequences under one fingerprint stay two
+    /// states: each probe compares words, and the second insert counts
+    /// one collision.
+    #[test]
+    fn fingerprint_collisions_keep_distinct_ids() {
+        let s = schema();
+        let mut store = StateStore::new(SymmetryMode::Reduced);
+        let make = |_: &StateStore| Instance::empty(s.clone());
+        let (a, new_a) = store.intern_words(7, vec![1, 2], None, make);
+        let (b, new_b) = store.intern_words(7, vec![3, 4], None, make);
+        assert!(new_a && new_b);
+        assert_ne!(a, b);
+        assert_eq!(store.intern_words(7, vec![1, 2], None, make), (a, false));
+        assert_eq!(store.intern_words(7, vec![3, 4], None, make), (b, false));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.collisions(), 1);
     }
 }

@@ -334,22 +334,27 @@ proptest! {
 }
 
 /// End-to-end through the solver dispatch: forcing bounded exploration on
-/// the leave form yields the same verdict on the flat and the spill
-/// store.
+/// the leave form answers `Holds` with the flat store's search, and the
+/// spill store's search under the same limits agrees on stats and goal
+/// depth.
 #[test]
 fn completability_verdicts_engine_independent() {
     let form = leave::example_3_12();
-    for memory in [MemoryBudget::unbounded(), SPILL_BUDGET] {
-        let r = completability(
-            &form,
-            &CompletabilityOptions {
-                limits: ExploreLimits::small(),
-                force_method: Some(Method::BoundedExploration),
-                memory,
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.verdict, Verdict::Holds, "{memory}");
-        assert!(form.is_complete_run(r.witness_run.as_ref().unwrap()));
-    }
+    let limits = ExploreLimits::small();
+    let r = completability(
+        &form,
+        &CompletabilityOptions {
+            limits,
+            force_method: Some(Method::BoundedExploration),
+            ..Default::default()
+        },
+    );
+    assert_eq!(r.verdict, Verdict::Holds);
+    let run = r.witness_run.expect("completable");
+    assert!(form.is_complete_run(&run));
+    let (spilled, _) = Explorer::new(&form, limits)
+        .with_memory_budget(SPILL_BUDGET)
+        .find_spilled(|i| form.is_complete(i));
+    assert_eq!(spilled.stats, r.stats);
+    assert_eq!(spilled.goal_run.map(|r| r.len()), Some(run.len()));
 }

@@ -1,7 +1,8 @@
 //! Workspace-level differential suite for the scenario corpus: verdicts
 //! on scenario forms must be invariant under every engine configuration
-//! the pipeline exposes — the flat vs the out-of-core state store,
-//! `SymmetryMode::{Reduced, Plain}`, and cold vs cached
+//! the pipeline exposes — the flat vs the out-of-core state store (for
+//! completability's goal search), `SymmetryMode::{Reduced, Plain}`, and
+//! cold vs cached
 //! `AnalysisRequest` paths — and the six named scenarios carry golden
 //! verdict pins re-checked on every run.
 
@@ -23,10 +24,9 @@ fn scenario_limits() -> ExploreLimits {
     }
 }
 
-fn budget(symmetry: SymmetryMode, memory: MemoryBudget) -> Budget {
+fn budget(symmetry: SymmetryMode) -> Budget {
     Budget {
         symmetry,
-        memory,
         ..Budget::with_limits(scenario_limits())
     }
 }
@@ -41,9 +41,9 @@ fn engines_match_oracle(form: &idar::core::GuardedForm, name: &str) {
     for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
         let explorer = Explorer::new(form, limits).with_symmetry(symmetry);
         let flat = explorer.find(goal);
-        let spilled = explorer
+        let (spilled, _) = explorer
             .with_memory_budget(MemoryBudget::bytes(4096))
-            .find(goal);
+            .find_spilled(goal);
         let oracle = reference::explore(form, &limits, symmetry, goal);
         for (engine, out) in [("flat", &flat), ("spill", &spilled)] {
             assert_eq!(out.stats, oracle.stats, "{name} {symmetry} {engine}: stats");
@@ -64,28 +64,25 @@ fn verdict_invariant(form: &idar::core::GuardedForm, kind: AnalysisKind, name: &
     }
     let mut verdicts = Vec::new();
     for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
-        for memory in [MemoryBudget::unbounded(), MemoryBudget::bytes(64 * 1024)] {
-            let req =
-                AnalysisRequest::new(form.clone(), kind).with_budget(budget(symmetry, memory));
-            let cold = analyze(&req);
-            verdicts.push((format!("{symmetry:?}/{memory}/cold"), cold.verdict));
+        let req = AnalysisRequest::new(form.clone(), kind).with_budget(budget(symmetry));
+        let cold = analyze(&req);
+        verdicts.push((format!("{symmetry:?}/cold"), cold.verdict));
 
-            let cache = VerdictCache::new();
-            let miss = analyze_with(&req, Some(&cache));
-            let hit = analyze_with(&req, Some(&cache));
-            assert_eq!(
-                miss.cache,
-                idar::solver::CacheProvenance::Miss,
-                "{name}: first cached run should miss"
-            );
-            assert_eq!(
-                hit.cache,
-                idar::solver::CacheProvenance::Hit,
-                "{name}: second cached run should hit"
-            );
-            verdicts.push((format!("{symmetry:?}/{memory}/miss"), miss.verdict));
-            verdicts.push((format!("{symmetry:?}/{memory}/hit"), hit.verdict));
-        }
+        let cache = VerdictCache::new();
+        let miss = analyze_with(&req, Some(&cache));
+        let hit = analyze_with(&req, Some(&cache));
+        assert_eq!(
+            miss.cache,
+            idar::solver::CacheProvenance::Miss,
+            "{name}: first cached run should miss"
+        );
+        assert_eq!(
+            hit.cache,
+            idar::solver::CacheProvenance::Hit,
+            "{name}: second cached run should hit"
+        );
+        verdicts.push((format!("{symmetry:?}/miss"), miss.verdict));
+        verdicts.push((format!("{symmetry:?}/hit"), hit.verdict));
     }
     let (ref first_cfg, first) = verdicts[0];
     for (cfg, v) in &verdicts {
@@ -206,7 +203,7 @@ fn deep_chains_complete_up_to_depth_twelve() {
     for depth in [4usize, 8, 12] {
         let s = ScenarioSpec::unconstrained(ChainSpec::simple(depth, 2, 3)).build("deep");
         let req = AnalysisRequest::completability(s.form.clone())
-            .with_budget(budget(SymmetryMode::Reduced, MemoryBudget::unbounded()));
+            .with_budget(budget(SymmetryMode::Reduced));
         let report = analyze(&req);
         assert_eq!(report.verdict, Verdict::Holds, "depth {depth}");
         let run = report.run.expect("witness run");
@@ -244,7 +241,7 @@ fn named_scenarios_screen_pins() {
     assert_eq!(r.stats.chase_steps, 0, "refutation must not build states");
     let report = analyze(
         &AnalysisRequest::completability(sod.form.clone())
-            .with_budget(budget(SymmetryMode::Reduced, MemoryBudget::unbounded())),
+            .with_budget(budget(SymmetryMode::Reduced)),
     );
     assert_eq!(report.verdict, Verdict::Fails);
     assert_eq!(report.method, Method::StaticScreen);
@@ -263,7 +260,7 @@ fn named_scenarios_screen_pins() {
     assert!(r.dead_rules.is_empty(), "clean_chain has no dead rules");
     let report = analyze(
         &AnalysisRequest::completability(clean.form.clone())
-            .with_budget(budget(SymmetryMode::Reduced, MemoryBudget::unbounded())),
+            .with_budget(budget(SymmetryMode::Reduced)),
     );
     assert_eq!(report.method, Method::StaticScreen);
     assert_eq!(report.stats.states, 0);
