@@ -17,9 +17,9 @@
 //! * **(f) cache** — cold `AnalysisRequest` runs against cached re-runs
 //!   through a shared `VerdictCache`: verdict-for-verdict agreement for
 //!   every analysis kind, plus hit provenance on the repeat;
-//! * **(h) capacity** — the out-of-core capacity engine (delta-encoded
+//! * **(h) capacity** — the record store's spilled tier (delta-encoded
 //!   state records under a 4 KiB spill budget, see `idar_solver::spill`)
-//!   against the in-RAM goal search: identical `SearchStats`,
+//!   against its in-RAM tier: identical `SearchStats`,
 //!   goal existence and BFS goal depth, and the spilled witness run must
 //!   replay;
 //! * **(b) reductions** — deletion-elimination (Cor. 4.2) and the
@@ -684,8 +684,8 @@ fn check_engines(form: &GuardedForm) -> Result<(), String> {
 // (h) capacity differential: budgeted spill vs in-RAM search
 // ---------------------------------------------------------------------------
 
-/// The out-of-core capacity engine against the in-RAM
-/// engine. A 4 KiB arena budget forces page spills at fuzz sizes; the
+/// The record store's spilled tier against its in-RAM tier. A 4 KiB
+/// arena budget forces page spills at fuzz sizes; the
 /// budgeted search must nevertheless visit exactly the same states
 /// (`SearchStats` compares field-for-field), agree on goal existence
 /// and BFS goal depth, and its witness run must replay.

@@ -7,8 +7,9 @@
 //!   varint layer;
 //! * **spill equivalence** — a spill budget tiny enough to page out
 //!   almost every record must leave search results untouched: identical
-//!   `SearchStats` and goal depth against the flat in-RAM store and the
-//!   naive reference explorer, across `SymmetryMode::{Reduced, Plain}`.
+//!   `SearchStats` and goal depth against the record store's in-RAM
+//!   tier and the naive reference explorer, across
+//!   `SymmetryMode::{Reduced, Plain}`.
 
 use idar_core::delta;
 use idar_core::{GuardedForm, Instance};
@@ -135,7 +136,7 @@ proptest! {
     }
 
     /// A tiny spill budget leaves the goal search untouched: stats and
-    /// goal depth are identical to the flat in-RAM store and to the
+    /// goal depth are identical to the in-RAM tier and to the
     /// reference explorer — under both the symmetry quotient and plain
     /// exploration.
     #[test]
@@ -146,15 +147,15 @@ proptest! {
     ) {
         let form = generate(&GenConfig::new(spec_of(ix)), seed);
         let sym = if plain == 1 { SymmetryMode::Plain } else { SymmetryMode::Reduced };
-        let flat = Explorer::new(&form, limits())
+        let in_ram = Explorer::new(&form, limits())
             .with_symmetry(sym)
             .find(|i| form.is_complete(i));
         let (spilled, report) = Explorer::new(&form, limits())
             .with_symmetry(sym)
             .with_memory_budget(tiny_budget())
             .find_spilled(|i| form.is_complete(i));
-        prop_assert_eq!(spilled.stats, flat.stats, "spill report: {:?}", report);
-        match (&flat.goal_run, &spilled.goal_run) {
+        prop_assert_eq!(spilled.stats, in_ram.stats, "spill report: {:?}", report);
+        match (&in_ram.goal_run, &spilled.goal_run) {
             (Some(a), Some(b)) => {
                 prop_assert_eq!(a.len(), b.len(), "BFS goal depth must agree");
                 prop_assert!(form.is_complete_run(b), "spilled witness replays");
@@ -162,7 +163,7 @@ proptest! {
             (None, None) => {}
             (a, b) => prop_assert!(
                 false,
-                "goal existence differs: flat {} vs spilled {}",
+                "goal existence differs: in-RAM {} vs spilled {}",
                 a.is_some(),
                 b.is_some()
             ),

@@ -22,13 +22,16 @@
 //! Every search runs one breadth-first driver, generic over a small
 //! `Store` trait and monomorphised per store:
 //!
-//! * the flat [`StateStore`] keeps each state's instance, canonical words
-//!   and provenance resident — [`Explorer::find`] and [`Explorer::graph`]
-//!   run on it;
-//! * the out-of-core `SpillStore` ([`crate::spill`]) keeps only the
-//!   frontier's instances, with delta-compressed words that spill to disk
-//!   under a [`MemoryBudget`] — the capacity engine behind
-//!   [`Explorer::find_spilled`], its one entry.
+//! * goal searches — [`Explorer::find`] and [`Explorer::find_spilled`],
+//!   one body — run on the *record store* (`SpillStore`,
+//!   [`crate::spill`]): it keeps only the frontier's instances, with
+//!   each state's canonical words and provenance as a delta record in a
+//!   paged arena that spills to disk under a [`MemoryBudget`] (in RAM
+//!   by default). On `subset_lattice(16)` it peaks at about 240 bytes
+//!   per state, against about 880 for the flat store;
+//! * the flat [`StateStore`] keeps each state's instance, canonical
+//!   words and provenance resident — [`Explorer::graph`] builds on it,
+//!   because a retained [`StateGraph`]'s sessions read its instances.
 //!
 //! Both dedup through one fingerprint index, and
 //! [`SymmetryMode`] picks the key both are probed with.
@@ -195,10 +198,12 @@ impl<'a> Explorer<'a> {
         self
     }
 
-    /// Set the byte budget of [`Explorer::find_spilled`]'s paged arena
-    /// (see [`crate::spill`]): cold pages spill to a temp file so the
-    /// arena-resident encoded bytes stay under it. The other searches
-    /// run on the flat store and ignore it.
+    /// Set the byte budget of the record store's paged arena (see
+    /// [`crate::spill`]) for [`Explorer::find`] and
+    /// [`Explorer::find_spilled`]: cold pages spill to a temp file so
+    /// the arena-resident encoded bytes stay under it. [`Explorer::graph`]
+    /// and [`Explorer::resume`] keep their states' instances in RAM and
+    /// ignore it.
     pub fn with_memory_budget(mut self, memory: MemoryBudget) -> Self {
         self.memory = memory;
         self
@@ -212,31 +217,36 @@ impl<'a> Explorer<'a> {
     /// BFS from the initial instance until `goal` holds for some state (or
     /// the space/limits are exhausted). Returns the shortest-in-BFS run to
     /// the goal, if found.
+    ///
+    /// The search keeps records, not instances: it runs on the record
+    /// store ([`crate::spill`]), where decoded instances live only in the
+    /// BFS queue (a popped state's instance is dropped once expanded),
+    /// canonical words and provenance live as delta records in a paged
+    /// arena, and cold pages spill to disk under the
+    /// [`MemoryBudget`](Explorer::with_memory_budget) (the default,
+    /// unbounded budget keeps every page in RAM). State ids and
+    /// [`SearchStats`] are those of [`Explorer::graph`]'s flat store.
     pub fn find(&self, goal: impl FnMut(&Instance) -> bool) -> ExploreOutcome {
-        let mut store = StateStore::new(self.symmetry);
-        let (stats, hit) = bfs(self.form, &self.limits, &mut store, goal, &mut ());
-        ExploreOutcome {
-            goal_run: hit.map(|j| store.run_to(j)),
-            stats,
-        }
+        self.search(goal).0
     }
 
-    /// The capacity engine: [`Explorer::find`] on the out-of-core
-    /// store, returning the run's [`SpillReport`] alongside the outcome.
-    /// Decoded instances live only in the BFS queue (a popped state's
-    /// instance is dropped once expanded), canonical words live as delta
-    /// records in the paged arena, and cold pages spill to disk under
-    /// the [`MemoryBudget`] (an unbounded budget keeps every page hot
-    /// but still delta-encodes). It visits the same states with the
-    /// same [`SearchStats`] as `find`.
+    /// [`Explorer::find`], returning the record store's [`SpillReport`]
+    /// alongside the outcome.
     pub fn find_spilled(
         &self,
         goal: impl FnMut(&Instance) -> bool,
     ) -> (ExploreOutcome, SpillReport) {
+        let (outcome, store) = self.search(goal);
+        (outcome, store.report())
+    }
+
+    /// The goal search behind [`Explorer::find`] and
+    /// [`Explorer::find_spilled`], with the store it filled.
+    fn search(&self, goal: impl FnMut(&Instance) -> bool) -> (ExploreOutcome, SpillStore) {
         let mut store = SpillStore::new(self.symmetry, self.memory);
         let (stats, hit) = bfs(self.form, &self.limits, &mut store, goal, &mut ());
         let goal_run = hit.map(|j| store.run_to(j));
-        (ExploreOutcome { goal_run, stats }, store.report())
+        (ExploreOutcome { goal_run, stats }, store)
     }
 
     /// The **build phase**: explore exhaustively (within limits) and
@@ -685,8 +695,8 @@ mod tests {
         }
     }
 
-    /// The capacity engine (tiny spill budget) is verdict-, depth- and
-    /// stats-identical to the flat in-RAM store, and its witness
+    /// The record store's spilled tier (tiny spill budget) is verdict-,
+    /// depth- and stats-identical to its in-RAM tier, and its witness
     /// run replays.
     #[test]
     fn capacity_engine_matches_sequential_on_leave() {
@@ -707,8 +717,8 @@ mod tests {
         );
     }
 
-    /// The capacity engine under a zero-byte budget keeps the
-    /// exhaustive-search semantics of the flat store.
+    /// A zero-byte budget keeps the exhaustive-search semantics of the
+    /// in-RAM tier.
     #[test]
     fn budgeted_find_closes_finite_space() {
         let g = toggle_form();
@@ -719,6 +729,36 @@ mod tests {
         assert_eq!(cap.stats, seq.stats);
         assert!(cap.stats.closed);
         assert_eq!(cap.stats.states, 4);
+    }
+
+    /// The initial instance is not bounded by `max_state_size`: a root of
+    /// 9,000 × `a(b)` (36,000 canonical words, a record over 32 KiB) is
+    /// searched, not a panic, and its one addition is pruned by size.
+    #[test]
+    fn oversized_initial_instance_is_searched() {
+        let schema = Arc::new(Schema::parse("a(b)").unwrap());
+        let a = schema.resolve("a").unwrap();
+        let b = schema.resolve("a/b").unwrap();
+        let mut init = Instance::empty(schema.clone());
+        for _ in 0..9_000 {
+            let n = init.add_child(idar_core::InstNodeId::ROOT, a).unwrap();
+            init.add_child(n, b).unwrap();
+        }
+        let mut rules = AccessRules::new(&schema);
+        rules.set_both(a, Formula::True, Formula::False);
+        let g = GuardedForm::new(schema, rules, init, Formula::False);
+        let pruned = SearchStats {
+            states: 1,
+            transitions: 1,
+            closed: false,
+            limit_hit: Some(LimitKind::StateSize),
+        };
+        for memory in [MemoryBudget::unbounded(), MemoryBudget::bytes(4 * 1024)] {
+            let ex = Explorer::new(&g, ExploreLimits::default()).with_memory_budget(memory);
+            let out = ex.find(|i| g.is_complete(i));
+            assert_eq!(out.stats, pruned, "{memory:?}");
+            assert!(out.goal_run.is_none());
+        }
     }
 
     #[test]

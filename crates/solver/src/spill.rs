@@ -1,17 +1,23 @@
-//! The **out-of-core state store**: a compressed, spillable memory
-//! hierarchy that bounds exploration scale by disk instead of RSS.
+//! The **record store**: the compressed, spillable memory hierarchy
+//! every goal search runs on, which bounds exploration scale by disk
+//! instead of RSS.
 //!
 //! The flat [`StateStore`](crate::store::StateStore) keeps every
 //! instance, canonical word sequence, and provenance pointer resident —
-//! ~0.5 KB per state on workflow-shaped instances, which caps searches
-//! around 10⁶–10⁷ states on a normal box. This module replaces the
+//! about 880 bytes per state at its peak on `subset_lattice(16)` — and
+//! stays the store of [`Explorer::graph`](crate::explore::Explorer::graph),
+//! whose retained sessions read those instances. Goal searches
+//! ([`Explorer::find`](crate::explore::Explorer::find) and
+//! [`Explorer::find_spilled`](crate::explore::Explorer::find_spilled))
+//! need only the frontier's instances, and run here instead: the same
+//! lattice peaks at about 240 bytes per state. This module replaces the
 //! resident columns with a three-level hierarchy, with **zero semantic
 //! change**: the explorer's BFS driver runs over either store, and on
-//! this one
-//! ([`Explorer::find_spilled`](crate::explore::Explorer::find_spilled))
-//! visits the same states in the same order and returns the same
-//! [`SearchStats`](crate::verdict::SearchStats) as on the flat in-RAM
-//! store.
+//! this one visits the same states in the same order and returns the
+//! same [`SearchStats`](crate::verdict::SearchStats) as on the flat
+//! store. Its two tiers — every page in RAM under the default, unbounded
+//! [`MemoryBudget`], or cold pages spilled under a bounded one — differ
+//! only in where bytes live.
 //!
 //! 1. **Delta-encoded records.** A state's canonical words are stored as
 //!    a varint diff against its BFS parent's words
@@ -21,7 +27,9 @@
 //!    decoding any state replays at most K deltas. The record also
 //!    carries the BFS provenance (parent id + discovering update), so
 //!    parent pointers and witness runs live on disk too, not in RAM.
-//! 2. **A paged arena.** Records append into 64 KiB pages. Under a
+//! 2. **A paged arena.** Records append into 64 KiB pages; a record
+//!    too long for its address's 15-bit length field (a state of tens
+//!    of thousands of words) is sealed in a page of its own. Under a
 //!    [`MemoryBudget`] the oldest sealed pages spill to an anonymous
 //!    temp file (plain `File` pread/pwrite, std-only) and are faulted
 //!    back through a small fixed LRU cache only when actually read.
@@ -30,7 +38,8 @@
 //!    expanded — stay resident, because that is where almost every
 //!    duplicate lands (a single update moves one layer up or down).
 //!    The dedup index is the flat store's
-//!    [`FingerprintIndex`](crate::store): it probes fingerprint-first,
+//!    [`FingerprintIndex`](crate::store), a 4-byte id slot per
+//!    fingerprint: it probes fingerprint-first,
 //!    and this store adds a word-length prefilter, so a spilled record
 //!    is only faulted in on a true 64-bit fingerprint match outside the
 //!    hot window.
@@ -38,8 +47,9 @@
 //! What the budget does and does not bound: the [`MemoryBudget`] caps
 //! the *arena-resident encoded bytes* (enforced after every append).
 //! The hot window and the engine's frontier queue scale with the
-//! frontier width, the dedup index (~25 B/state) with the explored
-//! total; both are pinned working state outside the budget.
+//! frontier width, the dedup index (a 16-byte hash-table slot per
+//! fingerprint) with the explored total; both are pinned working state
+//! outside the budget.
 
 use crate::store::{FingerprintIndex, StateId, SymmetryMode};
 use idar_core::delta::{self, read_varint, write_varint};
@@ -48,7 +58,8 @@ use std::collections::VecDeque;
 use std::fs::File;
 
 /// A byte budget for the resident (non-spilled) part of the paged state
-/// arena of [`Explorer::find_spilled`](crate::explore::Explorer::find_spilled).
+/// arena of [`Explorer::find`](crate::explore::Explorer::find) and
+/// [`Explorer::find_spilled`](crate::explore::Explorer::find_spilled).
 /// [`MemoryBudget::unbounded`] (the default) keeps every page hot; a
 /// bounded budget spills cold pages to a temp file. Spilling changes
 /// where bytes live, never what the search visits or answers.
@@ -74,7 +85,7 @@ impl MemoryBudget {
     }
 }
 
-/// What a capacity-engine run did memory-wise — the observability side
+/// What a goal search did memory-wise — the observability side
 /// of the hierarchy, which the bench harness reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillReport {
@@ -106,10 +117,15 @@ const FAULT_CACHE_PAGES: usize = 16;
 
 const CHECKPOINT_FLAG: u16 = 0x8000;
 const LEN_MASK: u16 = 0x7fff;
+/// The length field of a record that fills a page of its own: records
+/// of this length or longer get a page each, so the address carries no
+/// length and the page's own length bounds the record.
+const WHOLE_PAGE: u16 = LEN_MASK;
 
 /// Where one encoded record lives: page index, byte offset in the page,
-/// record length (low 15 bits) plus the checkpoint flag (high bit).
-/// 8 bytes of RAM per state — the only per-state arena bookkeeping.
+/// record length (low 15 bits, [`WHOLE_PAGE`] for an oversized record)
+/// plus the checkpoint flag (high bit). 8 bytes of RAM per state — the
+/// only per-state arena bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct EncRec {
     page: u32,
@@ -119,13 +135,18 @@ struct EncRec {
 
 impl EncRec {
     #[inline]
-    fn len(self) -> usize {
-        (self.lenflag & LEN_MASK) as usize
-    }
-
-    #[inline]
     fn is_checkpoint(self) -> bool {
         self.lenflag & CHECKPOINT_FLAG != 0
+    }
+
+    /// This record's bytes within its page.
+    #[inline]
+    fn slice(self, page: &[u8]) -> &[u8] {
+        let off = self.off as usize;
+        match self.lenflag & LEN_MASK {
+            WHOLE_PAGE => &page[off..],
+            len => &page[off..off + len as usize],
+        }
     }
 }
 
@@ -207,7 +228,7 @@ enum Slot {
 }
 
 /// Append-only record arena over 64 KiB pages with file-backed spilling.
-/// Single-writer (the capacity engine owns it).
+/// Single-writer (the record store owns it).
 #[derive(Debug, Default)]
 struct PagedArena {
     sealed: Vec<Slot>,
@@ -229,20 +250,39 @@ struct PagedArena {
 }
 
 impl PagedArena {
-    /// Append a record, returning its `(page, offset)` address.
-    fn append(&mut self, bytes: &[u8]) -> (u32, u16) {
-        debug_assert!(bytes.len() <= LEN_MASK as usize);
-        if !self.open.is_empty() && self.open.len() + bytes.len() > PAGE_SIZE {
-            let sealed = std::mem::take(&mut self.open).into_boxed_slice();
-            self.hot_sealed_bytes += sealed.len();
-            self.sealed.push(Slot::Hot(sealed));
+    /// Append a record, returning its address. A record too long for
+    /// the length field is sealed in a page of its own.
+    fn append(&mut self, bytes: &[u8], checkpoint: bool) -> EncRec {
+        let flag = if checkpoint { CHECKPOINT_FLAG } else { 0 };
+        let oversized = bytes.len() >= WHOLE_PAGE as usize;
+        if !self.open.is_empty() && (oversized || self.open.len() + bytes.len() > PAGE_SIZE) {
+            let full = std::mem::take(&mut self.open).into_boxed_slice();
+            self.seal(full);
+        }
+        let page = self.sealed.len() as u32;
+        if oversized {
+            self.seal(bytes.into());
+            return EncRec {
+                page,
+                off: 0,
+                lenflag: WHOLE_PAGE | flag,
+            };
         }
         if self.open.capacity() == 0 {
             self.open.reserve(PAGE_SIZE);
         }
-        let addr = (self.sealed.len() as u32, self.open.len() as u16);
+        let off = self.open.len() as u16;
         self.open.extend_from_slice(bytes);
-        addr
+        EncRec {
+            page,
+            off,
+            lenflag: bytes.len() as u16 | flag,
+        }
+    }
+
+    fn seal(&mut self, page: Box<[u8]>) {
+        self.hot_sealed_bytes += page.len();
+        self.sealed.push(Slot::Hot(page));
     }
 
     /// Arena-resident bytes: the open page plus hot sealed pages. (The
@@ -278,12 +318,11 @@ impl PagedArena {
     /// Read a record through the hierarchy: open page → hot sealed page
     /// → fault cache → spill file (counted as a fault).
     fn with_record<R>(&mut self, rec: EncRec, f: impl FnOnce(&[u8]) -> R) -> R {
-        let (off, len) = (rec.off as usize, rec.len());
         if rec.page as usize == self.sealed.len() {
-            return f(&self.open[off..off + len]);
+            return f(rec.slice(&self.open));
         }
         let (offset, plen) = match &self.sealed[rec.page as usize] {
-            Slot::Hot(bytes) => return f(&bytes[off..off + len]),
+            Slot::Hot(bytes) => return f(rec.slice(bytes)),
             Slot::Cold { offset, len } => (*offset, *len as usize),
         };
         if let Some(pos) = self.cache.iter().position(|(p, _)| *p == rec.page) {
@@ -304,7 +343,7 @@ impl PagedArena {
             self.cache.push_back((rec.page, buf.into_boxed_slice()));
         }
         let page = &self.cache.back().expect("just pushed").1;
-        f(&page[off..off + len])
+        f(rec.slice(page))
     }
 
     /// Decode the words of state `id`, whose record address is
@@ -392,7 +431,7 @@ fn parse_header(bytes: &[u8]) -> (Option<(u32, Update)>, usize) {
 /// K−1 deltas from the nearest checkpoint ancestor.
 const CHECKPOINT_EVERY: u8 = 8;
 
-/// The spillable, delta-compressed state store the capacity engine runs
+/// The spillable, delta-compressed state store every goal search runs
 /// on. Ids are dense in discovery order (the BFS invariant the
 /// hot-window arithmetic relies on). See the module docs for the
 /// hierarchy.
@@ -530,16 +569,7 @@ impl SpillStore {
             let base = &self.hot[(p - self.hot_base) as usize];
             delta::encode_delta(base, words, &mut enc);
         }
-        assert!(
-            enc.len() <= LEN_MASK as usize,
-            "state encoding too large for the paged arena (max_state_size too big?)"
-        );
-        let (page, off) = self.arena.append(&enc);
-        self.recs.push(EncRec {
-            page,
-            off,
-            lenflag: enc.len() as u16 | if checkpoint { CHECKPOINT_FLAG } else { 0 },
-        });
+        self.recs.push(self.arena.append(&enc, checkpoint));
         self.dists.push(if checkpoint { 0 } else { dist });
         self.encoded_bytes += enc.len() as u64;
         if checkpoint {
@@ -615,17 +645,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let recs: Vec<EncRec> = records
-            .iter()
-            .map(|r| {
-                let (page, off) = arena.append(r);
-                EncRec {
-                    page,
-                    off,
-                    lenflag: r.len() as u16,
-                }
-            })
-            .collect();
+        let recs: Vec<EncRec> = records.iter().map(|r| arena.append(r, false)).collect();
         // ~100 KB over two-ish pages; force everything sealed to spill.
         arena.enforce(0);
         assert!(arena.spilled_pages > 0);
@@ -746,5 +766,84 @@ mod tests {
         assert_eq!(store.intern(7, &[3, 4], Some((a, u)), 1), (b, false));
         assert_eq!(store.report().states, 2);
         assert_eq!(store.collisions(), 1);
+    }
+
+    /// Move the hot window past every interned state, so re-probes
+    /// confirm through the arena.
+    fn cool_down(store: &mut SpillStore) {
+        store.layer_start.extend([store.count; 2]);
+        store.begin_layer(store.layer_start.len() as u32);
+        assert_eq!(store.hot_base, store.count);
+    }
+
+    /// Three word sequences under one fingerprint: the second moves the
+    /// index slot to its side list, the third grows the list, and every
+    /// re-probe — hot or decoded from the arena — finds its own id.
+    #[test]
+    fn three_way_collision_goes_through_the_side_list() {
+        let mut store = SpillStore::new(SymmetryMode::Reduced, MemoryBudget::bytes(0));
+        let u = Update::Del {
+            node: InstNodeId(1),
+        };
+        let words: [&[u32]; 3] = [&[1, 2], &[3, 4], &[5, 6, 7]];
+        let mut parent = None;
+        for (d, w) in words.iter().enumerate() {
+            let (id, new) = store.intern(7, w, parent, d as u32);
+            assert!(new);
+            assert_eq!(id, StateId(d as u32));
+            parent = Some((id, u));
+        }
+        for round in ["hot", "cold"] {
+            for (d, w) in words.iter().enumerate() {
+                let id = StateId(d as u32);
+                assert_eq!(store.intern(7, w, parent, 3), (id, false), "{round}");
+            }
+            cool_down(&mut store);
+        }
+        assert_eq!(store.report().states, 3);
+        assert_eq!(store.collisions(), 2);
+    }
+
+    /// A record longer than the address's length field gets a page of
+    /// its own: a 40,000-word state (checkpoint and delta records over
+    /// 32 KiB) interns, re-probes, decodes and replays its run, with
+    /// every page resident and with nearly every page spilled.
+    #[test]
+    fn oversized_records_round_trip() {
+        let big: Vec<u32> = (0..40_000).map(|i| i % 100).collect();
+        let big2: Vec<u32> = (0..40_000).map(|i| (i * 7 + 3) % 120).collect();
+        let mut tail = big2.clone();
+        tail.push(5);
+        let states: [&[u32]; 4] = [&big, &[1, 2], &big2, &tail];
+        let u = |n| Update::Del {
+            node: InstNodeId(n),
+        };
+        for budget in [MemoryBudget::unbounded(), MemoryBudget::bytes(4 * 1024)] {
+            let mut store = SpillStore::new(SymmetryMode::Reduced, budget);
+            let mut parent = None;
+            for (d, w) in states.iter().enumerate() {
+                let (id, new) = store.intern(d as u64, w, parent, d as u32);
+                assert!(new, "{budget:?}");
+                assert_eq!(id, StateId(d as u32));
+                parent = Some((id, u(d as u32)));
+            }
+            assert!(store.report().encoded_bytes > 2 * u64::from(LEN_MASK));
+            for round in ["hot", "cold"] {
+                for (d, w) in states.iter().enumerate() {
+                    let id = StateId(d as u32);
+                    assert_eq!(store.intern(d as u64, w, parent, 4), (id, false), "{round}");
+                    assert_eq!(store.arena.decode_words(&store.recs, id.0), *w, "{round}");
+                }
+                assert_eq!(store.run_to(StateId(3)), [u(0), u(1), u(2)]);
+                cool_down(&mut store);
+            }
+            let report = store.report();
+            if budget.limit().is_some() {
+                assert!(report.spilled_pages >= 3, "{report:?}");
+                assert!(report.faults > 0, "{report:?}");
+            } else {
+                assert_eq!(report.spilled_pages, 0);
+            }
+        }
     }
 }

@@ -1,21 +1,27 @@
-//! The hash-consed **state store**: the one substrate every explicit-state
-//! analysis shares.
+//! The hash-consed **state store**: the flat, all-in-RAM store that
+//! state-graph builds keep.
 //!
 //! Before this layer existed, each solver call re-materialised its own
 //! `HashSet<Instance>`-shaped dedup structures. The store centralises
-//! that:
+//! that. [`Explorer::graph`](crate::Explorer::graph) builds on it, and a
+//! retained [`StateGraph`](crate::StateGraph) answers its sessions'
+//! queries from the instances it holds. Goal searches need no stored
+//! instances and run on the record store ([`crate::spill`]) instead;
+//! the two share this module's dedup index and keying.
 //!
 //! * **Hash-consing** — each isomorphism class of instances is interned
 //!   once, keyed by its canonical word encoding
 //!   ([`Instance::canon_key`]), and receives a dense [`StateId`] (`u32`)
 //!   that indexes flat side tables. The interned canonical words and the
 //!   64-bit class fingerprint are kept per state, so dedup is a hash
-//!   probe plus (within a fingerprint bucket) a word `memcmp` — 64-bit
+//!   probe plus (on a fingerprint match) a word `memcmp` — 64-bit
 //!   collisions are detected, never silently merged. The fingerprint →
-//!   id index is shared with the out-of-core store ([`crate::spill`]),
-//!   and every `u64`-keyed state map (this index, depth-1's state ids)
-//!   hashes with one multiply hasher, not SipHash: fingerprints and
-//!   depth-1 label sets need no further mixing.
+//!   id index is shared with the record store: one 4-byte id slot per
+//!   fingerprint, with a sentinel that sends the rare colliding
+//!   fingerprint to a side list. Every `u64`-keyed state map (this
+//!   index, depth-1's state ids) hashes with one multiply hasher, not
+//!   SipHash: fingerprints and depth-1 label sets need no further
+//!   mixing.
 //! * **Symmetry reduction** — the store's [`SymmetryMode`] selects the
 //!   quotient: [`SymmetryMode::Reduced`] (the default) interns by the
 //!   canonical sorted encoding, collapsing all iso-value renamings of a
@@ -138,34 +144,28 @@ impl Hasher for StateHasher {
     }
 }
 
-/// One fingerprint bucket: ids of the (rarely > 1) distinct encodings
-/// sharing a 64-bit fingerprint. The singleton case — in practice all
-/// but a vanishing fraction of buckets — is stored inline, so interning
-/// a fresh state allocates nothing beyond the map slot.
-#[derive(Debug, Clone)]
-enum Bucket {
-    One(StateId),
-    Many(Vec<StateId>),
-}
+/// The value of a [`FingerprintIndex`] slot: the one id stored under a
+/// fingerprint, or [`SHARED`] when several are.
+type Slot = StateId;
+const _: () = assert!(std::mem::size_of::<Slot>() == 4, "index slots are 4 bytes");
 
-impl Bucket {
-    #[inline]
-    fn ids(&self) -> &[StateId] {
-        match self {
-            Bucket::One(id) => std::slice::from_ref(id),
-            Bucket::Many(ids) => ids,
-        }
-    }
-}
+/// The slot sentinel: several ids share this fingerprint, and the
+/// index's side list holds them. Ids are dense from 0, so no state ever
+/// takes this one.
+const SHARED: Slot = StateId(u32::MAX);
 
-/// The dedup index under both state stores: fingerprint → the ids of
-/// the stored states with that fingerprint. The store owns the words;
-/// a probe compares the 64-bit fingerprint (the map key) first and asks
-/// the store to compare words only on a full match. 64-bit collisions
-/// are detected and counted, never silently merged.
+/// The dedup index under both state stores: fingerprint → the id of the
+/// stored state with that fingerprint, in a 4-byte slot. The store owns
+/// the words; a probe compares the 64-bit fingerprint (the map key)
+/// first and asks the store to compare words only on a full match.
+/// 64-bit collisions are detected and counted, never silently merged:
+/// the colliding ids move to a side list and their slot reads
+/// [`SHARED`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FingerprintIndex {
-    buckets: StateMap<Bucket>,
+    slots: StateMap<Slot>,
+    /// The ids of every fingerprint whose slot is [`SHARED`].
+    shared: StateMap<Vec<StateId>>,
     collisions: u64,
 }
 
@@ -177,8 +177,13 @@ impl FingerprintIndex {
         fingerprint: u64,
         mut same: impl FnMut(StateId) -> bool,
     ) -> Option<StateId> {
-        let ids = self.buckets.get(&fingerprint)?.ids();
-        ids.iter().copied().find(|&id| same(id))
+        match *self.slots.get(&fingerprint)? {
+            SHARED => self.shared[&fingerprint]
+                .iter()
+                .copied()
+                .find(|&id| same(id)),
+            id => same(id).then_some(id),
+        }
     }
 
     /// The stored id under `fingerprint` whose words `same` accepts,
@@ -191,21 +196,32 @@ impl FingerprintIndex {
         next: StateId,
         mut same: impl FnMut(StateId) -> bool,
     ) -> (StateId, bool) {
-        match self.buckets.entry(fingerprint) {
-            Entry::Occupied(mut e) => {
-                if let Some(&id) = e.get().ids().iter().find(|&&id| same(id)) {
+        debug_assert!(next != SHARED, "state ids stay below the sentinel");
+        match self.slots.entry(fingerprint) {
+            Entry::Vacant(e) => {
+                e.insert(next);
+                return (next, true);
+            }
+            Entry::Occupied(mut e) if *e.get() != SHARED => {
+                let id = *e.get();
+                if same(id) {
                     return (id, false);
                 }
-                self.collisions += 1;
-                match e.get_mut() {
-                    Bucket::One(a) => *e.get_mut() = Bucket::Many(vec![*a, next]),
-                    Bucket::Many(ids) => ids.push(next),
-                }
+                e.insert(SHARED);
+                self.shared.insert(fingerprint, vec![id, next]);
             }
-            Entry::Vacant(e) => {
-                e.insert(Bucket::One(next));
+            Entry::Occupied(_) => {
+                let ids = self
+                    .shared
+                    .get_mut(&fingerprint)
+                    .expect("a shared slot has a side list");
+                if let Some(&id) = ids.iter().find(|&&id| same(id)) {
+                    return (id, false);
+                }
+                ids.push(next);
             }
         }
+        self.collisions += 1;
         (next, true)
     }
 
@@ -214,21 +230,19 @@ impl FingerprintIndex {
         self.collisions
     }
 
-    /// Approximate resident bytes: key + value + ~1 control byte per
-    /// capacity slot (capacity() underestimates the real table, but so
-    /// does any external count), plus the many-id buckets.
+    /// Approximate resident bytes: key + slot + ~1 control byte per
+    /// capacity slot of both maps (capacity() underestimates the real
+    /// table, but so does any external count), plus the side lists.
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let slots = self.buckets.capacity() * (size_of::<u64>() + size_of::<Bucket>() + 1);
-        let many: usize = self
-            .buckets
+        let slots = self.slots.capacity() * (size_of::<(u64, Slot)>() + 1);
+        let shared = self.shared.capacity() * (size_of::<(u64, Vec<StateId>)>() + 1);
+        let lists: usize = self
+            .shared
             .values()
-            .map(|b| match b {
-                Bucket::One(_) => 0,
-                Bucket::Many(ids) => ids.capacity() * size_of::<StateId>(),
-            })
+            .map(|ids| ids.capacity() * size_of::<StateId>())
             .sum();
-        slots + many
+        slots + shared + lists
     }
 }
 
@@ -500,5 +514,37 @@ mod tests {
         assert_eq!(store.intern_words(7, vec![3, 4], None, make), (b, false));
         assert_eq!(store.len(), 2);
         assert_eq!(store.collisions(), 1);
+    }
+
+    /// Three word sequences under one fingerprint: the second turns the
+    /// slot into the shared sentinel, the third grows the side list, and
+    /// both interning and `find` reach every id through it.
+    #[test]
+    fn three_way_collision_goes_through_the_side_list() {
+        let s = schema();
+        let mut store = StateStore::new(SymmetryMode::Reduced);
+        let make = |_: &StateStore| Instance::empty(s.clone());
+        let words: [&[u32]; 3] = [&[1, 2], &[3, 4], &[5, 6, 7]];
+        let ids: Vec<StateId> = words
+            .iter()
+            .map(|w| {
+                let (id, new) = store.intern_words(7, w.to_vec(), None, make);
+                assert!(new);
+                id
+            })
+            .collect();
+        assert_eq!(ids, [StateId(0), StateId(1), StateId(2)]);
+        assert_eq!(store.index.slots[&7], SHARED);
+        assert_eq!(store.index.shared[&7], ids);
+        let find =
+            |store: &StateStore, w: &[u32]| store.index.find(7, |id| *store.keys[id.index()] == *w);
+        for (w, &id) in words.iter().zip(&ids) {
+            assert_eq!(store.intern_words(7, w.to_vec(), None, make), (id, false));
+            assert_eq!(find(&store, w), Some(id));
+        }
+        assert_eq!(find(&store, &[8]), None);
+        assert_eq!(store.index.find(8, |_| true), None);
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.collisions(), 2);
     }
 }

@@ -1,8 +1,9 @@
-//! Differential tests of the exploration engine: the BFS driver on the
-//! flat `StateStore`, the same driver on the out-of-core `SpillStore`
-//! under a spill budget small enough to page records out, and the naive
-//! reference explorer (`idar_solver::reference`) must report
-//! bit-identical `SearchStats` and the same BFS goal depth — on the
+//! Differential tests of the exploration engine: the BFS driver's goal
+//! search on the record store with every page in RAM, the same search
+//! under a spill budget small enough to page records out to disk, the
+//! exhaustive build on the flat `StateStore` behind `Explorer::graph`,
+//! and the naive reference explorer (`idar_solver::reference`) must
+//! report bit-identical `SearchStats` and the same BFS goal depth — on the
 //! paper's running example, the Theorem 4.1 two-counter workloads, the
 //! limit *boundaries* (depth limit hitting exactly at a frontier, the
 //! state cap firing mid-layer, a goal discovered mid-layer) under both
@@ -20,10 +21,10 @@ use proptest::prelude::*;
 /// A spill budget of a few pages: most records live on disk.
 const SPILL_BUDGET: MemoryBudget = MemoryBudget::bytes(4096);
 
-/// Run one goal search on the flat store, the spill store and the
-/// reference explorer; assert identical stats and goal depth, check that
-/// every witness run replays to a goal state, and return the flat
-/// outcome.
+/// Run one goal search on the record store's in-RAM and spilled tiers
+/// and on the reference explorer; assert identical stats and goal depth,
+/// check that every witness run replays to a goal state, and return the
+/// in-RAM outcome.
 fn all_engines(
     form: &GuardedForm,
     limits: ExploreLimits,
@@ -32,10 +33,10 @@ fn all_engines(
     ctx: &str,
 ) -> ExploreOutcome {
     let explorer = Explorer::new(form, limits).with_symmetry(symmetry);
-    let flat = explorer.find(goal);
-    let (spilled, _) = explorer.with_memory_budget(SPILL_BUDGET).find_spilled(goal);
+    let in_ram = explorer.find(goal);
+    let spilled = explorer.with_memory_budget(SPILL_BUDGET).find(goal);
     let oracle = reference::explore(form, &limits, symmetry, goal);
-    for (engine, out) in [("flat", &flat), ("spill", &spilled)] {
+    for (engine, out) in [("in-RAM", &in_ram), ("spilled", &spilled)] {
         assert_eq!(out.stats, oracle.stats, "{ctx} {symmetry}: {engine} stats");
         assert_eq!(
             out.goal_run.as_ref().map(Vec::len),
@@ -47,7 +48,7 @@ fn all_engines(
             assert!(goal(replay.last()), "{ctx} {symmetry}: {engine} run");
         }
     }
-    flat
+    in_ram
 }
 
 /// [`all_engines`] with a goal that never holds: the exhaustive search
@@ -308,9 +309,9 @@ proptest! {
 
     /// On seed-generated forms from every `idar-gen` fragment, under
     /// both symmetry modes: the exhaustive search and the completion
-    /// goal search agree across the flat store, the spill store and the
-    /// reference explorer — stats field for field, goal depth, and
-    /// replayable witness runs.
+    /// goal search agree across the record store's in-RAM and spilled
+    /// tiers, the flat store and the reference explorer — stats field
+    /// for field, goal depth, and replayable witness runs.
     #[test]
     fn engines_match_oracle_on_generated_forms(
         ix in 0usize..4,
@@ -334,9 +335,8 @@ proptest! {
 }
 
 /// End-to-end through the solver dispatch: forcing bounded exploration on
-/// the leave form answers `Holds` with the flat store's search, and the
-/// spill store's search under the same limits agrees on stats and goal
-/// depth.
+/// the leave form answers `Holds`, and the spilled tier's search under
+/// the same limits agrees on stats and goal depth.
 #[test]
 fn completability_verdicts_engine_independent() {
     let form = leave::example_3_12();

@@ -9,8 +9,8 @@
 //! * `canonicalize()` maps every renaming to the identical canonical
 //!   form and fingerprint (and is itself a fixpoint);
 //! * completability **and** semi-soundness verdicts agree across
-//!   renamings (the out-of-core store is held to the flat one search
-//!   for search in `tests/parallel_differential.rs`);
+//!   renamings (the record store's tiers are held to the flat store
+//!   search for search in `tests/engine_differential.rs`);
 //! * the `StateStore` intern/lookup fixpoint: interning any member of a
 //!   class and looking up any other member yields the same dense id.
 

@@ -31,8 +31,8 @@ fn budget(symmetry: SymmetryMode) -> Budget {
     }
 }
 
-/// The completability goal search on the flat store, on the out-of-core
-/// store under a small spill budget, and in the reference explorer:
+/// The completability goal search on the record store's in-RAM tier, on
+/// its spilled tier under a small budget, and in the reference explorer:
 /// bit-identical `SearchStats` and equal goal depth, in both symmetry
 /// modes.
 fn engines_match_oracle(form: &idar::core::GuardedForm, name: &str) {
@@ -40,12 +40,12 @@ fn engines_match_oracle(form: &idar::core::GuardedForm, name: &str) {
     let goal = |i: &idar::core::Instance| form.is_complete(i);
     for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
         let explorer = Explorer::new(form, limits).with_symmetry(symmetry);
-        let flat = explorer.find(goal);
+        let in_ram = explorer.find(goal);
         let (spilled, _) = explorer
             .with_memory_budget(MemoryBudget::bytes(4096))
             .find_spilled(goal);
         let oracle = reference::explore(form, &limits, symmetry, goal);
-        for (engine, out) in [("flat", &flat), ("spill", &spilled)] {
+        for (engine, out) in [("in-RAM", &in_ram), ("spilled", &spilled)] {
             assert_eq!(out.stats, oracle.stats, "{name} {symmetry} {engine}: stats");
             assert_eq!(
                 out.goal_run.as_ref().map(Vec::len),
