@@ -676,6 +676,13 @@ fn check_engines(form: &GuardedForm) -> Result<(), String> {
                 oracle.goal_depth
             ));
         }
+        // Every state of the resume-grown graph must find itself.
+        for i in 0..truncated.state_count() {
+            let inst = truncated.state(i).clone();
+            if truncated.lookup(&inst) != Some(StateId(i as u32)) {
+                return Err(format!("{symmetry} resumed graph: state {i} is not found"));
+            }
+        }
     }
     Ok(())
 }
@@ -736,7 +743,7 @@ fn check_capacity(form: &GuardedForm) -> Result<(), String> {
 fn check_symmetry(form: &GuardedForm) -> Result<(), String> {
     use idar_solver::SymmetryMode;
     let limits = fuzz_limits();
-    let reduced = Explorer::new(form, limits).graph();
+    let mut reduced = Explorer::new(form, limits).graph();
     let plain = Explorer::new(form, limits)
         .with_symmetry(SymmetryMode::Plain)
         .graph();

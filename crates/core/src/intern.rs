@@ -15,8 +15,8 @@
 //! formats.
 //!
 //! The solver's explicit-state engines intern these keys in their state
-//! stores (`idar-solver`'s flat `StateStore` and its out-of-core
-//! `SpillStore`). A lookup compares the fingerprint first and the words
+//! stores (`idar-solver`'s record store `SpillStore`, which the flat
+//! `StateStore` of graph builds wraps). A lookup compares the fingerprint first and the words
 //! only within a fingerprint bucket, so a true 64-bit collision is
 //! detected, never silently merged; each distinct class gets a dense
 //! state id. The engines probe their stores with keys spliced by a

@@ -17,24 +17,22 @@
 //! When it closed, negative answers are exact; otherwise they are reported
 //! as [`Verdict::Unknown`](crate::Verdict) by the callers.
 //!
-//! # One engine, two stores
+//! # One engine, one record store
 //!
 //! Every search runs one breadth-first driver, generic over a small
-//! `Store` trait and monomorphised per store:
+//! `Store` trait and monomorphised per store, and every store is the
+//! *record store* (`SpillStore`, [`crate::spill`]): each state's
+//! canonical words and provenance are a delta record in a paged arena
+//! that spills to disk under a [`MemoryBudget`] (in RAM by default).
 //!
 //! * goal searches — [`Explorer::find`] and [`Explorer::find_spilled`],
-//!   one body — run on the *record store* (`SpillStore`,
-//!   [`crate::spill`]): it keeps only the frontier's instances, with
-//!   each state's canonical words and provenance as a delta record in a
-//!   paged arena that spills to disk under a [`MemoryBudget`] (in RAM
-//!   by default). On `subset_lattice(16)` it peaks at about 240 bytes
-//!   per state, against about 880 for the flat store;
-//! * the flat [`StateStore`] keeps each state's instance, canonical
-//!   words and provenance resident — [`Explorer::graph`] builds on it,
-//!   because a retained [`StateGraph`]'s sessions read its instances.
+//!   one body — run on it alone and keep instances only in the BFS
+//!   queue (about 240 bytes per state on `subset_lattice(16)`);
+//! * [`Explorer::graph`] builds on the flat [`StateStore`], the record
+//!   store plus each state's instance and depth, because a retained
+//!   [`StateGraph`]'s sessions read its instances.
 //!
-//! Both dedup through one fingerprint index, and
-//! [`SymmetryMode`] picks the key both are probed with.
+//! [`SymmetryMode`] picks the key every store is probed with.
 //!
 //! The driver owns the FIFO queue, the goal check at the root, the
 //! depth-limit probe, the goal-before-state-cap sequencing and the prune
@@ -43,10 +41,10 @@
 //! a retained [`StateGraph`] (see [`crate::session`]) that replays logged
 //! expansions and calls the same step for the rest.
 //!
-//! State ids follow discovery order, so a search is deterministic: both
-//! stores report bit-identical [`SearchStats`] and the same goal state.
+//! State ids follow discovery order, so a search is deterministic: every
+//! store reports bit-identical [`SearchStats`] and the same goal state.
 //! [`crate::reference`] codes the same contract naively, as the oracle the
-//! differential tests and the fuzzer hold both stores to.
+//! differential tests and the fuzzer hold every store to.
 //!
 //! # Probe before you materialize
 //!
@@ -202,8 +200,8 @@ impl<'a> Explorer<'a> {
     /// [`crate::spill`]) for [`Explorer::find`] and
     /// [`Explorer::find_spilled`]: cold pages spill to a temp file so
     /// the arena-resident encoded bytes stay under it. [`Explorer::graph`]
-    /// and [`Explorer::resume`] keep their states' instances in RAM and
-    /// ignore it.
+    /// and [`Explorer::resume`] keep every page and their states'
+    /// instances in RAM and ignore it.
     pub fn with_memory_budget(mut self, memory: MemoryBudget) -> Self {
         self.memory = memory;
         self
@@ -225,7 +223,7 @@ impl<'a> Explorer<'a> {
     /// arena, and cold pages spill to disk under the
     /// [`MemoryBudget`](Explorer::with_memory_budget) (the default,
     /// unbounded budget keeps every page in RAM). State ids and
-    /// [`SearchStats`] are those of [`Explorer::graph`]'s flat store.
+    /// [`SearchStats`] are those of [`Explorer::graph`].
     pub fn find(&self, goal: impl FnMut(&Instance) -> bool) -> ExploreOutcome {
         self.search(goal).0
     }
@@ -279,10 +277,10 @@ impl<'a> Explorer<'a> {
     }
 }
 
-/// A state store the BFS driver runs over: the flat [`StateStore`], the
-/// out-of-core [`SpillStore`], or a resume's view of a [`StateGraph`].
-/// Ids are dense and assigned in discovery order; the stores' root is
-/// id 0.
+/// A state store the BFS driver runs over: the record store
+/// [`SpillStore`], the flat [`StateStore`] (the record store plus
+/// instances), or a resume's view of a [`StateGraph`]. Ids are dense and
+/// assigned in discovery order; the stores' root is id 0.
 pub(crate) trait Store: Sized {
     /// A queued state: its id plus whatever the store needs to expand it.
     type Item;
@@ -360,10 +358,14 @@ impl Store for StateStore {
         fingerprint: u64,
         words: &[u32],
     ) -> (StateId, Option<StateId>) {
-        let (j, is_new) = self.intern_words(fingerprint, words, Some((*parent, u)), |store| {
-            materialize(form, store.get(*parent), u)
+        let (j, is_new) = self.intern_with(fingerprint, words, Some((*parent, u)), |states| {
+            materialize(form, &states[parent.index()], u)
         });
         (j, is_new.then_some(j))
+    }
+
+    fn begin_layer(&mut self, depth: usize) {
+        self.records.begin_layer(depth as u32);
     }
 }
 
@@ -619,7 +621,7 @@ mod tests {
     #[test]
     fn graph_closes_on_finite_space() {
         let g = toggle_form();
-        let graph = Explorer::new(&g, ExploreLimits::small()).graph();
+        let mut graph = Explorer::new(&g, ExploreLimits::small()).graph();
         assert_eq!(graph.state_count(), 4); // {}, {a}, {b}, {a,b}
         assert!(graph.build_stats().closed);
         // Every non-initial state's reconstructed run replays.

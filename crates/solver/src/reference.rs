@@ -3,10 +3,10 @@
 //! [`explore`] codes the exploration contract of
 //! [`Explorer::find`](crate::Explorer::find) from scratch — a FIFO queue
 //! of `(instance, depth)` pairs and a `HashSet` of dedup words — with no
-//! state store, driver or shared expansion step. Both the flat and the
-//! out-of-core store must report bit-identical [`SearchStats`] and the
-//! same goal depth as this oracle on every form and every
-//! [`ExploreLimits`], in both [`SymmetryMode`]s.
+//! state store, driver or shared expansion step. Every store (in RAM,
+//! spilled, or under a graph build) must report bit-identical
+//! [`SearchStats`] and the same goal depth as this oracle on every form
+//! and every [`ExploreLimits`], in both [`SymmetryMode`]s.
 //!
 //! The oracle enumerates allowed updates itself, interpreting each guard
 //! with [`formula::holds`] (Def. 3.5), so the engine's guard programs are

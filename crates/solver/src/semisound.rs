@@ -86,14 +86,13 @@ pub(crate) fn run_semisoundness(form: &GuardedForm, budget: &Budget) -> Semisoun
 }
 
 fn bounded_semisoundness(form: &GuardedForm, budget: &Budget) -> SemisoundnessResult {
-    let graph = Explorer::new(form, budget.limits)
+    let mut graph = Explorer::new(form, budget.limits)
         .with_symmetry(budget.symmetry)
         .graph();
     // A state that is complete, or can reach one within the enumerated
     // subgraph, is completable.
-    let complete = graph.states().iter().map(|s| form.is_complete(s)).collect();
-    let mut stuck = graph
-        .can_reach(complete)
+    let (_, completable) = graph.completion(form);
+    let mut stuck = completable
         .into_iter()
         .enumerate()
         .filter_map(|(i, ok)| (!ok).then_some(i));

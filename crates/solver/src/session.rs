@@ -5,7 +5,8 @@
 //! [`Explorer::graph`](crate::Explorer::graph) explores a form (within its
 //! limits) and keeps
 //!
-//! * the hash-consed [`StateStore`] (states, provenance, depths),
+//! * the hash-consed [`StateStore`]: the record store (canonical words,
+//!   provenance) plus each state's instance and depth,
 //! * an expansion log — for every *expanded* state, the exact ordered
 //!   outcome of enumerating its allowed updates: an edge to the
 //!   successor, or a prune by a per-expansion limit. The log is the
@@ -16,7 +17,7 @@
 //!
 //! Semi-soundness (Def. 3.14), the workflow graph and the Sec. 3.5 form
 //! manager all ask the same question of it — which states can reach a
-//! complete one — and [`StateGraph::can_reach`] answers it.
+//! complete one — and [`StateGraph::completion`] answers it.
 //!
 //! # Resume semantics contract
 //!
@@ -31,7 +32,9 @@
 //! full with the explorer's expansion step, interning new successors into
 //! the retained store and logging the completed span before the driver
 //! visits its events, so the graph *grows monotonically* under query
-//! traffic.
+//! traffic. Those successors' parents may have left the store's hot
+//! window; the record store writes each such successor as a full-word
+//! checkpoint.
 //!
 //! Replaying a logged span is only valid when the per-expansion limits
 //! (`max_state_size`, `multiplicity_cap`) match the ones the span was
@@ -146,7 +149,7 @@ impl Journal for ExpansionLog {
 /// journal, bookkeeping — everything a later query needs to continue
 /// where the build stopped. See the module docs for the build/query
 /// contract.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StateGraph {
     store: StateStore,
     log: ExpansionLog,
@@ -185,11 +188,6 @@ impl StateGraph {
         StateId(0)
     }
 
-    /// The retained state store: states, provenance, depths.
-    pub fn store(&self) -> &StateStore {
-        &self.store
-    }
-
     /// Number of retained states (the session's memory-budget metric).
     pub fn state_count(&self) -> usize {
         self.store.len()
@@ -206,8 +204,9 @@ impl StateGraph {
     }
 
     /// Reconstruct the update sequence leading from the initial instance to
-    /// state `i` (replayable via [`GuardedForm::replay`]).
-    pub fn run_to(&self, i: usize) -> Vec<Update> {
+    /// state `i` (replayable via [`GuardedForm::replay`]). Takes `&mut
+    /// self` because it reads the store's record headers.
+    pub fn run_to(&mut self, i: usize) -> Vec<Update> {
         self.store.run_to(StateId(i as u32))
     }
 
@@ -274,18 +273,22 @@ impl StateGraph {
     }
 
     /// Find the retained state isomorphic to `inst` (under the store's
-    /// symmetry mode), if any.
-    pub fn lookup(&self, inst: &Instance) -> Option<StateId> {
+    /// symmetry mode), if any. Takes `&mut self` because a state outside
+    /// the store's hot window is compared by decoding its record.
+    pub fn lookup(&mut self, inst: &Instance) -> Option<StateId> {
         self.store.lookup(inst)
     }
 
-    /// `can_reach(target)[i]`: state `i` reaches a state marked in
-    /// `target` (indexed by state id) along explored edges; every target
-    /// reaches itself. Exact when the graph is.
-    pub fn can_reach(&self, target: Vec<bool>) -> Vec<bool> {
-        backward_reach(target, || {
+    /// Which states can complete: `complete[i]` when state `i` satisfies
+    /// `form`'s completion formula, `completable[i]` when it is complete
+    /// or reaches a complete state along explored edges. Exact when the
+    /// graph is.
+    pub fn completion(&self, form: &GuardedForm) -> (Vec<bool>, Vec<bool>) {
+        let complete: Vec<bool> = self.states().iter().map(|s| form.is_complete(s)).collect();
+        let completable = backward_reach(complete.clone(), || {
             self.edges().map(|(i, _, j)| (i.index(), j.index()))
-        })
+        });
+        (complete, completable)
     }
 
     /// Annotate every build state with its exact completability verdict
@@ -295,9 +298,9 @@ impl StateGraph {
         if !self.exact() {
             return;
         }
-        let complete = self.states().iter().map(|s| form.is_complete(s)).collect();
+        let (_, completable) = self.completion(form);
         self.verdicts = Some(
-            self.can_reach(complete)
+            completable
                 .into_iter()
                 .map(|r| if r { Verdict::Holds } else { Verdict::Fails })
                 .collect(),
@@ -331,10 +334,9 @@ impl StateGraph {
             events: Vec::new(),
         };
         let (stats, hit) = bfs(form, limits, &mut view, goal, &mut ());
-        ExploreOutcome {
-            goal_run: hit.map(|j| view.run_to(j)),
-            stats,
-        }
+        let goal_run = hit.map(|j| view.run_to(j));
+        self.store.records.cool();
+        ExploreOutcome { goal_run, stats }
     }
 }
 
@@ -543,7 +545,7 @@ mod tests {
             let id = StateId(i as u32);
             let warm =
                 Explorer::new(&g, ExploreLimits::small()).resume(&mut s, id, |x| g.is_complete(x));
-            let cold_form = g.with_initial(s.store().get(id).clone());
+            let cold_form = g.with_initial(s.state(i).clone());
             let cold = Explorer::new(&cold_form, ExploreLimits::small())
                 .find(|x| cold_form.is_complete(x));
             assert_eq!(warm.stats, cold.stats, "state {i}");
@@ -573,6 +575,32 @@ mod tests {
         assert_eq!(run.len(), 2);
         assert!(g.is_complete_run(&run));
         assert!(s.state_count() > 2, "resume interned new states");
+    }
+
+    /// A resume empties the hot window when it ends: the states it added
+    /// are kept as records only, and are still found — by lookup and by
+    /// a second resume, which repeats the first one's answer.
+    #[test]
+    fn resumed_states_are_kept_as_records_only() {
+        let g = toggle_form();
+        let lim = ExploreLimits {
+            max_states: 2,
+            ..ExploreLimits::small()
+        };
+        let mut s = Explorer::new(&g, lim).graph();
+        let ex = Explorer::new(&g, ExploreLimits::small());
+        let first = ex.resume(&mut s, StateId(0), |x| g.is_complete(x));
+        let n = s.state_count();
+        assert!(n > 2);
+        assert_eq!(s.store.records.hot_base() as usize, n);
+        for i in 0..n {
+            let inst = s.state(i).clone();
+            assert_eq!(s.lookup(&inst), Some(StateId(i as u32)));
+        }
+        let again = ex.resume(&mut s, StateId(0), |x| g.is_complete(x));
+        assert_eq!(again.stats, first.stats);
+        assert_eq!(again.goal_run, first.goal_run);
+        assert_eq!(s.state_count(), n);
     }
 
     /// The CSR backward pass equals a naive fixpoint on random graphs

@@ -1,32 +1,30 @@
 //! The **record store**: the compressed, spillable memory hierarchy
-//! every goal search runs on, which bounds exploration scale by disk
+//! under every state store, which bounds exploration scale by disk
 //! instead of RSS.
 //!
-//! The flat [`StateStore`](crate::store::StateStore) keeps every
-//! instance, canonical word sequence, and provenance pointer resident —
-//! about 880 bytes per state at its peak on `subset_lattice(16)` — and
-//! stays the store of [`Explorer::graph`](crate::explore::Explorer::graph),
-//! whose retained sessions read those instances. Goal searches
-//! ([`Explorer::find`](crate::explore::Explorer::find) and
+//! Goal searches ([`Explorer::find`](crate::explore::Explorer::find) and
 //! [`Explorer::find_spilled`](crate::explore::Explorer::find_spilled))
-//! need only the frontier's instances, and run here instead: the same
-//! lattice peaks at about 240 bytes per state. This module replaces the
-//! resident columns with a three-level hierarchy, with **zero semantic
-//! change**: the explorer's BFS driver runs over either store, and on
-//! this one visits the same states in the same order and returns the
-//! same [`SearchStats`](crate::verdict::SearchStats) as on the flat
-//! store. Its two tiers — every page in RAM under the default, unbounded
-//! [`MemoryBudget`], or cold pages spilled under a bounded one — differ
-//! only in where bytes live.
+//! run on it alone, keeping instances only in the BFS queue
+//! (`subset_lattice(16)` peaks at about 240 bytes per state); the
+//! [`StateStore`](crate::store::StateStore) of graph builds is this
+//! store plus each state's instance and depth. Interning, lookup and
+//! witness runs exist here once. The hierarchy makes **zero semantic
+//! change**: the BFS driver visits the same states in the same order and
+//! returns the same [`SearchStats`](crate::verdict::SearchStats) on
+//! every store. Its two tiers — every page in RAM under the default,
+//! unbounded [`MemoryBudget`], or cold pages spilled under a bounded
+//! one — differ only in where bytes live.
 //!
 //! 1. **Delta-encoded records.** A state's canonical words are stored as
 //!    a varint diff against its BFS parent's words
 //!    ([`idar_core::delta`]) — successive states differ by one leaf
 //!    update, so most diffs are a few bytes. Every K states along a
 //!    parent chain a full-word *checkpoint* is written instead, so
-//!    decoding any state replays at most K deltas. The record also
-//!    carries the BFS provenance (parent id + discovering update), so
-//!    parent pointers and witness runs live on disk too, not in RAM.
+//!    decoding any state replays at most K deltas; so is a successor
+//!    whose parent has left the hot window (a resume interns successors
+//!    of any retained state). The record also carries the BFS
+//!    provenance (parent id + discovering update), so parent pointers
+//!    and witness runs live on disk too, not in RAM.
 //! 2. **A paged arena.** Records append into 64 KiB pages; a record
 //!    too long for its address's 15-bit length field (a state of tens
 //!    of thousands of words) is sealed in a page of its own. Under a
@@ -37,12 +35,13 @@
 //!    window* — the BFS layers `d−1, d, d+1` when layer `d` is being
 //!    expanded — stay resident, because that is where almost every
 //!    duplicate lands (a single update moves one layer up or down).
-//!    The dedup index is the flat store's
+//!    States interned out of BFS order (a resume's) join the window's
+//!    end; the window only ever advances, and a resume empties it when
+//!    it ends. The dedup index is
 //!    [`FingerprintIndex`](crate::store), a 4-byte id slot per
-//!    fingerprint: it probes fingerprint-first,
-//!    and this store adds a word-length prefilter, so a spilled record
-//!    is only faulted in on a true 64-bit fingerprint match outside the
-//!    hot window.
+//!    fingerprint: it probes fingerprint-first, and this store adds a
+//!    word-length prefilter, so a spilled record is only faulted in on a
+//!    true 64-bit fingerprint match outside the hot window.
 //!
 //! What the budget does and does not bound: the [`MemoryBudget`] caps
 //! the *arena-resident encoded bytes* (enforced after every append).
@@ -268,7 +267,9 @@ impl PagedArena {
                 lenflag: WHOLE_PAGE | flag,
             };
         }
-        if self.open.capacity() == 0 {
+        // Pages after the first are reserved whole; a store that never
+        // fills one (a small session graph) keeps only what it uses.
+        if self.open.capacity() == 0 && !self.sealed.is_empty() {
             self.open.reserve(PAGE_SIZE);
         }
         let off = self.open.len() as u16;
@@ -321,16 +322,16 @@ impl PagedArena {
         if rec.page as usize == self.sealed.len() {
             return f(rec.slice(&self.open));
         }
-        let (offset, plen) = match &self.sealed[rec.page as usize] {
+        let (offset, len) = match &self.sealed[rec.page as usize] {
             Slot::Hot(bytes) => return f(rec.slice(bytes)),
-            Slot::Cold { offset, len } => (*offset, *len as usize),
+            Slot::Cold { offset, len } => (*offset, *len),
         };
         if let Some(pos) = self.cache.iter().position(|(p, _)| *p == rec.page) {
             let entry = self.cache.remove(pos).expect("position in bounds");
             self.cache.push_back(entry);
         } else {
             self.faults += 1;
-            let mut buf = vec![0u8; plen];
+            let mut buf = vec![0u8; len as usize];
             let file = &self
                 .file
                 .as_ref()
@@ -425,37 +426,63 @@ fn parse_header(bytes: &[u8]) -> (Option<(u32, Update)>, usize) {
     (Some((pp1 - 1, u)), pos)
 }
 
-// --- the spillable store ----------------------------------------------
+// --- the record store --------------------------------------------------
 
 /// Full-word checkpoint period K: decoding any state replays at most
 /// K−1 deltas from the nearest checkpoint ancestor.
 const CHECKPOINT_EVERY: u8 = 8;
 
-/// The spillable, delta-compressed state store every goal search runs
-/// on. Ids are dense in discovery order (the BFS invariant the
-/// hot-window arithmetic relies on). See the module docs for the
-/// hierarchy.
-#[derive(Debug)]
-pub(crate) struct SpillStore {
-    symmetry: SymmetryMode,
-    budget: MemoryBudget,
+/// What a probe compares a candidate's words against.
+#[derive(Debug, Default)]
+struct Records {
     arena: PagedArena,
-    index: FingerprintIndex,
     /// Record address per state.
     recs: Vec<EncRec>,
-    /// Delta-chain distance from the nearest checkpoint.
-    dists: Vec<u8>,
     /// Word count per state, saturated to `u16::MAX` — the cheap probe
     /// prefilter (unequal lengths can never be equal words).
     wlens: Vec<u16>,
-    /// Decoded words of the hot window `[hot_base, count)`: the layers
-    /// `d−1, d, d+1` while layer `d` expands.
+    /// Decoded words of the hot window `[hot_base, len)`: in a BFS, the
+    /// layers `d−1, d, d+1` while layer `d` expands.
     hot: VecDeque<Box<[u32]>>,
     hot_base: u32,
-    /// First state id of each BFS depth (discovery order makes layers
-    /// contiguous id ranges).
+}
+
+impl Records {
+    /// Are `words` the words of state `id`? Past the length prefilter, a
+    /// hot state compares its pinned words, an older one decodes them.
+    #[inline]
+    fn hold(&mut self, id: StateId, words: &[u32]) -> bool {
+        self.wlens[id.index()] == saturated_len(words)
+            && match self.hot_words(id.0) {
+                Some(hot) => hot == words,
+                None => self.arena.decode_words(&self.recs, id.0) == words,
+            }
+    }
+
+    /// The pinned words of state `id`, if it is in the hot window.
+    #[inline]
+    fn hot_words(&self, id: u32) -> Option<&[u32]> {
+        let k = id.checked_sub(self.hot_base)?;
+        Some(&self.hot[k as usize][..])
+    }
+}
+
+fn saturated_len(words: &[u32]) -> u16 {
+    words.len().min(u16::MAX as usize) as u16
+}
+
+/// The spillable, delta-compressed record store under every search. Ids
+/// are dense in interning order. See the module docs.
+#[derive(Debug, Default)]
+pub(crate) struct SpillStore {
+    symmetry: SymmetryMode,
+    budget: MemoryBudget,
+    index: FingerprintIndex,
+    records: Records,
+    /// Delta-chain distance from the nearest checkpoint.
+    dists: Vec<u8>,
+    /// First state id of each BFS depth.
     layer_start: Vec<u32>,
-    count: u32,
     word_bytes: u64,
     encoded_bytes: u64,
     checkpoints: u64,
@@ -468,20 +495,7 @@ impl SpillStore {
         SpillStore {
             symmetry,
             budget,
-            arena: PagedArena::default(),
-            index: FingerprintIndex::default(),
-            recs: Vec::new(),
-            dists: Vec::new(),
-            wlens: Vec::new(),
-            hot: VecDeque::new(),
-            hot_base: 0,
-            layer_start: Vec::new(),
-            count: 0,
-            word_bytes: 0,
-            encoded_bytes: 0,
-            checkpoints: 0,
-            arena_peak: 0,
-            enc_buf: Vec::new(),
+            ..SpillStore::default()
         }
     }
 
@@ -490,10 +504,26 @@ impl SpillStore {
         self.symmetry
     }
 
+    /// Number of interned states.
+    pub fn len(&self) -> usize {
+        self.records.recs.len()
+    }
+
     /// Detected 64-bit fingerprint collisions.
-    #[cfg(test)]
     pub fn collisions(&self) -> u64 {
         self.index.collisions()
+    }
+
+    /// The dedup index.
+    #[cfg(test)]
+    pub(crate) fn index(&self) -> &FingerprintIndex {
+        &self.index
+    }
+
+    /// The first id of the hot window.
+    #[cfg(test)]
+    pub(crate) fn hot_base(&self) -> u32 {
+        self.records.hot_base
     }
 
     /// Advance the hot window when the engine starts expanding BFS layer
@@ -504,22 +534,35 @@ impl SpillStore {
         if depth == 0 {
             return;
         }
-        let keep_from = self
-            .layer_start
-            .get((depth - 1) as usize)
-            .copied()
-            .unwrap_or(self.hot_base);
-        while self.hot_base < keep_from {
-            self.hot.pop_front();
-            self.hot_base += 1;
+        let r = &mut self.records;
+        let keep_from = self.layer_start.get(depth as usize - 1).copied();
+        while keep_from.is_some_and(|k| r.hot_base < k) {
+            r.hot.pop_front();
+            r.hot_base += 1;
         }
+    }
+
+    /// Empty the hot window, so no state keeps its words twice: a resume
+    /// calls this when it ends, as no layer of it ever leaves the window.
+    pub fn cool(&mut self) {
+        let r = &mut self.records;
+        r.hot_base += r.hot.len() as u32;
+        r.hot = VecDeque::new();
+    }
+
+    /// The stored id of the state with dedup key `(fp, words)`, if any.
+    pub fn find(&mut self, fp: u64, words: &[u32]) -> Option<StateId> {
+        let records = &mut self.records;
+        self.index.find(fp, |cand| records.hold(cand, words))
     }
 
     /// Intern a state by its dedup key `(fingerprint, words)`: return its
     /// dense id and whether it was new. `parent` is the discovering BFS
-    /// tree edge (`None` only for the root); `depth` its BFS depth. The
-    /// parent must still be in the hot window (true for every BFS
-    /// expansion). The words are copied only when the state is new.
+    /// tree edge (`None` for a root); `depth` its BFS depth, at most one
+    /// past the deepest so far. The words are copied only when the state
+    /// is new, as a delta against its parent's hot words or else (a root,
+    /// every K-th state down a chain, a resume's successor of a cold
+    /// parent) as a full-word checkpoint.
     pub fn intern(
         &mut self,
         fp: u64,
@@ -527,29 +570,18 @@ impl SpillStore {
         parent: Option<(StateId, Update)>,
         depth: u32,
     ) -> (StateId, bool) {
-        let wlen = words.len().min(u16::MAX as usize) as u16;
-        // Touch words — possibly faulting a spilled page — only on a
-        // full 64-bit fingerprint match that also passes the length
-        // prefilter. Hot-window states compare against pinned decoded
-        // words; older states decode their delta chain.
-        let (id, is_new) = self.index.intern(fp, StateId(self.count), |cand| {
-            let c = cand.0;
-            self.wlens[cand.index()] == wlen
-                && if c >= self.hot_base {
-                    *self.hot[(c - self.hot_base) as usize] == *words
-                } else {
-                    self.arena.decode_words(&self.recs, c) == words
-                }
-        });
+        let next = StateId(self.len() as u32);
+        let records = &mut self.records;
+        let (id, is_new) = self
+            .index
+            .intern(fp, next, |cand| records.hold(cand, words));
         if !is_new {
             return (id, false);
         }
 
-        self.count += 1;
         if depth as usize == self.layer_start.len() {
             self.layer_start.push(id.0);
         }
-        self.wlens.push(wlen);
         self.word_bytes += 4 * words.len() as u64;
 
         let parent = parent.map(|(p, u)| (p.0, u));
@@ -557,19 +589,21 @@ impl SpillStore {
             Some((p, _)) => self.dists[p as usize].saturating_add(1),
             None => CHECKPOINT_EVERY,
         };
-        let checkpoint = dist >= CHECKPOINT_EVERY;
+        let base = match parent {
+            Some((p, _)) if dist < CHECKPOINT_EVERY => self.records.hot_words(p),
+            _ => None,
+        };
+        let checkpoint = base.is_none();
         let mut enc = std::mem::take(&mut self.enc_buf);
         enc.clear();
         write_header(&mut enc, parent);
-        if checkpoint {
-            delta::encode_full(words, &mut enc);
-        } else {
-            let (p, _) = parent.expect("non-checkpoint state has a parent");
-            debug_assert!(p >= self.hot_base, "delta base parent must be hot");
-            let base = &self.hot[(p - self.hot_base) as usize];
-            delta::encode_delta(base, words, &mut enc);
+        match base {
+            Some(base) => delta::encode_delta(base, words, &mut enc),
+            None => delta::encode_full(words, &mut enc),
         }
-        self.recs.push(self.arena.append(&enc, checkpoint));
+        let records = &mut self.records;
+        records.recs.push(records.arena.append(&enc, checkpoint));
+        records.wlens.push(saturated_len(words));
         self.dists.push(if checkpoint { 0 } else { dist });
         self.encoded_bytes += enc.len() as u64;
         if checkpoint {
@@ -577,43 +611,57 @@ impl SpillStore {
         }
         self.enc_buf = enc;
         if let Some(limit) = self.budget.limit() {
-            self.arena.enforce(limit);
+            records.arena.enforce(limit);
         }
-        self.arena_peak = self.arena_peak.max(self.arena.hot_bytes() as u64);
+        self.arena_peak = self.arena_peak.max(records.arena.hot_bytes() as u64);
 
-        self.hot.push_back(words.into());
+        records.hot.push_back(words.into());
         (id, true)
     }
 
     /// Reconstruct the update sequence from the root to `id` out of the
     /// on-record provenance (replayable via `GuardedForm::replay`).
     pub fn run_to(&mut self, id: StateId) -> Vec<Update> {
+        let Records { arena, recs, .. } = &mut self.records;
         let mut rev = Vec::new();
         let mut i = id.0;
-        loop {
-            let rec = self.recs[i as usize];
-            match self.arena.with_record(rec, |b| parse_header(b).0) {
-                Some((p, u)) => {
-                    rev.push(u);
-                    i = p;
-                }
-                None => break,
-            }
+        while let Some((p, u)) = arena.with_record(recs[i as usize], |b| parse_header(b).0) {
+            rev.push(u);
+            i = p;
         }
         rev.reverse();
         rev
     }
 
+    /// Approximate resident bytes of an in-RAM store: the dedup index,
+    /// the arena's pages, the per-state columns and the hot window, each
+    /// column counted by its capacity.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let r = &self.records;
+        let hot: usize = r.hot.iter().map(|w| size_of_val(&**w)).sum();
+        self.index.approx_bytes()
+            + r.arena.open.capacity()
+            + r.arena.hot_sealed_bytes
+            + r.recs.capacity() * size_of::<EncRec>()
+            + r.wlens.capacity() * size_of::<u16>()
+            + r.hot.capacity() * size_of::<Box<[u32]>>()
+            + hot
+            + self.dists.capacity() * size_of::<u8>()
+            + self.layer_start.capacity() * size_of::<u32>()
+            + self.enc_buf.capacity()
+    }
+
     /// The run's memory-hierarchy accounting.
     pub fn report(&self) -> SpillReport {
         SpillReport {
-            states: self.count as usize,
+            states: self.len(),
             word_bytes: self.word_bytes,
             encoded_bytes: self.encoded_bytes,
             checkpoints: self.checkpoints,
-            spilled_pages: self.arena.spilled_pages,
-            spilled_bytes: self.arena.spilled_bytes,
-            faults: self.arena.faults,
+            spilled_pages: self.records.arena.spilled_pages,
+            spilled_bytes: self.records.arena.spilled_bytes,
+            faults: self.records.arena.faults,
             arena_peak_bytes: self.arena_peak,
         }
     }
@@ -735,12 +783,7 @@ mod tests {
         // Push the hot window far past the chain, then re-intern an old
         // state: the confirm must decode its delta chain from the
         // (budget-0, fully spilled) arena.
-        for d in store.count..store.count + 4 {
-            store.layer_start.push(store.count);
-            // simulate empty deeper layers so begin_layer advances
-            store.begin_layer(d);
-        }
-        assert_eq!(store.hot_base, store.count);
+        store.cool();
         let probe = probe.expect("state 3 captured");
         let (id, new) = intern_inst(&mut store, &probe, Some((root_id, updates[0])), 3);
         assert!(!new, "old state is found through the cold path");
@@ -768,14 +811,6 @@ mod tests {
         assert_eq!(store.collisions(), 1);
     }
 
-    /// Move the hot window past every interned state, so re-probes
-    /// confirm through the arena.
-    fn cool_down(store: &mut SpillStore) {
-        store.layer_start.extend([store.count; 2]);
-        store.begin_layer(store.layer_start.len() as u32);
-        assert_eq!(store.hot_base, store.count);
-    }
-
     /// Three word sequences under one fingerprint: the second moves the
     /// index slot to its side list, the third grows the list, and every
     /// re-probe — hot or decoded from the arena — finds its own id.
@@ -798,7 +833,7 @@ mod tests {
                 let id = StateId(d as u32);
                 assert_eq!(store.intern(7, w, parent, 3), (id, false), "{round}");
             }
-            cool_down(&mut store);
+            store.cool();
         }
         assert_eq!(store.report().states, 3);
         assert_eq!(store.collisions(), 2);
@@ -832,10 +867,14 @@ mod tests {
                 for (d, w) in states.iter().enumerate() {
                     let id = StateId(d as u32);
                     assert_eq!(store.intern(d as u64, w, parent, 4), (id, false), "{round}");
-                    assert_eq!(store.arena.decode_words(&store.recs, id.0), *w, "{round}");
+                    assert_eq!(
+                        store.records.arena.decode_words(&store.records.recs, id.0),
+                        *w,
+                        "{round}"
+                    );
                 }
                 assert_eq!(store.run_to(StateId(3)), [u(0), u(1), u(2)]);
-                cool_down(&mut store);
+                store.cool();
             }
             let report = store.report();
             if budget.limit().is_some() {

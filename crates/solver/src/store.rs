@@ -1,27 +1,28 @@
-//! The hash-consed **state store**: the flat, all-in-RAM store that
+//! The hash-consed **state store**: the all-in-RAM store that
 //! state-graph builds keep.
 //!
-//! Before this layer existed, each solver call re-materialised its own
-//! `HashSet<Instance>`-shaped dedup structures. The store centralises
-//! that. [`Explorer::graph`](crate::Explorer::graph) builds on it, and a
+//! [`StateStore`] is the record store ([`crate::spill`]) with every page
+//! in RAM, plus each state's [`Instance`] and BFS depth.
+//! [`Explorer::graph`](crate::Explorer::graph) builds on it, and a
 //! retained [`StateGraph`](crate::StateGraph) answers its sessions'
 //! queries from the instances it holds. Goal searches need no stored
-//! instances and run on the record store ([`crate::spill`]) instead;
-//! the two share this module's dedup index and keying.
+//! instances and run on the record store alone. Interning, lookup and
+//! witness runs exist once, in the record store; this module holds what
+//! every store shares: the dedup index and the keying.
 //!
 //! * **Hash-consing** — each isomorphism class of instances is interned
 //!   once, keyed by its canonical word encoding
 //!   ([`Instance::canon_key`]), and receives a dense [`StateId`] (`u32`)
-//!   that indexes flat side tables. The interned canonical words and the
-//!   64-bit class fingerprint are kept per state, so dedup is a hash
-//!   probe plus (on a fingerprint match) a word `memcmp` — 64-bit
+//!   that indexes flat side tables. The record store keeps each state's
+//!   words in a record and indexes its 64-bit class fingerprint, so
+//!   dedup is a hash probe plus (on a fingerprint match) a word compare
+//!   against the hot window's words or the decoded record — 64-bit
 //!   collisions are detected, never silently merged. The fingerprint →
-//!   id index is shared with the record store: one 4-byte id slot per
-//!   fingerprint, with a sentinel that sends the rare colliding
-//!   fingerprint to a side list. Every `u64`-keyed state map (this
-//!   index, depth-1's state ids) hashes with one multiply hasher, not
-//!   SipHash: fingerprints and depth-1 label sets need no further
-//!   mixing.
+//!   id index keeps one 4-byte id slot per fingerprint, with a sentinel
+//!   that sends the rare colliding fingerprint to a side list. Every
+//!   `u64`-keyed state map (this index, depth-1's state ids) hashes with
+//!   one multiply hasher, not SipHash: fingerprints and depth-1 label
+//!   sets need no further mixing.
 //! * **Symmetry reduction** — the store's [`SymmetryMode`] selects the
 //!   quotient: [`SymmetryMode::Reduced`] (the default) interns by the
 //!   canonical sorted encoding, collapsing all iso-value renamings of a
@@ -35,11 +36,11 @@
 //!   successor's key spliced from the parent's
 //!   [`KeyLayout`], not the successor itself. The
 //!   store probes with it and builds the instance (clone + apply) and
-//!   boxes the words only for a new state; a duplicate costs one hash
+//!   records the words only for a new state; a duplicate costs one hash
 //!   probe and one word compare.
-//! * **BFS provenance** — parent pointers and depths live in the store,
-//!   so [`StateStore::run_to`] reconstructs a replayable update sequence
-//!   for any state.
+//! * **BFS provenance** — each record's header holds the parent and the
+//!   update that discovered the state, so [`StateStore::run_to`]
+//!   reconstructs a replayable update sequence for any state.
 //!
 //! The stored [`Instance`] per class is the *as-discovered*
 //! representative, not the [`canonicalize`](Instance::canonicalize)d
@@ -52,6 +53,7 @@
 //! Successor adjacency is kept out of the store: the explorer's expansion
 //! log holds it ([`StateGraph`](crate::StateGraph)).
 
+use crate::spill::{MemoryBudget, SpillStore};
 use idar_core::{CanonKey, Instance, KeyLayout, Update};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -233,7 +235,7 @@ impl FingerprintIndex {
     /// Approximate resident bytes: key + slot + ~1 control byte per
     /// capacity slot of both maps (capacity() underestimates the real
     /// table, but so does any external count), plus the side lists.
-    fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let slots = self.slots.capacity() * (size_of::<(u64, Slot)>() + 1);
         let shared = self.shared.capacity() * (size_of::<(u64, Vec<StateId>)>() + 1);
@@ -246,18 +248,15 @@ impl FingerprintIndex {
     }
 }
 
-/// A hash-consed store of explored states. See the module docs.
-#[derive(Debug, Clone, Default)]
+/// A hash-consed store of explored states: the record store
+/// ([`crate::spill`], every page in RAM) plus each state's instance and
+/// BFS depth. See the module docs.
+#[derive(Debug, Default)]
 pub struct StateStore {
-    symmetry: SymmetryMode,
-    index: FingerprintIndex,
-    /// Interned key words per state (canonical or ordered per `symmetry`).
-    keys: Vec<Box<[u32]>>,
-    /// The 64-bit key fingerprint per state. In `Reduced` mode this is
-    /// the canonical class fingerprint ([`Instance::canonicalize`]).
-    fingerprints: Vec<u64>,
+    /// Words, provenance and the hot window; graph builds and resumes
+    /// move the window through it.
+    pub(crate) records: SpillStore,
     states: Vec<Instance>,
-    parents: Vec<Option<(StateId, Update)>>,
     depths: Vec<u32>,
 }
 
@@ -265,21 +264,21 @@ impl StateStore {
     /// An empty store deduplicating under the given symmetry mode.
     pub fn new(symmetry: SymmetryMode) -> StateStore {
         StateStore {
-            symmetry,
+            records: SpillStore::new(symmetry, MemoryBudget::unbounded()),
             ..StateStore::default()
         }
     }
 
     /// The store's symmetry mode.
     pub fn symmetry(&self) -> SymmetryMode {
-        self.symmetry
+        self.records.symmetry()
     }
 
     /// Intern `inst`: return its dense id and whether it was new. On a
     /// new state, `parent` records the BFS tree edge that discovered it
     /// (`None` for the initial state) and the depth is derived from it.
     pub fn intern(&mut self, inst: Instance, parent: Option<(StateId, Update)>) -> (StateId, bool) {
-        let (key_of, _) = self.symmetry.keying();
+        let (key_of, _) = self.symmetry().keying();
         self.intern_keyed(key_of(&inst), inst, parent)
     }
 
@@ -291,55 +290,36 @@ impl StateStore {
         inst: Instance,
         parent: Option<(StateId, Update)>,
     ) -> (StateId, bool) {
-        let (fingerprint, words) = key.into_parts();
-        self.intern_words(fingerprint, words, parent, |_| inst)
+        self.intern_with(key.fingerprint(), key.words(), parent, |_| inst)
     }
 
-    /// Intern the state with dedup key `(fingerprint, words)`, probing
-    /// before anything is built: only when the state is new does `make`
-    /// produce its instance, from the store as it stands, and are the
-    /// words boxed (a no-op when they already are). The explorers' one
-    /// successor path hands in the key spliced from the parent's layout.
-    pub(crate) fn intern_words<W>(
+    /// Intern the state with dedup key `(fingerprint, words)`; only a new
+    /// state's instance is built, by `make` from the stored ones.
+    pub(crate) fn intern_with(
         &mut self,
         fingerprint: u64,
-        words: W,
+        words: &[u32],
         parent: Option<(StateId, Update)>,
-        make: impl FnOnce(&StateStore) -> Instance,
-    ) -> (StateId, bool)
-    where
-        W: AsRef<[u32]> + Into<Box<[u32]>>,
-    {
-        let next = StateId(self.states.len() as u32);
-        let keys = &self.keys;
-        let (id, is_new) = self.index.intern(fingerprint, next, |cand| {
-            *keys[cand.index()] == *words.as_ref()
-        });
-        if !is_new {
-            return (id, false);
+        make: impl FnOnce(&[Instance]) -> Instance,
+    ) -> (StateId, bool) {
+        let depth = parent.map_or(0, |(p, _)| self.depths[p.index()] + 1);
+        let (id, is_new) = self.records.intern(fingerprint, words, parent, depth);
+        if is_new {
+            let inst = make(&self.states);
+            self.states.push(inst);
+            self.depths.push(depth);
         }
-        let depth = match parent {
-            Some((p, _)) => self.depths[p.index()] + 1,
-            None => 0,
-        };
-        let inst = make(self);
-        self.fingerprints.push(fingerprint);
-        self.keys.push(words.into());
-        self.states.push(inst);
-        self.parents.push(parent);
-        self.depths.push(depth);
-        (id, true)
+        (id, is_new)
     }
 
     /// Look up the state id of an instance without inserting. The
     /// intern/lookup fixpoint: after `intern(i, ..)`, `lookup(j)` returns
     /// the same id for every `j` the symmetry mode identifies with `i`.
-    pub fn lookup(&self, inst: &Instance) -> Option<StateId> {
-        let (key_of, _) = self.symmetry.keying();
+    /// A state outside the hot window is compared by decoding its record.
+    pub fn lookup(&mut self, inst: &Instance) -> Option<StateId> {
+        let (key_of, _) = self.symmetry().keying();
         let key = key_of(inst);
-        self.index.find(key.fingerprint(), |id| {
-            *self.keys[id.index()] == *key.words()
-        })
+        self.records.find(key.fingerprint(), key.words())
     }
 
     /// The stored representative of state `id`.
@@ -350,18 +330,6 @@ impl StateStore {
     /// The stored representatives, indexed by `StateId`.
     pub fn states(&self) -> &[Instance] {
         &self.states
-    }
-
-    /// The dedup-key fingerprint of state `id` (the canonical class
-    /// fingerprint in `Reduced` mode).
-    pub fn fingerprint(&self, id: StateId) -> u64 {
-        self.fingerprints[id.index()]
-    }
-
-    /// The BFS tree edge that discovered `id` (`None` for the initial
-    /// state).
-    pub fn parent(&self, id: StateId) -> Option<(StateId, Update)> {
-        self.parents[id.index()]
     }
 
     /// BFS depth of state `id` (steps from the initial instance).
@@ -382,51 +350,38 @@ impl StateStore {
     /// Detected 64-bit fingerprint collisions (distinct encodings sharing
     /// a fingerprint). Expected to stay 0 in practice.
     pub fn collisions(&self) -> u64 {
-        self.index.collisions()
+        self.records.collisions()
     }
 
-    /// Approximate resident bytes of the store: state instances, interned
-    /// key words, the fingerprint index, and provenance columns. An
-    /// estimate (allocator slack and hash-map control bytes are
-    /// approximated), used for byte-denominated retention budgets.
+    /// Approximate resident bytes of the store: the record store, the
+    /// state instances and the depth column. An estimate (allocator
+    /// slack and hash-map control bytes are approximated), used for
+    /// byte-denominated retention budgets.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut total = size_of::<StateStore>() + self.index.approx_bytes();
-        total += self.keys.capacity() * size_of::<Box<[u32]>>();
-        total += self
-            .keys
-            .iter()
-            .map(|k| k.len() * size_of::<u32>())
-            .sum::<usize>();
-        total += self.fingerprints.capacity() * size_of::<u64>();
-        total += self
-            .states
-            .iter()
-            .map(Instance::approx_bytes)
-            .sum::<usize>();
-        total += self.parents.capacity() * size_of::<Option<(StateId, Update)>>();
-        total += self.depths.capacity() * size_of::<u32>();
-        total
+        size_of::<StateStore>()
+            + self.records.approx_bytes()
+            + self
+                .states
+                .iter()
+                .map(Instance::approx_bytes)
+                .sum::<usize>()
+            + self.depths.capacity() * size_of::<u32>()
     }
 
     /// Reconstruct the update sequence from the initial state to `id`
-    /// along the BFS tree (replayable via `GuardedForm::replay`).
-    pub fn run_to(&self, id: StateId) -> Vec<Update> {
-        let mut rev = Vec::new();
-        let mut i = id;
-        while let Some((p, u)) = self.parents[i.index()] {
-            rev.push(u);
-            i = p;
-        }
-        rev.reverse();
-        rev
+    /// along the BFS tree (replayable via `GuardedForm::replay`), from
+    /// the record headers.
+    pub fn run_to(&mut self, id: StateId) -> Vec<Update> {
+        self.records.run_to(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idar_core::{InstNodeId, Schema};
+    use crate::explore::{bfs, ExploreLimits};
+    use idar_core::{AccessRules, Formula, GuardedForm, InstNodeId, Schema};
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -495,7 +450,7 @@ mod tests {
         assert_eq!(store.depth(one), 1);
         assert_eq!(store.depth(two), 2);
         assert_eq!(store.run_to(two), vec![u1, u2]);
-        assert_eq!(store.fingerprint(one), i1.canon_key().fingerprint());
+        assert_eq!(store.lookup(&i1), Some(one));
     }
 
     /// Two different word sequences under one fingerprint stay two
@@ -505,13 +460,13 @@ mod tests {
     fn fingerprint_collisions_keep_distinct_ids() {
         let s = schema();
         let mut store = StateStore::new(SymmetryMode::Reduced);
-        let make = |_: &StateStore| Instance::empty(s.clone());
-        let (a, new_a) = store.intern_words(7, vec![1, 2], None, make);
-        let (b, new_b) = store.intern_words(7, vec![3, 4], None, make);
+        let make = |_: &[Instance]| Instance::empty(s.clone());
+        let (a, new_a) = store.intern_with(7, &[1, 2], None, make);
+        let (b, new_b) = store.intern_with(7, &[3, 4], None, make);
         assert!(new_a && new_b);
         assert_ne!(a, b);
-        assert_eq!(store.intern_words(7, vec![1, 2], None, make), (a, false));
-        assert_eq!(store.intern_words(7, vec![3, 4], None, make), (b, false));
+        assert_eq!(store.intern_with(7, &[1, 2], None, make), (a, false));
+        assert_eq!(store.intern_with(7, &[3, 4], None, make), (b, false));
         assert_eq!(store.len(), 2);
         assert_eq!(store.collisions(), 1);
     }
@@ -523,28 +478,122 @@ mod tests {
     fn three_way_collision_goes_through_the_side_list() {
         let s = schema();
         let mut store = StateStore::new(SymmetryMode::Reduced);
-        let make = |_: &StateStore| Instance::empty(s.clone());
+        let make = |_: &[Instance]| Instance::empty(s.clone());
         let words: [&[u32]; 3] = [&[1, 2], &[3, 4], &[5, 6, 7]];
         let ids: Vec<StateId> = words
             .iter()
             .map(|w| {
-                let (id, new) = store.intern_words(7, w.to_vec(), None, make);
+                let (id, new) = store.intern_with(7, w, None, make);
                 assert!(new);
                 id
             })
             .collect();
         assert_eq!(ids, [StateId(0), StateId(1), StateId(2)]);
-        assert_eq!(store.index.slots[&7], SHARED);
-        assert_eq!(store.index.shared[&7], ids);
-        let find =
-            |store: &StateStore, w: &[u32]| store.index.find(7, |id| *store.keys[id.index()] == *w);
+        let index = store.records.index();
+        assert_eq!(index.slots[&7], SHARED);
+        assert_eq!(index.shared[&7], ids);
+        assert_eq!(index.find(8, |_| true), None);
         for (w, &id) in words.iter().zip(&ids) {
-            assert_eq!(store.intern_words(7, w.to_vec(), None, make), (id, false));
-            assert_eq!(find(&store, w), Some(id));
+            assert_eq!(store.intern_with(7, w, None, make), (id, false));
+            assert_eq!(store.records.find(7, w), Some(id));
         }
-        assert_eq!(find(&store, &[8]), None);
-        assert_eq!(store.index.find(8, |_| true), None);
+        assert_eq!(store.records.find(7, &[8]), None);
         assert_eq!(store.len(), 3);
         assert_eq!(store.collisions(), 2);
+    }
+
+    /// Free adds and deletions under `a(b, c), s` with at most one child
+    /// per edge: the ten subsets, four BFS layers below the root.
+    fn free_form() -> (GuardedForm, ExploreLimits) {
+        let s = schema();
+        let rules = AccessRules::with_default(&s, Formula::True);
+        let form = GuardedForm::new(s.clone(), rules, Instance::empty(s), Formula::False);
+        let limits = ExploreLimits {
+            multiplicity_cap: Some(1),
+            ..ExploreLimits::small()
+        };
+        (form, limits)
+    }
+
+    /// The form's state space, interned by the explorer's BFS, which
+    /// advances the record store's hot window layer by layer.
+    fn bfs_store(form: &GuardedForm, limits: &ExploreLimits) -> StateStore {
+        let mut store = StateStore::new(SymmetryMode::Reduced);
+        bfs(form, limits, &mut store, |_| false, &mut ());
+        assert_eq!(store.len(), 10);
+        assert_eq!(store.depth(StateId(9)), 4);
+        store
+    }
+
+    /// After the build, the first three layers have left the hot window:
+    /// a lookup of a cold state, or of an isomorphic renaming of it,
+    /// finds its id by decoding its record.
+    #[test]
+    fn lookup_finds_cold_states_through_the_arena() {
+        let (form, limits) = free_form();
+        let mut store = bfs_store(&form, &limits);
+        let hot_base = store.records.hot_base();
+        assert!(hot_base > 3, "layers 0..=2 are cold");
+        for i in 0..hot_base {
+            let id = StateId(i);
+            let inst = store.get(id).clone();
+            assert_eq!(store.lookup(&inst), Some(id), "state {i}");
+            assert_eq!(store.lookup(&inst.canonicalize().instance), Some(id));
+        }
+        let cold = Instance::parse(schema(), "a, s").unwrap();
+        let id = store.lookup(&cold).expect("{a, s} is reachable");
+        assert!(id.0 < hot_base, "{{a, s}} sits at depth 2");
+        let renamed = Instance::parse(schema(), "s, a").unwrap();
+        assert_eq!(store.lookup(&renamed), Some(id));
+        assert_eq!(store.records.report().faults, 0, "every page is in RAM");
+    }
+
+    /// A successor of a cold parent (as a resume interns one) is written
+    /// as a full-word checkpoint; once it and its own successors have
+    /// left the hot window too, a second probe still dedups through the
+    /// decoded records, and its run replays.
+    #[test]
+    fn cold_parent_successor_is_a_checkpoint() {
+        let (form, limits) = free_form();
+        let mut store = bfs_store(&form, &limits);
+        let s = schema();
+        let a = s.resolve("a").unwrap();
+        let parent = store
+            .lookup(&Instance::parse(s.clone(), "a, s").unwrap())
+            .expect("{a, s} is reachable");
+        assert!(parent.0 < store.records.hot_base());
+        // {a, a, s}, {a, a, a, s}, {a, a, a, a, s}: depths 3, 4 and 5.
+        let mut chain = vec![];
+        let mut at = parent;
+        for _ in 0..3 {
+            let checkpoints = store.records.report().checkpoints;
+            let u = Update::Add {
+                parent: InstNodeId::ROOT,
+                edge: a,
+            };
+            let mut next = store.get(at).clone();
+            form.apply_unchecked(&mut next, &u).unwrap();
+            let (id, new) = store.intern(next.clone(), Some((at, u)));
+            assert!(new);
+            let cold_parent = at == parent;
+            assert_eq!(
+                store.records.report().checkpoints,
+                checkpoints + u64::from(cold_parent),
+                "only the cold parent's successor is a checkpoint"
+            );
+            chain.push((id, next));
+            at = id;
+        }
+        assert_eq!(store.depth(at), 5);
+        store.records.begin_layer(6);
+        assert_eq!(store.records.hot_base(), at.0);
+        for (id, inst) in &chain {
+            assert_eq!(store.intern(inst.clone(), None), (*id, false));
+            let run = store.run_to(*id);
+            let replayed = form.replay(&run).unwrap();
+            assert!(replayed.last().isomorphic(inst));
+        }
+        assert_eq!(store.len(), 13);
+        assert_eq!(store.collisions(), 0);
     }
 }

@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 
 /// The reachability graph of a guarded form, with form-level conveniences
 /// layered over the raw solver graph.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WorkflowGraph {
     graph: StateGraph,
     complete: Vec<bool>,
@@ -57,8 +57,7 @@ impl WorkflowGraph {
     /// Explore `form` within `limits` and annotate the result.
     pub fn build(form: &GuardedForm, limits: ExploreLimits) -> WorkflowGraph {
         let graph = Explorer::new(form, limits).graph();
-        let complete: Vec<bool> = graph.states().iter().map(|s| form.is_complete(s)).collect();
-        let completable = graph.can_reach(complete.clone());
+        let (complete, completable) = graph.completion(form);
         WorkflowGraph {
             graph,
             complete,
@@ -102,7 +101,7 @@ impl WorkflowGraph {
     }
 
     /// A replayable run from the initial instance to state `i`.
-    pub fn run_to(&self, i: usize) -> Vec<Update> {
+    pub fn run_to(&mut self, i: usize) -> Vec<Update> {
         self.graph.run_to(i)
     }
 
@@ -211,7 +210,7 @@ mod tests {
     #[test]
     fn runs_replay() {
         let g = toggle_form();
-        let w = WorkflowGraph::build(&g, ExploreLimits::small());
+        let mut w = WorkflowGraph::build(&g, ExploreLimits::small());
         for i in 0..w.state_count() {
             let run = w.run_to(i);
             let r = g.replay(&run).unwrap();

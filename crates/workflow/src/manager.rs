@@ -147,7 +147,7 @@ pub struct EvictionStats {
 }
 
 /// The retained graph plus the cache entries it published.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ActiveSession {
     graph: StateGraph,
     delta: SessionDelta,
@@ -180,7 +180,7 @@ impl ActiveSession {
 }
 
 /// Lifecycle of the retained session graph.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum SessionState {
     /// Graph-eligible, not built yet (builds lazily at the first oracle
     /// call, so opening a session stays cheap).
@@ -206,7 +206,7 @@ enum SessionState {
 /// explored [`StateGraph`] across edits (see the module docs), so a
 /// post-edit sweep is a set of graph lookups rather than solves;
 /// [`FormManager::recompute_stats`] reports the split.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FormManager {
     form: GuardedForm,
     current: Instance,
@@ -368,7 +368,7 @@ impl FormManager {
     /// warm instead of re-interning the root and re-solving.
     pub fn reset(&mut self) {
         let from_graph = match &*self.session.borrow() {
-            SessionState::Active(a) => Some(a.graph.store().get(a.graph.root()).clone()),
+            SessionState::Active(a) => Some(a.graph.state(a.graph.root().index()).clone()),
             _ => None,
         };
         self.current = from_graph.unwrap_or_else(|| self.form.initial().clone());

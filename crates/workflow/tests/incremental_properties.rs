@@ -82,7 +82,7 @@ fn resume_equals_cold_run_from_every_state() {
                         id,
                         |x| form.is_complete(x),
                     );
-                    let rerooted = form.with_initial(session.store().get(id).clone());
+                    let rerooted = form.with_initial(session.state(i).clone());
                     let cold = Explorer::new(&rerooted, query)
                         .with_symmetry(mode)
                         .find(|x| rerooted.is_complete(x));

@@ -158,10 +158,8 @@ fn state_store_intern_lookup_fixpoint_on_generated_instances() {
             }
             assert_eq!(store.len(), 1);
             assert_eq!(store.collisions(), 0);
-            assert_eq!(
-                store.fingerprint(id),
-                form.initial().canonicalize().fingerprint
-            );
+            let canonical = form.initial().canonicalize().instance;
+            assert_eq!(store.lookup(&canonical), Some(id));
         }
     }
 }
